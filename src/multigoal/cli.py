@@ -204,7 +204,8 @@ def _seed_of(args, config) -> int:
     return 0
 
 
-def _planner_config(args, config, grid: GridMap, seed: int) -> PlannerConfig:
+def _planner_overrides(args, config) -> dict:
+    """PlannerConfig overrides from the planner flags, falling back to the config file."""
     overrides = {}
     for flag, attr, cast in _PLANNER_FLAGS:
         value = getattr(args, flag, None)
@@ -217,7 +218,22 @@ def _planner_config(args, config, grid: GridMap, seed: int) -> PlannerConfig:
         density = config["density_sampling"].lower() in ("1", "true", "yes")
     if density is not None:
         overrides["density_sampling"] = density
-    return PlannerConfig.for_map(grid, seed=seed, **overrides)
+    try:
+        PlannerConfig(**overrides)  # each check covers one field, so this rejects what for_map would
+    except ValueError as exc:
+        raise FormatError(f"planner settings: {exc}") from None
+    return overrides
+
+
+def _planner_config(args, config, grid: GridMap, seed: int) -> PlannerConfig:
+    return PlannerConfig.for_map(grid, seed=seed, **_planner_overrides(args, config))
+
+
+def _tsp_config(args) -> TspConfig:
+    try:
+        return TspConfig(exact_threshold=args.exact_threshold)
+    except ValueError as exc:
+        raise FormatError(f"--exact-threshold: {exc}") from None
 
 
 def _parse_point(text: str) -> Point:
@@ -279,7 +295,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_tsp(args) -> int:
     matrix = WeightMatrix.from_csv(args.weights)
-    result = solve_tsp(matrix, TspConfig(exact_threshold=args.exact_threshold))
+    result = solve_tsp(matrix, _tsp_config(args))
     payload = json.dumps(
         {"order": list(result.tour.order), "cost": result.cost, "method": result.method},
         sort_keys=True,
@@ -328,7 +344,7 @@ def _cmd_pipeline(args) -> int:
     grid = load_map(args.map_path)
     goals = load_goals(args.goals_path)
     cfg = _planner_config(args, config, grid, seed)
-    tsp_config = TspConfig(exact_threshold=args.exact_threshold)
+    tsp_config = _tsp_config(args)
 
     solution = run_algorithm(grid, goals, args.algorithm, cfg, tsp_config, args.estimator)
 
@@ -377,20 +393,12 @@ def _cmd_bench(args) -> int:
         if a not in ALGORITHMS:
             raise FormatError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
 
-    overrides = {}
-    for flag, attr, cast in _PLANNER_FLAGS:
-        value = getattr(args, flag, None)
-        if value is None and flag in config:
-            value = cast(config[flag])
-        if value is not None:
-            overrides[attr] = value
-
     records = bench_mod.benchmark(
         scenarios,
         algorithms,
         repeats=args.repeats,
         base_seed=base_seed,
-        cfg_overrides=overrides,
+        cfg_overrides=_planner_overrides(args, config),
         estimator=args.estimator,
     )
     os.makedirs(args.out_dir, exist_ok=True)

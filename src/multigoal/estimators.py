@@ -144,58 +144,101 @@ class WeightMatrix:
         return cls(np.array(rows, dtype=np.float64))
 
 
-def grid_shortest_path(grid: GridMap, a: Point, b: Point) -> tuple[list[tuple[int, int]], float]:
-    """Shortest 8-connected cell-center path between the cells of a and b.
+def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
+    """Shortest 8-connected cell-center paths from the cell of a to each target's cell.
 
     Orthogonal steps cost 1, diagonal steps sqrt(2); a diagonal move is
     forbidden when either adjacent orthogonal cell is blocked. Ties are broken
-    by the fixed neighbor order and FIFO heap ordering, so the returned path
-    is deterministic. Returns (cell path, length); raises Unreachable when no
-    path exists.
+    by the fixed neighbor order and FIFO heap ordering, so every returned path
+    is deterministic. The search stops once every target cell is settled.
+    Since a settled cell never gets a new parent, and the run up to settling
+    a target is the run a single-target search would make, each path equals
+    the one a search for that target alone returns.
+
+    Returns one (cell path, length) per target, in target order, or None for
+    a target that cannot be reached. Cells are ids on the map padded by a
+    one-cell blocked border, so neighbor tests need no bounds check.
     """
     if not grid.is_free(a):
         raise ValueError(f"start ({a.x}, {a.y}) is not in a free cell")
-    if not grid.is_free(b):
-        raise ValueError(f"goal ({b.x}, {b.y}) is not in a free cell")
-    start = a.cell()
-    goal = b.cell()
-    if start == goal:
-        return [start], 0.0
+    for b in targets:
+        if not grid.is_free(b):
+            raise ValueError(f"goal ({b.x}, {b.y}) is not in a free cell")
+    pw = grid.width + 2
+    padded = np.ones((grid.height + 2, pw), dtype=bool)
+    padded[1:-1, 1:-1] = grid.cells
+    free = (~padded).ravel().tolist()
+    # (id offset, step cost, x offset, y offset); both offsets are nonzero only on diagonals
+    moves = [(dy * pw + dx, cost, dx, dy * pw) for dx, dy, cost in NEIGHBORS_8]
 
-    dist: dict[tuple[int, int], float] = {start: 0.0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    done: set[tuple[int, int]] = set()
+    def cell_id(p: Point) -> int:
+        x, y = p.cell()
+        return (y + 1) * pw + x + 1
+
+    start = cell_id(a)
+    pending: dict[int, float | None] = {cell_id(b): None for b in targets}
+    left = len(pending)
+    n = len(free)
+    dist = [math.inf] * n
+    dist[start] = 0.0
+    parent = [-1] * n
+    done = [False] * n
     counter = 0
-    heap: list[tuple[float, int, tuple[int, int]]] = [(0.0, counter, start)]
+    heap: list[tuple[float, int, int]] = [(0.0, counter, start)]
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     while heap:
-        d, _, cell = heapq.heappop(heap)
-        if cell in done:
+        d, _, c = heappop(heap)
+        if done[c]:
             continue
-        if cell == goal:
-            path = [cell]
-            while cell != start:
-                cell = parent[cell]
-                path.append(cell)
-            path.reverse()
-            return path, d
-        done.add(cell)
-        x, y = cell
-        for dx, dy, cost in NEIGHBORS_8:
-            nx, ny = x + dx, y + dy
-            if not grid.cell_free(nx, ny):
+        if c in pending:
+            pending[c] = d
+            left -= 1
+            if not left:
+                break
+        done[c] = True
+        for off, cost, ox, oy in moves:
+            nc = c + off
+            if not free[nc]:
                 continue
-            if dx != 0 and dy != 0:
-                if not (grid.cell_free(x + dx, y) and grid.cell_free(x, y + dy)):
-                    continue
+            if ox and oy and not (free[c + ox] and free[c + oy]):
+                continue
             nd = d + cost
-            if nd < dist.get((nx, ny), math.inf):
-                dist[(nx, ny)] = nd
-                parent[(nx, ny)] = cell
+            if nd < dist[nc]:
+                dist[nc] = nd
+                parent[nc] = c
                 counter += 1
-                heapq.heappush(heap, (nd, counter, (nx, ny)))
+                heappush(heap, (nd, counter, nc))
 
-    raise Unreachable(f"no grid path from cell {start} to cell {goal}")
+    out = []
+    for b in targets:
+        c = cell_id(b)
+        length = pending[c]
+        if length is None:
+            out.append(None)
+            continue
+        path = [c]
+        while c != start:
+            c = parent[c]
+            path.append(c)
+        out.append(([(c % pw - 1, c // pw - 1) for c in reversed(path)], length))
+    return out
+
+
+def _no_grid_path(a: Point, b: Point) -> Unreachable:
+    return Unreachable(f"no grid path from cell {a.cell()} to cell {b.cell()}")
+
+
+def grid_shortest_path(grid: GridMap, a: Point, b: Point) -> tuple[list[tuple[int, int]], float]:
+    """Shortest 8-connected cell-center path between the cells of a and b.
+
+    Returns (cell path, length); raises Unreachable when no path exists. See
+    shortest_paths_from for the step costs and tie-breaking.
+    """
+    (found,) = shortest_paths_from(grid, a, [b])
+    if found is None:
+        raise _no_grid_path(a, b)
+    return found
 
 
 def default_dilation_radius(grid: GridMap) -> float:
@@ -217,6 +260,10 @@ def dilate_path_to_region(grid: GridMap, path, radius: float) -> RegionMask:
     return RegionMask(region.astype(np.float64))
 
 
+def _pair_unreachable(i: int, j: int, exc: Unreachable) -> Unreachable:
+    return Unreachable(f"goal pair ({i}, {j}) is unreachable: {exc}", pair=(i, j))
+
+
 class Estimator:
     """Strategy interface: deterministic goal pair -> (distance, region) estimate."""
 
@@ -225,6 +272,26 @@ class Estimator:
     def estimate(self, grid: GridMap, a: Point, b: Point, pair=None) -> PairEstimate:
         raise NotImplementedError
 
+    def estimate_all(self, grid: GridMap, goals: GoalSet) -> dict:
+        """{(i, j): PairEstimate} for every unordered goal pair i < j, in (i, j) order.
+
+        An unreachable pair raises Unreachable naming the first failing
+        (i, j) in that order, with ``pair`` set to it.
+        """
+        out = {}
+        m = len(goals)
+        for i in range(m):
+            for j in range(i + 1, m):
+                try:
+                    out[(i, j)] = self.estimate(grid, goals[i], goals[j], pair=(i, j))
+                except Unreachable as exc:
+                    raise _pair_unreachable(i, j, exc) from exc
+        return out
+
+
+def _free_mask(grid: GridMap) -> RegionMask:
+    return RegionMask((~grid.cells).astype(np.float64))
+
 
 class EuclideanEstimator(Estimator):
     """Straight-line distance; carries no region information (all free cells promising)."""
@@ -232,8 +299,16 @@ class EuclideanEstimator(Estimator):
     name = "euclidean"
 
     def estimate(self, grid, a, b, pair=None):
-        mask = RegionMask((~grid.cells).astype(np.float64))
-        return PairEstimate(a.distance_to(b), mask)
+        return PairEstimate(a.distance_to(b), _free_mask(grid))
+
+    def estimate_all(self, grid, goals):
+        mask = _free_mask(grid)  # read-only, so every pair can share it
+        m = len(goals)
+        return {
+            (i, j): PairEstimate(goals[i].distance_to(goals[j]), mask)
+            for i in range(m)
+            for j in range(i + 1, m)
+        }
 
 
 class GridOracleEstimator(Estimator):
@@ -244,10 +319,27 @@ class GridOracleEstimator(Estimator):
     def __init__(self, dilation_radius: float | None = None):
         self.dilation_radius = dilation_radius
 
+    def _radius(self, grid: GridMap) -> float:
+        return self.dilation_radius if self.dilation_radius is not None else default_dilation_radius(grid)
+
     def estimate(self, grid, a, b, pair=None):
         path, length = grid_shortest_path(grid, a, b)
-        radius = self.dilation_radius if self.dilation_radius is not None else default_dilation_radius(grid)
-        return PairEstimate(length, dilate_path_to_region(grid, path, radius))
+        return PairEstimate(length, dilate_path_to_region(grid, path, self._radius(grid)))
+
+    def estimate_all(self, grid, goals):
+        """One search from each goal i to all goals j > i: M-1 searches in all."""
+        radius = self._radius(grid)
+        out = {}
+        m = len(goals)
+        for i in range(m - 1):
+            found = shortest_paths_from(grid, goals[i], [goals[j] for j in range(i + 1, m)])
+            for j, hit in enumerate(found, start=i + 1):
+                if hit is None:
+                    exc = _no_grid_path(goals[i], goals[j])
+                    raise _pair_unreachable(i, j, exc) from exc
+                path, length = hit
+                out[(i, j)] = PairEstimate(length, dilate_path_to_region(grid, path, radius))
+        return out
 
 
 class ExternalEstimator(Estimator):
@@ -291,14 +383,9 @@ def build_weight_matrix(
     m = len(goals)
     w = np.zeros((m, m), dtype=np.float64)
     masks: dict[tuple[int, int], RegionMask] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            try:
-                pe = est.estimate(grid, goals[i], goals[j], pair=(i, j))
-            except Unreachable as exc:
-                raise Unreachable(f"goal pair ({i}, {j}) is unreachable: {exc}", pair=(i, j)) from exc
-            w[i, j] = w[j, i] = pe.distance
-            masks[(i, j)] = pe.mask
+    for (i, j), pe in est.estimate_all(grid, goals).items():
+        w[i, j] = w[j, i] = pe.distance
+        masks[(i, j)] = pe.mask
     return WeightMatrix(w), masks
 
 

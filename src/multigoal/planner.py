@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoPathFound
+from .errors import FormatError, NoPathFound
 from .grid import GridMap, Point
 
 _REWIRE_EPS = 1e-12
@@ -42,6 +42,8 @@ class PlannerConfig:
             raise ValueError("k must lie in [0, 1]")
         if self.goal_tolerance < 0:
             raise ValueError("goal_tolerance must be nonnegative")
+        if self.rewire_radius <= 0:
+            raise ValueError("rewire_radius must be positive")
         if self.collision_resolution <= 0:
             raise ValueError("collision_resolution must be positive")
         if not 0.0 <= self.mask_threshold <= 1.0:
@@ -166,11 +168,19 @@ def save_path(path, poly: PathPolyline) -> None:
 def load_path(path) -> PathPolyline:
     points = []
     with open(path, "r", encoding="ascii") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
-            if line:
-                x, y = line.split(",")
-                points.append(Point(float(x), float(y)))
+            if not line:
+                continue
+            try:
+                x, y = (float(v) for v in line.split(","))
+                points.append(Point(x, y))
+            except ValueError:
+                raise FormatError(
+                    f"{path} row {lineno}: expected 'x,y' with two finite numbers, got {line!r}"
+                ) from None
+    if len(points) < 2:
+        raise FormatError(f"{path}: a path needs at least 2 points, got {len(points)}")
     return PathPolyline(points)
 
 

@@ -60,6 +60,16 @@ class TspConfig:
     nn_start: int = 0
     move_budget: int | None = None
 
+    def __post_init__(self):
+        if self.exact_threshold > EXACT_LIMIT:
+            raise ValueError(
+                f"exact_threshold must be at most {EXACT_LIMIT}, got {self.exact_threshold}"
+            )
+        if self.nn_start < 0:
+            raise ValueError(f"nn_start must be nonnegative, got {self.nn_start}")
+        if self.move_budget is not None and self.move_budget < 0:
+            raise ValueError(f"move_budget must be nonnegative, got {self.move_budget}")
+
 
 @dataclass(frozen=True)
 class TspResult:

@@ -55,6 +55,14 @@ class TestEstimateAndTsp:
         assert (out / "pair_0_1.pgm").exists()
         assert (out / "pair_2_3.pgm").exists()
 
+    def test_exact_threshold_above_limit(self, small_world, tmp_path, capsys):
+        map_path, goals_path = small_world
+        est = tmp_path / "est"
+        run(["estimate", "--map", map_path, "--goals", goals_path, "--out-dir", est])
+        code = run(["tsp", "--weights", est / "weights.csv", "--exact-threshold", 17])
+        assert code == 1
+        assert "exact_threshold" in capsys.readouterr().err
+
     def test_tsp_json(self, small_world, tmp_path, capsys):
         map_path, goals_path = small_world
         out = tmp_path / "est"
@@ -111,6 +119,13 @@ class TestPlan:
                     "--start", "2.5,2.5", "--goal", "20.5,20.5", "--seed", 4,
                     "--out-path", tmp_path / "p.csv"])
         assert code == 0
+
+    def test_bad_planner_flag(self, small_world, tmp_path, capsys):
+        map_path, _ = small_world
+        code = run(["plan", "--map", map_path, "--start", "2.5,2.5", "--goal", "20.5,3.5",
+                    "--step", 0, "--out-path", tmp_path / "p.csv"])
+        assert code == 1
+        assert "step_size must be positive" in capsys.readouterr().err
 
     def test_unreachable_exits_nonzero(self, tmp_path, capsys):
         cells = np.zeros((16, 16), dtype=bool)
@@ -211,6 +226,22 @@ class TestBenchCommand:
         assert times.exists()
         assert times.read_text().startswith("scenario,algorithm,repeat,time_s")
 
+    def test_density_sampling_reaches_planner(self, tmp_path):
+        outs = []
+        for extra in ([], ["--density-sampling"]):
+            out = tmp_path / f"bench{len(extra)}"
+            code = run(["bench", "--scenarios", "simple", "--algorithms", "guided",
+                        "--repeats", 1, "--base-seed", 3, "--out-dir", out, *extra])
+            assert code == 0
+            outs.append((out / "results.csv").read_text())
+        assert outs[0] != outs[1]
+
+    def test_bad_planner_flag(self, tmp_path, capsys):
+        code = run(["bench", "--scenarios", "simple", "--algorithms", "guided",
+                    "--repeats", 1, "--rewire-radius", -1, "--out-dir", tmp_path / "b"])
+        assert code == 1
+        assert "rewire_radius must be positive" in capsys.readouterr().err
+
     def test_unknown_algorithm(self, tmp_path, capsys):
         code = run(["bench", "--scenarios", "simple", "--algorithms", "astar",
                     "--out-dir", tmp_path / "b"])
@@ -262,3 +293,17 @@ class TestRenderCommand:
         code = run(["render", "--map", map_path, "--mask", est / "pair_0_1.pgm", "--out", out])
         assert code == 0
         assert "fill-opacity" in out.read_text()
+
+    @pytest.mark.parametrize("text, where", [
+        ("1.5,1.5\n2.5,2.5,0\n", "row 2"),
+        ("1.5,nan\n2.5,2.5\n", "row 1"),
+        ("1.5,1.5\n", "at least 2 points"),
+    ])
+    def test_bad_path_file(self, small_world, tmp_path, capsys, text, where):
+        map_path, _ = small_world
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = run(["render", "--map", map_path, "--path", bad, "--out", tmp_path / "r.svg"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}") and where in err

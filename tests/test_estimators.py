@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from multigoal import (
     DimensionMismatch,
+    Estimator,
     EuclideanEstimator,
     FormatError,
     GoalSet,
@@ -25,6 +28,7 @@ from multigoal import (
     load_external_predictions,
     place_goals,
 )
+from multigoal.estimators import NEIGHBORS_8, default_dilation_radius, shortest_paths_from
 
 SQRT2 = math.sqrt(2.0)
 
@@ -228,13 +232,16 @@ class TestEstimatePair:
         assert np.array_equal(p1.mask.values, p2.mask.values)
 
 
-class CountingEstimator(EuclideanEstimator):
+class CountingEstimator(Estimator):
+    """An estimator with only a per-pair estimate, so build_weight_matrix takes
+    the default estimate_all loop."""
+
     def __init__(self):
         self.calls = 0
 
     def estimate(self, grid, a, b, pair=None):
         self.calls += 1
-        return super().estimate(grid, a, b, pair=pair)
+        return EuclideanEstimator().estimate(grid, a, b, pair=pair)
 
 
 class TestBuildWeightMatrix:
@@ -281,6 +288,97 @@ class TestBuildWeightMatrix:
         with pytest.raises(Unreachable) as err:
             build_weight_matrix(g, goals, GridOracleEstimator())
         assert err.value.pair == (0, 2)
+
+
+@st.composite
+def maps_with_goals(draw):
+    """A small random map (about a quarter blocked) and 2-6 distinct goals in
+    free cells; goals may share a cell or sit in different components."""
+    w = draw(st.integers(2, 9))
+    h = draw(st.integers(2, 9))
+    blocked = draw(st.lists(st.integers(0, 3), min_size=w * h, max_size=w * h))
+    cells = np.array([v == 0 for v in blocked]).reshape(h, w)
+    assume(not cells.all())
+    grid = GridMap(cells)
+    free = grid.free_cells()
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(free) - 1), st.sampled_from([0.25, 0.5, 0.75])),
+            min_size=2,
+            max_size=6,
+            unique=True,
+        )
+    )
+    goals = GoalSet([Point(free[k][0] + off, free[k][1] + off) for k, off in picks])
+    return grid, goals
+
+
+class TestEstimateAll:
+    def test_euclidean_shares_one_read_only_mask(self):
+        g = generate_map(4, 16, 16, None)
+        goals = place_goals(g, 5, 1, 2)
+        out = EuclideanEstimator().estimate_all(g, goals)
+        masks = {id(pe.mask) for pe in out.values()}
+        assert len(out) == 10 and len(masks) == 1
+        mask = next(iter(out.values())).mask
+        assert not mask.values.flags.writeable
+        for (i, j), pe in out.items():
+            assert pe == EuclideanEstimator().estimate(g, goals[i], goals[j])
+
+    def test_pairs_in_row_major_order(self):
+        g = empty_map(12, 12)
+        goals = GoalSet([Point(x + 0.5, 3.5) for x in range(0, 12, 3)])
+        expect = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        assert list(GridOracleEstimator().estimate_all(g, goals)) == expect
+        assert list(EuclideanEstimator().estimate_all(g, goals)) == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(maps_with_goals())
+    def test_oracle_matches_per_pair_search(self, world):
+        grid, goals = world
+        est = GridOracleEstimator()
+        radius = default_dilation_radius(grid)
+        m = len(goals)
+        expect, failure = {}, None
+        for i in range(m):
+            for j in range(i + 1, m):
+                try:
+                    path, length = grid_shortest_path(grid, goals[i], goals[j])
+                except Unreachable:
+                    failure = failure or (i, j)
+                    continue
+                expect[(i, j)] = (length, dilate_path_to_region(grid, path, radius))
+        if failure is not None:
+            with pytest.raises(Unreachable) as err:
+                est.estimate_all(grid, goals)
+            assert err.value.pair == failure
+            return
+        got = est.estimate_all(grid, goals)
+        assert list(got) == list(expect)
+        for key, (length, mask) in expect.items():
+            assert got[key].distance == length
+            assert got[key].mask == mask
+
+    @settings(max_examples=60, deadline=None)
+    @given(maps_with_goals())
+    def test_length_is_sum_of_step_costs(self, world):
+        grid, goals = world
+        step_cost = {(dx, dy): cost for dx, dy, cost in NEIGHBORS_8}
+        found = shortest_paths_from(grid, goals[0], goals[1:])
+        assert len(found) == len(goals) - 1
+        for b, hit in zip(goals[1:], found):
+            if hit is None:
+                assert not grid.same_component(goals[0], b)
+                continue
+            path, length = hit
+            assert path[0] == goals[0].cell() and path[-1] == b.cell()
+            total = 0.0
+            for (x0, y0), (x1, y1) in zip(path, path[1:]):
+                assert grid.cell_free(x1, y1)
+                if x1 != x0 and y1 != y0:
+                    assert grid.cell_free(x1, y0) and grid.cell_free(x0, y1)
+                total += step_cost[(x1 - x0, y1 - y0)]
+            assert abs(total - length) <= 1e-9
 
 
 class TestWeightMatrix:

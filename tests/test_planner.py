@@ -240,6 +240,11 @@ class TestPlanLegRrt:
         with pytest.raises(ValueError):
             plan_leg_rrt(g, Point(4.5, 4.5), Point(1.5, 1.5), free_mask(g), PlannerConfig())
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_config_rejects_nonpositive_rewire_radius(self, radius):
+        with pytest.raises(ValueError, match="rewire_radius"):
+            PlannerConfig(rewire_radius=radius)
+
 
 class TestPlanLegRrtStar:
     def test_near_straight_on_empty_map(self):

@@ -204,6 +204,22 @@ class TestLocalSearch:
         assert tour_cost(w, one_move) >= tour_cost(w, free)
 
 
+class TestTspConfig:
+    def test_rejects_exact_threshold_above_limit(self):
+        with pytest.raises(ValueError, match="exact_threshold"):
+            TspConfig(exact_threshold=17)
+        assert TspConfig(exact_threshold=16).exact_threshold == 16
+
+    def test_rejects_negative_nn_start(self):
+        with pytest.raises(ValueError, match="nn_start"):
+            TspConfig(nn_start=-1)
+
+    def test_rejects_negative_move_budget(self):
+        with pytest.raises(ValueError, match="move_budget"):
+            TspConfig(move_budget=-1)
+        assert TspConfig(move_budget=0).move_budget == 0
+
+
 class TestSolveTsp:
     def test_m2(self):
         w = WeightMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
