@@ -7,6 +7,7 @@ generation, benchmarking, and SVG rendering round out the toolkit.
 """
 
 from .errors import (
+    BlockedPoint,
     DegenerateInput,
     DimensionMismatch,
     EmptyInput,
@@ -47,7 +48,6 @@ from .estimators import (
     build_weight_matrix,
     default_dilation_radius,
     dilate_path_to_region,
-    estimate_pair,
     export_predictions,
     grid_shortest_path,
     load_external_predictions,
@@ -78,11 +78,9 @@ from .planner import (
     Tree,
     hybrid_sample,
     load_path,
-    nearest_node,
     path_cost,
     plan_leg_rrt,
     plan_leg_rrt_star,
-    polyline_collision_free,
     save_path,
     steer,
 )
@@ -92,10 +90,8 @@ from .pipeline import (
     GUIDED,
     RRT_STAR,
     Solution,
-    baseline_pipeline,
     derive_seed,
     run_algorithm,
-    run_pipeline,
     verify_solution,
 )
 from .bench import BenchmarkRecord, bench_seed, benchmark

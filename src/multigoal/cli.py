@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import bench as bench_mod
-from .errors import FormatError, MultigoalError
+from .errors import BlockedPoint, FormatError, MultigoalError
 from .estimators import (
     RegionMask,
     WeightMatrix,
@@ -23,6 +23,7 @@ from .estimators import (
     make_estimator,
 )
 from .grid import (
+    GoalSet,
     GridMap,
     ObstacleSpec,
     Point,
@@ -38,7 +39,6 @@ from .losses import LossWeights, score_predictions
 from .pgm import read_pgm
 from .pipeline import ALGORITHMS, GUIDED, derive_seed, run_algorithm
 from .planner import (
-    PathPolyline,
     PlannerConfig,
     load_path,
     plan_leg_rrt,
@@ -55,7 +55,6 @@ _PLANNER_FLAGS = [
     ("max_samples", "max_samples", int),
     ("k", "k", float),
     ("goal_tol", "goal_tolerance", float),
-    ("collision_res", "collision_resolution", float),
     ("rewire_radius", "rewire_radius", float),
     ("mask_threshold", "mask_threshold", float),
 ]
@@ -171,7 +170,6 @@ def _sub(sub, name, help_text, planner=False):
         p.add_argument("--max-samples", type=int, default=None)
         p.add_argument("--k", type=float, default=None, help="goal-bias coefficient in [0,1]")
         p.add_argument("--goal-tol", type=float, default=None)
-        p.add_argument("--collision-res", type=float, default=None)
         p.add_argument("--rewire-radius", type=float, default=None)
         p.add_argument("--mask-threshold", type=float, default=None)
         p.add_argument("--density-sampling", action="store_true", default=None)
@@ -196,12 +194,19 @@ def _config_of(args) -> dict:
     return _load_config(args.config) if getattr(args, "config", None) else {}
 
 
+def _config_value(args, config, key, cast, default=None):
+    if key not in config:
+        return default
+    try:
+        return cast(config[key])
+    except ValueError:
+        raise FormatError(f"{args.config}: {key}={config[key]!r} is not a valid {cast.__name__}") from None
+
+
 def _seed_of(args, config) -> int:
     if args.seed is not None:
         return args.seed
-    if "seed" in config:
-        return int(config["seed"])
-    return 0
+    return _config_value(args, config, "seed", int, 0)
 
 
 def _planner_overrides(args, config) -> dict:
@@ -209,8 +214,8 @@ def _planner_overrides(args, config) -> dict:
     overrides = {}
     for flag, attr, cast in _PLANNER_FLAGS:
         value = getattr(args, flag, None)
-        if value is None and flag in config:
-            value = cast(config[flag])
+        if value is None:
+            value = _config_value(args, config, flag, cast)
         if value is not None:
             overrides[attr] = value
     density = getattr(args, "density_sampling", None)
@@ -234,6 +239,16 @@ def _tsp_config(args) -> TspConfig:
         return TspConfig(exact_threshold=args.exact_threshold)
     except ValueError as exc:
         raise FormatError(f"--exact-threshold: {exc}") from None
+
+
+def _load_goals_on(grid: GridMap, path) -> GoalSet:
+    """Goals from a file, each checked to lie in a free cell of grid."""
+    goals = load_goals(path)
+    try:
+        goals.validate_on(grid)
+    except BlockedPoint as exc:
+        raise BlockedPoint(f"{path}: {exc}") from None
+    return goals
 
 
 def _parse_point(text: str) -> Point:
@@ -284,7 +299,7 @@ def _cmd_gen_dataset(args) -> int:
 
 def _cmd_estimate(args) -> int:
     grid = load_map(args.map_path)
-    goals = load_goals(args.goals_path)
+    goals = _load_goals_on(grid, args.goals_path)
     est = make_estimator(args.estimator, args.dilation_radius)
     matrix, _ = export_predictions(args.out_dir, grid, goals, est)
     matrix.to_csv(os.path.join(args.out_dir, "weights.csv"))
@@ -342,7 +357,7 @@ def _cmd_pipeline(args) -> int:
     config = _config_of(args)
     seed = _seed_of(args, config)
     grid = load_map(args.map_path)
-    goals = load_goals(args.goals_path)
+    goals = _load_goals_on(grid, args.goals_path)
     cfg = _planner_config(args, config, grid, seed)
     tsp_config = _tsp_config(args)
 
@@ -368,7 +383,7 @@ def _cmd_pipeline(args) -> int:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     if args.svg:
-        render_svg(grid, goals, solution=solution, out_path=args.svg)
+        render_svg(grid, goals, legs=solution.legs, out_path=args.svg)
 
     t = solution.timings
     print(
@@ -386,7 +401,7 @@ def _cmd_bench(args) -> int:
     config = _config_of(args)
     base_seed = args.base_seed
     if base_seed is None:
-        base_seed = int(config.get("base_seed", _seed_of(args, config)))
+        base_seed = _config_value(args, config, "base_seed", int, _seed_of(args, config))
     scenarios = [builtin_scenario(name) for name in args.scenarios.split(",") if name]
     algorithms = [a for a in args.algorithms.split(",") if a]
     for a in algorithms:
@@ -445,18 +460,9 @@ def _cmd_render(args) -> int:
         legs.extend(
             load_path(os.path.join(args.solution_dir, leg["file"])) for leg in summary["legs"]
         )
-    solution = _LegsOnly(tuple(legs)) if legs else None
-
-    render_svg(grid, goals, masks=masks, solution=solution, out_path=args.out)
+    render_svg(grid, goals, masks=masks, legs=legs, out_path=args.out)
     print(f"wrote {args.out}")
     return 0
-
-
-class _LegsOnly:
-    """Minimal stand-in with a .legs attribute for rendering loose paths."""
-
-    def __init__(self, legs: tuple[PathPolyline, ...]):
-        self.legs = legs
 
 
 if __name__ == "__main__":

@@ -9,6 +9,10 @@ class OutOfBoundsError(MultigoalError):
     """A point lies outside the map rectangle."""
 
 
+class BlockedPoint(MultigoalError, ValueError):
+    """A start or goal lies inside an obstacle; a ValueError too, for existing callers."""
+
+
 class GenerationFailed(MultigoalError):
     """Random map generation exhausted its retry budget."""
 

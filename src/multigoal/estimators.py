@@ -365,11 +365,6 @@ class ExternalEstimator(Estimator):
         return PairEstimate(self.distances[key], mask)
 
 
-def estimate_pair(est: Estimator, grid: GridMap, a: Point, b: Point, pair=None) -> PairEstimate:
-    """Run one estimator on one goal pair."""
-    return est.estimate(grid, a, b, pair=pair)
-
-
 def build_weight_matrix(
     grid: GridMap, goals: GoalSet, est: Estimator
 ) -> tuple[WeightMatrix, dict]:

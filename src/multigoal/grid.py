@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import FormatError, GenerationFailed, OutOfBoundsError, PlacementFailed
+from .errors import BlockedPoint, FormatError, GenerationFailed, OutOfBoundsError, PlacementFailed
 from .pgm import read_pgm, write_pgm
 
 # Component labeling uses 4-connectivity: the grid oracle forbids corner
@@ -100,35 +100,13 @@ class GridMap:
             return not self.cells[cy, cx]
         return False
 
-    def segment_free(self, a: Point, b: Point, resolution: float) -> bool:
-        """True iff every sample at spacing <= resolution along ab lies in free cells.
-
-        Endpoints are sorted canonically before interpolation so the result is
-        symmetric in (a, b). Sample count is ceil(|ab| / resolution) + 1.
-        """
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
-        if not self.in_bounds(a):
-            raise OutOfBoundsError(f"segment endpoint ({a.x}, {a.y}) out of bounds")
-        if not self.in_bounds(b):
-            raise OutOfBoundsError(f"segment endpoint ({b.x}, {b.y}) out of bounds")
-        if (b.x, b.y) < (a.x, a.y):
-            a, b = b, a
-        dist = a.distance_to(b)
-        n = int(math.ceil(dist / resolution)) + 1
-        t = np.linspace(0.0, 1.0, n)
-        xs = a.x + t * (b.x - a.x)
-        ys = a.y + t * (b.y - a.y)
-        cols = np.floor(xs).astype(np.intp)
-        rows = np.floor(ys).astype(np.intp)
-        return not self.cells[rows, cols].any()
-
     def segment_clear(self, a: Point, b: Point) -> bool:
         """Exact conservative collision test: no cell floor(p(t)) along the
         segment is blocked, for any t.
 
-        Unlike the sampled segment_free this cannot miss corner clips, so a
-        clear segment stays clear under sampled re-checks at any resolution.
+        Unlike a check of points sampled along the segment this cannot miss
+        corner clips, so a clear segment stays clear under sampled re-checks at
+        any resolution. The planners and verify_solution both use it.
         """
         if not self.in_bounds(a):
             raise OutOfBoundsError(f"segment endpoint ({a.x}, {a.y}) out of bounds")
@@ -243,7 +221,7 @@ class GoalSet:
         """Raise if any goal lies in a blocked cell."""
         for i, p in enumerate(self.goals):
             if not grid.is_free(p):
-                raise ValueError(f"goal {i} at ({p.x}, {p.y}) is inside an obstacle")
+                raise BlockedPoint(f"goal {i} at ({p.x}, {p.y}) is inside an obstacle")
 
 
 @dataclass(frozen=True)

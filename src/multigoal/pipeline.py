@@ -1,9 +1,10 @@
 """End-to-end orchestration: estimate pair weights, order goals, plan legs.
 
-The guided pipeline estimates all goal-pair distances and regions, solves the
-TSP on the symmetric weight matrix, then plans each consecutive leg with the
-region-guided RRT. Baselines swap the weight source: per-pair RRT* paths, or
-straight-line distances with RRT* legs planned only along the chosen order.
+Every algorithm runs one flow: weigh all goal pairs, solve the TSP on the
+symmetric weight matrix, then plan each tour edge. The guided algorithm weighs
+pairs with an estimator and plans legs with the region-guided RRT. The RRT*
+baselines swap stages: per-pair RRT* paths as weights and legs, or
+straight-line weights with RRT* legs planned only along the chosen order.
 """
 
 from __future__ import annotations
@@ -65,169 +66,6 @@ class Solution:
             raise ValueError(f"total_cost {self.total_cost} != sum of leg lengths {total}")
 
 
-def run_pipeline(
-    grid: GridMap,
-    goals: GoalSet,
-    estimator: Estimator | str,
-    cfg: PlannerConfig,
-    tsp_config: TspConfig | None = None,
-) -> Solution:
-    """Estimate all pair weights, solve the TSP, plan region-guided legs."""
-    if isinstance(estimator, str):
-        estimator = make_estimator(estimator)
-    t0 = time.perf_counter()
-    matrix, masks = build_weight_matrix(grid, goals, estimator)
-    t1 = time.perf_counter()
-    result = solve_tsp(matrix, tsp_config)
-    t2 = time.perf_counter()
-
-    order = result.tour.order
-    m = len(order)
-    legs: list[PathPolyline] = []
-    samples_total = 0
-    plans = 0
-    if m == 2:
-        # Plan the single edge once; the return leg traverses it in reverse.
-        cfg_leg = replace(cfg, seed=derive_seed(cfg.seed, 1, 0))
-        leg, samples = _plan_guided_leg(grid, goals, masks, 0, 1, cfg_leg)
-        legs = [leg, leg.reverse()]
-        samples_total = samples
-        plans = 1
-    else:
-        for k in range(m):
-            i, j = order[k], order[(k + 1) % m]
-            cfg_leg = replace(cfg, seed=derive_seed(cfg.seed, 1, k))
-            leg, samples = _plan_guided_leg(grid, goals, masks, i, j, cfg_leg)
-            legs.append(leg)
-            samples_total += samples
-            plans += 1
-    t3 = time.perf_counter()
-
-    return Solution(
-        tour=result.tour,
-        legs=tuple(legs),
-        total_cost=sum(leg.length for leg in legs),
-        timings={"estimation": t1 - t0, "tsp": t2 - t1, "planning": t3 - t2},
-        seed=cfg.seed,
-        algorithm=GUIDED,
-        tsp_method=result.method,
-        samples_total=samples_total,
-        plans_made=plans,
-    )
-
-
-def _plan_guided_leg(grid, goals, masks, i, j, cfg):
-    mask = masks[(min(i, j), max(i, j))]
-    try:
-        return plan_leg_rrt(grid, goals[i], goals[j], mask, cfg)
-    except NoPathFound as exc:
-        raise NoPathFound(f"leg ({i}, {j}): {exc}", leg=(i, j)) from exc
-
-
-def baseline_pipeline(
-    grid: GridMap,
-    goals: GoalSet,
-    algorithm: str,
-    cfg: PlannerConfig,
-    tsp_config: TspConfig | None = None,
-) -> Solution:
-    """RRT*-based baselines.
-
-    rrt-star estimates every pair weight by a full RRT* plan and reuses those
-    paths as tour legs; euclidean-rrt-star orders goals by straight-line
-    distance and plans RRT* legs only along the chosen order.
-    """
-    if algorithm == RRT_STAR:
-        return _rrt_star_pipeline(grid, goals, cfg, tsp_config)
-    if algorithm == EUCLIDEAN_RRT_STAR:
-        return _euclidean_rrt_star_pipeline(grid, goals, cfg, tsp_config)
-    raise ValueError(f"unknown baseline {algorithm!r}")
-
-
-def _rrt_star_pipeline(grid, goals, cfg, tsp_config):
-    goals.validate_on(grid)
-    m = len(goals)
-    t0 = time.perf_counter()
-    w = np.zeros((m, m), dtype=np.float64)
-    paths: dict[tuple[int, int], PathPolyline] = {}
-    samples_total = 0
-    plans = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            cfg_pair = replace(cfg, seed=derive_seed(cfg.seed, 2, i, j))
-            try:
-                poly, samples = plan_leg_rrt_star(grid, goals[i], goals[j], cfg_pair)
-            except NoPathFound as exc:
-                raise NoPathFound(f"pair ({i}, {j}): {exc}", leg=(i, j)) from exc
-            w[i, j] = w[j, i] = poly.length
-            paths[(i, j)] = poly
-            samples_total += samples
-            plans += 1
-    matrix = WeightMatrix(w)
-    t1 = time.perf_counter()
-    result = solve_tsp(matrix, tsp_config)
-    t2 = time.perf_counter()
-
-    order = result.tour.order
-    legs = []
-    for k in range(len(order)):
-        i, j = order[k], order[(k + 1) % len(order)]
-        poly = paths[(min(i, j), max(i, j))]
-        if i > j:
-            poly = poly.reverse()
-        legs.append(poly)
-    t3 = time.perf_counter()
-    return Solution(
-        tour=result.tour,
-        legs=tuple(legs),
-        total_cost=sum(leg.length for leg in legs),
-        timings={"estimation": t1 - t0, "tsp": t2 - t1, "planning": t3 - t2},
-        seed=cfg.seed,
-        algorithm=RRT_STAR,
-        tsp_method=result.method,
-        samples_total=samples_total,
-        plans_made=plans,
-    )
-
-
-def _euclidean_rrt_star_pipeline(grid, goals, cfg, tsp_config):
-    t0 = time.perf_counter()
-    matrix, _ = build_weight_matrix(grid, goals, EuclideanEstimator())
-    t1 = time.perf_counter()
-    result = solve_tsp(matrix, tsp_config)
-    t2 = time.perf_counter()
-
-    order = result.tour.order
-    m = len(order)
-    legs = []
-    samples_total = 0
-    plans = 0
-    edges = [(0, 1)] if m == 2 else [(order[k], order[(k + 1) % m]) for k in range(m)]
-    for k, (i, j) in enumerate(edges):
-        cfg_leg = replace(cfg, seed=derive_seed(cfg.seed, 3, k))
-        try:
-            poly, samples = plan_leg_rrt_star(grid, goals[i], goals[j], cfg_leg)
-        except NoPathFound as exc:
-            raise NoPathFound(f"leg ({i}, {j}): {exc}", leg=(i, j)) from exc
-        legs.append(poly)
-        samples_total += samples
-        plans += 1
-    if m == 2:
-        legs.append(legs[0].reverse())
-    t3 = time.perf_counter()
-    return Solution(
-        tour=result.tour,
-        legs=tuple(legs),
-        total_cost=sum(leg.length for leg in legs),
-        timings={"estimation": t1 - t0, "tsp": t2 - t1, "planning": t3 - t2},
-        seed=cfg.seed,
-        algorithm=EUCLIDEAN_RRT_STAR,
-        tsp_method=result.method,
-        samples_total=samples_total,
-        plans_made=plans,
-    )
-
-
 def run_algorithm(
     grid: GridMap,
     goals: GoalSet,
@@ -236,17 +74,92 @@ def run_algorithm(
     tsp_config: TspConfig | None = None,
     estimator: Estimator | str = "oracle",
 ) -> Solution:
-    """Dispatch by algorithm tag; the guided pipeline uses the given estimator."""
-    if algorithm == GUIDED:
-        return run_pipeline(grid, goals, estimator, cfg, tsp_config)
-    return baseline_pipeline(grid, goals, algorithm, cfg, tsp_config)
+    """Weights, then the TSP, then one planned leg per tour edge.
+
+    guided weighs pairs with the given estimator and plans region-guided RRT
+    legs; euclidean-rrt-star weighs by straight-line distance and plans RRT*
+    legs; rrt-star weighs every pair by a full RRT* plan and reuses those paths
+    as legs. A tour edge is planned at most once, so a two-goal tour plans one
+    leg and drives it back in reverse.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    # (i, j) with i < j -> a path from goal i to goal j
+    paths: dict[tuple[int, int], PathPolyline] = {}
+    samples_total = 0
+
+    t0 = time.perf_counter()
+    if algorithm == RRT_STAR:
+        goals.validate_on(grid)
+        m = len(goals)
+        w = np.zeros((m, m), dtype=np.float64)
+        for i in range(m):
+            for j in range(i + 1, m):
+                cfg_pair = replace(cfg, seed=derive_seed(cfg.seed, 2, i, j))
+                poly, samples = _named_plan(
+                    "pair", i, j, plan_leg_rrt_star, grid, goals[i], goals[j], cfg_pair
+                )
+                w[i, j] = w[j, i] = poly.length
+                paths[(i, j)] = poly
+                samples_total += samples
+        matrix = WeightMatrix(w)
+    else:
+        if algorithm == EUCLIDEAN_RRT_STAR:
+            estimator = EuclideanEstimator()
+        elif isinstance(estimator, str):
+            estimator = make_estimator(estimator)
+        matrix, masks = build_weight_matrix(grid, goals, estimator)
+    t1 = time.perf_counter()
+    result = solve_tsp(matrix, tsp_config)
+    t2 = time.perf_counter()
+
+    legs = []
+    for k, (i, j) in enumerate(result.tour.edges()):
+        key = (min(i, j), max(i, j))
+        if key in paths:
+            leg = paths[key] if i < j else paths[key].reverse()
+        else:
+            if algorithm == GUIDED:
+                cfg_leg = replace(cfg, seed=derive_seed(cfg.seed, 1, k))
+                leg, samples = _named_plan(
+                    "leg", i, j, plan_leg_rrt, grid, goals[i], goals[j], masks[key], cfg_leg
+                )
+            else:
+                cfg_leg = replace(cfg, seed=derive_seed(cfg.seed, 3, k))
+                leg, samples = _named_plan(
+                    "leg", i, j, plan_leg_rrt_star, grid, goals[i], goals[j], cfg_leg
+                )
+            samples_total += samples
+            paths[key] = leg if i < j else leg.reverse()
+        legs.append(leg)
+    t3 = time.perf_counter()
+
+    return Solution(
+        tour=result.tour,
+        legs=tuple(legs),
+        total_cost=sum(leg.length for leg in legs),
+        timings={"estimation": t1 - t0, "tsp": t2 - t1, "planning": t3 - t2},
+        seed=cfg.seed,
+        algorithm=algorithm,
+        tsp_method=result.method,
+        samples_total=samples_total,
+        plans_made=len(paths),
+    )
+
+
+def _named_plan(what, i, j, planner, *args):
+    """planner(*args); a NoPathFound names the goal pair it failed on."""
+    try:
+        return planner(*args)
+    except NoPathFound as exc:
+        raise NoPathFound(f"{what} ({i}, {j}): {exc}", leg=(i, j)) from exc
 
 
 def verify_solution(grid: GridMap, goals: GoalSet, solution: Solution, cfg: PlannerConfig) -> None:
     """Independent integrity check of a finished solution.
 
     Verifies tour validity, leg-to-goal chaining within the goal tolerance,
-    re-checks every segment at half the planning collision resolution, and
+    re-checks every segment with the exact GridMap.segment_clear, and
     confirms the cost bookkeeping. Raises ValueError on any violation.
     """
     order = solution.tour.order
@@ -260,8 +173,8 @@ def verify_solution(grid: GridMap, goals: GoalSet, solution: Solution, cfg: Plan
         if leg.points[-1].distance_to(goals[j]) > cfg.goal_tolerance + _CHAIN_TOL:
             raise ValueError(f"leg {k} ends away from goal {j}")
         for a, b in zip(leg.points, leg.points[1:]):
-            if not grid.segment_free(a, b, cfg.collision_resolution / 2.0):
-                raise ValueError(f"leg {k} segment {a}->{b} fails the half-resolution re-check")
+            if not grid.segment_clear(a, b):
+                raise ValueError(f"leg {k} segment {a}->{b} crosses a blocked cell")
     total = sum(leg.length for leg in solution.legs)
     if abs(total - solution.total_cost) > 1e-6:
         raise ValueError("total_cost does not match the sum of leg lengths")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, NoPathFound
+from .errors import BlockedPoint, FormatError, NoPathFound
 from .grid import GridMap, Point
 
 _REWIRE_EPS = 1e-12
@@ -27,7 +27,6 @@ class PlannerConfig:
     max_samples: int = 2000
     k: float = 0.1  # probability of drawing the goal instead of a region sample
     goal_tolerance: float = 2.0
-    collision_resolution: float = 0.25
     rewire_radius: float = 6.0
     mask_threshold: float = 0.5
     seed: int = 0
@@ -44,8 +43,6 @@ class PlannerConfig:
             raise ValueError("goal_tolerance must be nonnegative")
         if self.rewire_radius <= 0:
             raise ValueError("rewire_radius must be positive")
-        if self.collision_resolution <= 0:
-            raise ValueError("collision_resolution must be positive")
         if not 0.0 <= self.mask_threshold <= 1.0:
             raise ValueError("mask_threshold must lie in [0, 1]")
 
@@ -93,6 +90,7 @@ class Tree:
         return idx
 
     def nearest(self, p: Point) -> int:
+        """Index of the node closest to p; ties go to the lower index."""
         d2 = np.square(self._xy[: self.size, 0] - p.x) + np.square(self._xy[: self.size, 1] - p.y)
         return int(np.argmin(d2))
 
@@ -152,13 +150,6 @@ def path_cost(p) -> float:
     return total
 
 
-def polyline_collision_free(grid: GridMap, poly: PathPolyline, resolution: float) -> bool:
-    """Independent re-check of every segment at the given resolution."""
-    return all(
-        grid.segment_free(a, b, resolution) for a, b in zip(poly.points, poly.points[1:])
-    )
-
-
 def save_path(path, poly: PathPolyline) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as f:
         for p in poly.points:
@@ -182,11 +173,6 @@ def load_path(path) -> PathPolyline:
     if len(points) < 2:
         raise FormatError(f"{path}: a path needs at least 2 points, got {len(points)}")
     return PathPolyline(points)
-
-
-def nearest_node(tree: Tree, p: Point) -> int:
-    """Index of the tree node closest to p; ties go to the lower index."""
-    return tree.nearest(p)
 
 
 def steer(frm: Point, to: Point, step: float) -> Point:
@@ -360,9 +346,9 @@ def _rrt_star(grid, start, goal, cfg):
 
 def _check_endpoints(grid, start, goal):
     if not grid.is_free(start):
-        raise ValueError(f"start ({start.x}, {start.y}) is not free")
+        raise BlockedPoint(f"start ({start.x}, {start.y}) is not free")
     if not grid.is_free(goal):
-        raise ValueError(f"goal ({goal.x}, {goal.y}) is not free")
+        raise BlockedPoint(f"goal ({goal.x}, {goal.y}) is not free")
 
 
 def _finish(points: list[Point], goal: Point) -> PathPolyline:

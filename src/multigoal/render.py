@@ -18,7 +18,7 @@ LEG_COLORS = (
 )
 
 
-def render_svg(grid, goals=None, masks=None, solution=None, out_path=None) -> str:
+def render_svg(grid, goals=None, masks=None, legs=(), out_path=None) -> str:
     """Compose an SVG: obstacles black, masks translucent red, goals numbered,
     legs colored polylines. Writes to out_path when given; returns the markup."""
     w, h = grid.width * CELL, grid.height * CELL
@@ -59,13 +59,12 @@ def render_svg(grid, goals=None, masks=None, solution=None, out_path=None) -> st
             )
         parts.append("</g>")
 
-    if solution is not None:
-        for k, leg in enumerate(solution.legs):
-            color = LEG_COLORS[k % len(LEG_COLORS)]
-            pts = " ".join(f"{p.x * CELL:.2f},{p.y * CELL:.2f}" for p in leg.points)
-            parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
+    for k, leg in enumerate(legs):
+        color = LEG_COLORS[k % len(LEG_COLORS)]
+        pts = " ".join(f"{p.x * CELL:.2f},{p.y * CELL:.2f}" for p in leg.points)
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
 
     if goals is not None:
         for i, p in enumerate(goals):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from multigoal import GridMap, load_map, save_goals, save_map, GoalSet, Point
+from multigoal import ALGORITHMS, GridMap, load_map, save_goals, save_map, GoalSet, Point
 from multigoal.cli import main
 
 
@@ -137,6 +137,13 @@ class TestPlan:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_start_in_obstacle(self, small_world, tmp_path, capsys):
+        map_path, _ = small_world
+        code = run(["plan", "--map", map_path, "--start", "11.5,10.5", "--goal", "20.5,20.5",
+                    "--out-path", tmp_path / "p.csv"])
+        assert code == 1
+        assert "start (11.5, 10.5) is not free" in capsys.readouterr().err
+
 
 class TestPipelineCommand:
     def test_writes_solution_dir(self, small_world, tmp_path, capsys):
@@ -174,6 +181,17 @@ class TestPipelineCommand:
         assert code == 0
         assert json.loads((out / "solution.json").read_text())["algorithm"] == "euclidean-rrt-star"
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_goal_in_obstacle(self, small_world, tmp_path, capsys, algorithm):
+        map_path, _ = small_world
+        goals_path = tmp_path / "blocked.csv"
+        save_goals(goals_path, GoalSet([Point(2.5, 2.5), Point(11.5, 10.5), Point(20.5, 20.5)]))
+        code = run(["pipeline", "--map", map_path, "--goals", goals_path,
+                    "--algorithm", algorithm, "--out-dir", tmp_path / "sol"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{goals_path}: goal 1 at (11.5, 10.5) is inside an obstacle" in err
+
 
 class TestConfigFile:
     def test_config_supplies_seed(self, small_world, tmp_path):
@@ -206,6 +224,27 @@ class TestConfigFile:
         code = run(["plan", "--map", map_path, "--config", config,
                     "--start", "2.5,2.5", "--goal", "3.5,3.5", "--out-path", tmp_path / "p.csv"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command, entry",
+        [("plan", "step=abc"), ("plan", "seed=x"), ("pipeline", "seed=x"),
+         ("pipeline", "max_samples=1.5"), ("bench", "base_seed=x"), ("bench", "k=high")],
+    )
+    def test_bad_config_value(self, small_world, tmp_path, capsys, command, entry):
+        map_path, goals_path = small_world
+        config = tmp_path / "bad.cfg"
+        config.write_text(entry + "\n")
+        args = {
+            "plan": ["--map", map_path, "--start", "2.5,2.5", "--goal", "3.5,3.5",
+                     "--out-path", tmp_path / "p.csv"],
+            "pipeline": ["--map", map_path, "--goals", goals_path, "--out-dir", tmp_path / "sol"],
+            "bench": ["--scenarios", "simple", "--algorithms", "guided", "--repeats", 1,
+                      "--out-dir", tmp_path / "b"],
+        }[command]
+        code = run([command, "--config", config, *args])
+        assert code == 1
+        key, value = entry.split("=")
+        assert f"{config}: {key}={value!r}" in capsys.readouterr().err
 
 
 class TestBenchCommand:

@@ -21,7 +21,6 @@ from multigoal import (
     WeightMatrix,
     build_weight_matrix,
     dilate_path_to_region,
-    estimate_pair,
     export_predictions,
     generate_map,
     grid_shortest_path,
@@ -206,19 +205,19 @@ class TestEstimatePair:
 
     def test_oracle_on_empty_map(self):
         g = empty_map(3, 3)
-        pe = estimate_pair(GridOracleEstimator(), g, Point(0.5, 0.5), Point(2.5, 2.5))
+        pe = GridOracleEstimator().estimate(g, Point(0.5, 0.5), Point(2.5, 2.5))
         assert pe.distance == pytest.approx(2 * SQRT2, abs=1e-12)
         assert pe.mask.values[0, 0] == 1.0 and pe.mask.values[2, 2] == 1.0
 
     def test_euclidean_equals_oracle_without_obstacles(self):
         g = empty_map(3, 3)
-        eu = estimate_pair(EuclideanEstimator(), g, Point(0.5, 0.5), Point(2.5, 2.5))
+        eu = EuclideanEstimator().estimate(g, Point(0.5, 0.5), Point(2.5, 2.5))
         assert eu.distance == pytest.approx(2 * SQRT2, abs=1e-12)
 
     def test_oracle_detour_exceeds_euclidean(self):
         g = self.wall_gap_map()
         a, b = Point(1.5, 1.5), Point(6.5, 1.5)
-        oracle = estimate_pair(GridOracleEstimator(), g, a, b)
+        oracle = GridOracleEstimator().estimate(g, a, b)
         expect = relaxation_distances(g, a.cell())[b.cell()]
         assert oracle.distance == pytest.approx(expect, abs=1e-9)
         assert oracle.distance > a.distance_to(b)
@@ -226,8 +225,8 @@ class TestEstimatePair:
     def test_determinism(self):
         g = self.wall_gap_map()
         a, b = Point(1.5, 1.5), Point(6.5, 1.5)
-        p1 = estimate_pair(GridOracleEstimator(), g, a, b)
-        p2 = estimate_pair(GridOracleEstimator(), g, a, b)
+        p1 = GridOracleEstimator().estimate(g, a, b)
+        p2 = GridOracleEstimator().estimate(g, a, b)
         assert p1.distance == p2.distance
         assert np.array_equal(p1.mask.values, p2.mask.values)
 

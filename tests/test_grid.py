@@ -18,6 +18,7 @@ from multigoal import (
     save_goals,
     save_map,
 )
+from sampled_reference import segment_free
 
 
 def empty_map(w=4, h=4):
@@ -73,13 +74,13 @@ class TestIsFree:
 class TestSegmentFree:
     def test_all_free(self):
         g = empty_map(8, 8)
-        assert g.segment_free(Point(0.5, 0.5), Point(7.5, 7.5), 0.25)
+        assert segment_free(g, Point(0.5, 0.5), Point(7.5, 7.5), 0.25)
 
     def test_wall_blocks(self):
         cells = np.zeros((8, 8), dtype=bool)
         cells[:, 4] = True
         g = GridMap(cells)
-        assert not g.segment_free(Point(1, 4), Point(7, 4), 0.25)
+        assert not segment_free(g, Point(1, 4), Point(7, 4), 0.25)
 
     def test_gap_in_wall_passes(self):
         # Independent oracle: exhaustive interpolation at resolution 0.01.
@@ -96,7 +97,7 @@ class TestSegmentFree:
             for t in (i / (n - 1) for i in range(n))
         )
         assert expect is True
-        assert g.segment_free(a, b, 0.25) is True
+        assert segment_free(g, a, b, 0.25) is True
 
     def test_symmetry(self):
         g = map_with_blocked([(3, 3), (4, 2), (1, 5)], w=8, h=8)
@@ -104,17 +105,17 @@ class TestSegmentFree:
         for _ in range(100):
             a = Point(rng.uniform(0, 8), rng.uniform(0, 8))
             b = Point(rng.uniform(0, 8), rng.uniform(0, 8))
-            assert g.segment_free(a, b, 0.3) == g.segment_free(b, a, 0.3)
+            assert segment_free(g, a, b, 0.3) == segment_free(g, b, a, 0.3)
 
     def test_zero_length_segment(self):
         g = empty_map()
         p = Point(1.5, 1.5)
-        assert g.segment_free(p, p, 0.25)
+        assert segment_free(g, p, p, 0.25)
 
     def test_out_of_bounds_endpoint(self):
         g = empty_map()
         with pytest.raises(OutOfBoundsError):
-            g.segment_free(Point(0.5, 0.5), Point(4.5, 1.0), 0.25)
+            segment_free(g, Point(0.5, 0.5), Point(4.5, 1.0), 0.25)
 
 
 class TestSegmentClear:
@@ -127,8 +128,8 @@ class TestSegmentClear:
                 a = Point(rng.uniform(0, 12), rng.uniform(0, 12))
                 b = Point(rng.uniform(0, 12), rng.uniform(0, 12))
                 if g.segment_clear(a, b):
-                    assert g.segment_free(a, b, 0.01)
-                    assert g.segment_free(a, b, 0.25)
+                    assert segment_free(g, a, b, 0.01)
+                    assert segment_free(g, a, b, 0.25)
 
     def test_detects_what_fine_sampling_detects(self):
         rng = np.random.default_rng(3)
@@ -137,7 +138,7 @@ class TestSegmentClear:
             for _ in range(25):
                 a = Point(rng.uniform(0, 12), rng.uniform(0, 12))
                 b = Point(rng.uniform(0, 12), rng.uniform(0, 12))
-                if not g.segment_free(a, b, 0.005):
+                if not segment_free(g, a, b, 0.005):
                     assert not g.segment_clear(a, b)
 
     def test_symmetry(self):

@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import multigoal.pipeline
 from multigoal import (
+    ALGORITHMS,
     EUCLIDEAN_RRT_STAR,
     GUIDED,
     RRT_STAR,
@@ -12,13 +18,11 @@ from multigoal import (
     PlannerConfig,
     Point,
     Unreachable,
-    baseline_pipeline,
     build_weight_matrix,
     derive_seed,
     held_karp,
     render_svg,
     run_algorithm,
-    run_pipeline,
     tour_cost,
     verify_solution,
 )
@@ -52,7 +56,7 @@ class TestRunPipeline:
         g = empty_map()
         goals = GoalSet([Point(5.5, 5.5), Point(30.5, 30.5)])
         cfg = PlannerConfig.for_map(g, seed=3)
-        sol = run_pipeline(g, goals, "oracle", cfg)
+        sol = run_algorithm(g, goals, GUIDED, cfg, estimator="oracle")
         assert sol.tour.order == (0, 1)
         assert len(sol.legs) == 2
         assert sol.plans_made == 1
@@ -64,8 +68,8 @@ class TestRunPipeline:
         g = empty_map()
         goals = spread_goals()
         cfg = PlannerConfig.for_map(g, seed=11)
-        a = run_pipeline(g, goals, "oracle", cfg)
-        b = run_pipeline(g, goals, "oracle", cfg)
+        a = run_algorithm(g, goals, GUIDED, cfg, estimator="oracle")
+        b = run_algorithm(g, goals, GUIDED, cfg, estimator="oracle")
         assert a.tour.order == b.tour.order
         assert a.total_cost == b.total_cost
         assert [leg.points for leg in a.legs] == [leg.points for leg in b.legs]
@@ -74,7 +78,7 @@ class TestRunPipeline:
         g = empty_map()
         goals = spread_goals()
         cfg = PlannerConfig.for_map(g, seed=5)
-        sol = run_pipeline(g, goals, "oracle", cfg)
+        sol = run_algorithm(g, goals, GUIDED, cfg, estimator="oracle")
         w_eu, _ = build_weight_matrix(g, goals, EuclideanEstimator())
         tour_eu, _ = held_karp(w_eu)
         assert sol.tour.order == tour_eu.order
@@ -83,7 +87,7 @@ class TestRunPipeline:
         g = empty_map()
         goals = spread_goals()
         cfg = PlannerConfig.for_map(g, seed=9)
-        sol = run_pipeline(g, goals, "oracle", cfg)
+        sol = run_algorithm(g, goals, GUIDED, cfg, estimator="oracle")
         from multigoal import GridOracleEstimator
 
         w_o, _ = build_weight_matrix(g, goals, GridOracleEstimator())
@@ -93,7 +97,7 @@ class TestRunPipeline:
     def test_timings_nonnegative(self):
         g = empty_map()
         goals = spread_goals()
-        sol = run_pipeline(g, goals, "oracle", PlannerConfig.for_map(g, seed=1))
+        sol = run_algorithm(g, goals, GUIDED, PlannerConfig.for_map(g, seed=1), estimator="oracle")
         assert set(sol.timings) == {"estimation", "tsp", "planning"}
         assert all(v >= 0 for v in sol.timings.values())
 
@@ -103,7 +107,7 @@ class TestRunPipeline:
         g = GridMap(cells)
         goals = GoalSet([Point(2.5, 2.5), Point(4.5, 12.5), Point(13.5, 4.5)])
         with pytest.raises(Unreachable) as err:
-            run_pipeline(g, goals, "oracle", PlannerConfig.for_map(g, seed=0))
+            run_algorithm(g, goals, GUIDED, PlannerConfig.for_map(g, seed=0), estimator="oracle")
         assert err.value.pair is not None
 
     def test_leg_failure_identifies_pair(self):
@@ -114,7 +118,7 @@ class TestRunPipeline:
         goals = GoalSet([Point(2.5, 2.5), Point(4.5, 12.5), Point(13.5, 4.5)])
         cfg = PlannerConfig.for_map(g, seed=0, max_samples=200)
         with pytest.raises(NoPathFound) as err:
-            run_pipeline(g, goals, "euclidean", cfg)
+            run_algorithm(g, goals, GUIDED, cfg, estimator="euclidean")
         assert err.value.leg is not None
 
 
@@ -123,7 +127,7 @@ class TestBaselines:
         g = empty_map()
         goals = spread_goals()
         cfg = PlannerConfig.for_map(g, seed=2, max_samples=600)
-        sol = baseline_pipeline(g, goals, EUCLIDEAN_RRT_STAR, cfg)
+        sol = run_algorithm(g, goals, EUCLIDEAN_RRT_STAR, cfg)
         assert sol.plans_made == len(goals)
         assert sol.algorithm == EUCLIDEAN_RRT_STAR
         verify_solution(g, goals, sol, cfg)
@@ -133,7 +137,7 @@ class TestBaselines:
         goals = spread_goals()
         m = len(goals)
         cfg = PlannerConfig.for_map(g, seed=2, max_samples=400)
-        sol = baseline_pipeline(g, goals, RRT_STAR, cfg)
+        sol = run_algorithm(g, goals, RRT_STAR, cfg)
         assert sol.plans_made == m * (m - 1) // 2
         assert sol.samples_total == sol.plans_made * cfg.max_samples
         verify_solution(g, goals, sol, cfg)
@@ -153,7 +157,7 @@ class TestBaselines:
         goals = GoalSet([Point(5.5, 5.5), Point(30.5, 30.5)])
         for alg in (RRT_STAR, EUCLIDEAN_RRT_STAR):
             cfg = PlannerConfig.for_map(g, seed=6, max_samples=600)
-            sol = baseline_pipeline(g, goals, alg, cfg)
+            sol = run_algorithm(g, goals, alg, cfg)
             assert len(sol.legs) == 2
             assert sol.plans_made == 1
             verify_solution(g, goals, sol, cfg)
@@ -161,7 +165,56 @@ class TestBaselines:
     def test_unknown_algorithm(self):
         g = empty_map()
         with pytest.raises(ValueError):
-            baseline_pipeline(g, spread_goals(), "dijkstra", PlannerConfig())
+            run_algorithm(g, spread_goals(), "dijkstra", PlannerConfig())
+
+
+def _recording(planner, samples):
+    def plan(*args):
+        poly, used = planner(*args)
+        samples.append(used)
+        return poly, used
+
+    return plan
+
+
+class TestSkeletonProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        algorithm=st.sampled_from(ALGORITHMS),
+        map_seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 4),
+        seed=st.integers(0, 1000),
+    )
+    def test_any_algorithm_fails_cleanly_or_verifies(self, algorithm, map_seed, m, seed):
+        rng = np.random.default_rng(map_seed)
+        g = GridMap(rng.random((14, 14)) < 0.15)
+        free = np.argwhere(~g.cells)
+        assume(len(free) >= m)
+        cells = free[rng.choice(len(free), size=m, replace=False)]
+        goals = GoalSet([Point(x + 0.5, y + 0.5) for y, x in cells])
+        cfg = PlannerConfig(
+            step_size=1.5, goal_tolerance=1.0, rewire_radius=3.0, max_samples=200, seed=seed
+        )
+
+        samples = []
+        with mock.patch.object(
+            multigoal.pipeline, "plan_leg_rrt", _recording(multigoal.pipeline.plan_leg_rrt, samples)
+        ), mock.patch.object(
+            multigoal.pipeline,
+            "plan_leg_rrt_star",
+            _recording(multigoal.pipeline.plan_leg_rrt_star, samples),
+        ):
+            try:
+                sol = run_algorithm(g, goals, algorithm, cfg, estimator="oracle")
+            except (NoPathFound, Unreachable):
+                return
+        verify_solution(g, goals, sol, cfg)
+        if algorithm == RRT_STAR:
+            assert sol.plans_made == m * (m - 1) // 2
+        else:
+            assert sol.plans_made == (1 if m == 2 else m)
+        assert sol.plans_made == len(samples)
+        assert sol.samples_total == sum(samples)
 
 
 class TestVerifySolution:
@@ -169,7 +222,7 @@ class TestVerifySolution:
         g = empty_map()
         goals = spread_goals()
         cfg = PlannerConfig.for_map(g, seed=8)
-        sol = run_pipeline(g, goals, "oracle", cfg)
+        sol = run_algorithm(g, goals, GUIDED, cfg, estimator="oracle")
         object.__setattr__(sol, "total_cost", sol.total_cost + 5.0)
         with pytest.raises(ValueError, match="total_cost"):
             verify_solution(g, goals, sol, cfg)
@@ -178,7 +231,7 @@ class TestVerifySolution:
         g = empty_map()
         goals = spread_goals()
         cfg = PlannerConfig.for_map(g, seed=8)
-        sol = run_pipeline(g, goals, "oracle", cfg)
+        sol = run_algorithm(g, goals, GUIDED, cfg, estimator="oracle")
         small = GoalSet([goals[0], goals[1], goals[2]])
         with pytest.raises(ValueError):
             verify_solution(g, small, sol, cfg)
@@ -194,8 +247,8 @@ class TestRenderSvg:
         g = empty_map()
         goals = spread_goals()
         cfg = PlannerConfig.for_map(g, seed=2)
-        sol = run_pipeline(g, goals, "oracle", cfg)
-        svg = render_svg(g, goals, solution=sol)
+        sol = run_algorithm(g, goals, GUIDED, cfg, estimator="oracle")
+        svg = render_svg(g, goals, legs=sol.legs)
         assert svg.count("<polyline") == len(sol.legs)
         assert svg.count("<circle") == len(goals)
 

@@ -13,15 +13,14 @@ from multigoal import (
     Tree,
     hybrid_sample,
     load_path,
-    nearest_node,
     path_cost,
     plan_leg_rrt,
     plan_leg_rrt_star,
-    polyline_collision_free,
     save_path,
     steer,
 )
 from multigoal.planner import _rrt, _rrt_star
+from sampled_reference import segment_free
 
 
 def empty_map(w=32, h=32):
@@ -132,18 +131,18 @@ class TestHybridSample:
 class TestNearestAndSteer:
     def test_single_node(self):
         t = Tree(Point(1, 1), 4)
-        assert nearest_node(t, Point(9, 9)) == 0
+        assert t.nearest(Point(9, 9)) == 0
 
     def test_picks_closest(self):
         t = Tree(Point(0, 0), 4)
         t.add(Point(10, 0), 0, 10.0)
-        assert nearest_node(t, Point(1, 0)) == 0
-        assert nearest_node(t, Point(9, 0)) == 1
+        assert t.nearest(Point(1, 0)) == 0
+        assert t.nearest(Point(9, 0)) == 1
 
     def test_tie_goes_to_lower_index(self):
         t = Tree(Point(0, 0), 4)
         t.add(Point(2, 0), 0, 2.0)
-        assert nearest_node(t, Point(1, 0)) == 0
+        assert t.nearest(Point(1, 0)) == 0
 
     def test_steer_short(self):
         assert steer(Point(0, 0), Point(0, 0.5), 1.0) == Point(0, 0.5)
@@ -225,7 +224,7 @@ class TestPlanLegRrt:
                 poly, _ = plan_leg_rrt(g, start, goal, free_mask(g), cfg)
             except NoPathFound:
                 continue
-            assert polyline_collision_free(g, poly, cfg.collision_resolution / 2)
+            assert all(segment_free(g, a, b, 0.125) for a, b in zip(poly.points, poly.points[1:]))
 
     def test_tree_parents_precede_children(self):
         g = empty_map()
