@@ -14,7 +14,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
-from .errors import NoPathFound, Unreachable
+from .errors import InvalidArgument, NoPathFound, Unreachable
 from .pipeline import ALGORITHMS, Solution, run_algorithm
 from .planner import PlannerConfig
 from .tsp import TspConfig
@@ -62,7 +62,7 @@ def benchmark(
     rather than aborting the sweep.
     """
     if repeats < 1:
-        raise ValueError("repeats must be at least 1")
+        raise InvalidArgument("repeats must be at least 1")
     records = []
     for scenario in scenarios:
         for algorithm in algorithms:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import GenerationFailed, PlacementFailed, Unreachable
+from .errors import GenerationFailed, InvalidArgument, PlacementFailed, Unreachable
 from .estimators import default_dilation_radius, dilate_path_to_region, grid_shortest_path
 from .grid import (
     ObstacleSpec,
@@ -40,7 +40,7 @@ def generate_dataset(
 ) -> dict:
     """Generate n_maps labeled samples under out_dir and return the manifest."""
     if n_maps < 1:
-        raise ValueError("n_maps must be at least 1")
+        raise InvalidArgument("n_maps must be at least 1")
     spec = obstacle_spec or ObstacleSpec(count_range=(4, 64), density_range=(0.10, 0.30))
     if min_separation is None:
         min_separation = max(width, height) / 8.0

@@ -13,6 +13,11 @@ class BlockedPoint(MultigoalError, ValueError):
     """A start or goal lies inside an obstacle; a ValueError too, for existing callers."""
 
 
+class InvalidArgument(MultigoalError, ValueError):
+    """An argument names nothing known or holds a value that cannot work; a ValueError
+    too, for existing callers."""
+
+
 class GenerationFailed(MultigoalError):
     """Random map generation exhausted its retry budget."""
 

@@ -19,6 +19,7 @@ from scipy import ndimage
 from .errors import (
     DimensionMismatch,
     FormatError,
+    InvalidArgument,
     InvalidMatrix,
     MissingPrediction,
     Unreachable,
@@ -444,4 +445,6 @@ def make_estimator(kind: str, dilation_radius: float | None = None) -> Estimator
         return GridOracleEstimator(dilation_radius)
     if kind.startswith("external:"):
         return load_external_predictions(kind.split(":", 1)[1])
-    raise ValueError(f"unknown estimator {kind!r} (expected euclidean, oracle, or external:<dir>)")
+    raise InvalidArgument(
+        f"unknown estimator {kind!r} (expected euclidean, oracle, or external:<dir>)"
+    )

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import BlockedPoint, FormatError, GenerationFailed, OutOfBoundsError, PlacementFailed
+from .errors import (
+    BlockedPoint,
+    FormatError,
+    GenerationFailed,
+    InvalidArgument,
+    OutOfBoundsError,
+    PlacementFailed,
+)
 from .pgm import read_pgm, write_pgm
 
 # Component labeling uses 4-connectivity: the grid oracle forbids corner
@@ -108,28 +115,33 @@ class GridMap:
         corner clips, so a clear segment stays clear under sampled re-checks at
         any resolution. The planners and verify_solution both use it.
         """
-        if not self.in_bounds(a):
-            raise OutOfBoundsError(f"segment endpoint ({a.x}, {a.y}) out of bounds")
-        if not self.in_bounds(b):
-            raise OutOfBoundsError(f"segment endpoint ({b.x}, {b.y}) out of bounds")
-        cells = self.cells
-        x, y = a.cell()
-        ex, ey = b.cell()
-        if cells[y, x] or cells[ey, ex]:
+        ax, ay, bx, by = a.x, a.y, b.x, b.y
+        width, height = self.width, self.height
+        if not (0.0 <= ax < width and 0.0 <= ay < height):
+            raise OutOfBoundsError(f"segment endpoint ({ax}, {ay}) out of bounds")
+        if not (0.0 <= bx < width and 0.0 <= by < height):
+            raise OutOfBoundsError(f"segment endpoint ({bx}, {by}) out of bounds")
+        # nested lists: reading one Python bool is cheaper than a numpy scalar
+        if not hasattr(self, "_rows"):
+            self._rows = self.cells.tolist()
+        rows = self._rows
+        # int() is floor() for the in-bounds, non-negative coordinates
+        x, y = int(ax), int(ay)
+        ex, ey = int(bx), int(by)
+        if rows[y][x] or rows[ey][ex]:
             return False
-        dx = b.x - a.x
-        dy = b.y - a.y
+        dx = bx - ax
+        dy = by - ay
         step_x = 1 if dx > 0 else -1 if dx < 0 else 0
         step_y = 1 if dy > 0 else -1 if dy < 0 else 0
-        t_max_x = math.inf if step_x == 0 else ((x + (step_x > 0)) - a.x) / dx
-        t_max_y = math.inf if step_y == 0 else ((y + (step_y > 0)) - a.y) / dy
+        t_max_x = math.inf if step_x == 0 else ((x + (step_x > 0)) - ax) / dx
+        t_max_y = math.inf if step_y == 0 else ((y + (step_y > 0)) - ay) / dy
         t_delta_x = math.inf if step_x == 0 else abs(1.0 / dx)
         t_delta_y = math.inf if step_y == 0 else abs(1.0 / dy)
-        limit = self.width + self.height + 4
-        for _ in range(limit):
-            if (x, y) == (ex, ey):
+        for _ in range(width + height + 4):
+            if x == ex and y == ey:
                 return True
-            if min(t_max_x, t_max_y) >= 1.0:
+            if t_max_x >= 1.0 and t_max_y >= 1.0:
                 # remaining crossings lie at or beyond the endpoint, whose
                 # cell was already validated
                 return True
@@ -142,17 +154,15 @@ class GridMap:
             else:
                 # exact corner crossing: the corner instant lies in the cell
                 # whose indices are the floor of the corner point
-                corner_x = x + (step_x > 0)
-                corner_y = y + (step_y > 0)
-                if cells[corner_y, corner_x]:
+                if rows[y + (step_y > 0)][x + (step_x > 0)]:
                     return False
                 x += step_x
                 y += step_y
                 t_max_x += t_delta_x
                 t_max_y += t_delta_y
-            if cells[y, x]:
+            if rows[y][x]:
                 return False
-        return (x, y) == (ex, ey)
+        return x == ex and y == ey
 
     def free_cells(self) -> np.ndarray:
         """(N, 2) int array of free-cell (x, y) indices in row-major order."""
@@ -384,6 +394,7 @@ def save_goals(path, goals: GoalSet) -> None:
 def load_goals(path) -> GoalSet:
     """Read a goals CSV; line number = goal index."""
     points = []
+    first_row: dict[tuple[float, float], int] = {}
     with open(path, "r", encoding="ascii") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -396,6 +407,13 @@ def load_goals(path) -> GoalSet:
                 x, y = float(parts[0]), float(parts[1])
             except ValueError:
                 raise FormatError(f"{path} row {lineno}: non-numeric pair {line!r}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise FormatError(f"{path} row {lineno}: non-finite pair {line!r}")
+            if (x, y) in first_row:
+                raise FormatError(
+                    f"{path} rows {first_row[x, y]} and {lineno}: duplicate goal at ({x}, {y})"
+                )
+            first_row[x, y] = lineno
             points.append(Point(x, y))
     if len(points) < 2:
         raise FormatError(f"{path}: goals file needs at least 2 rows, got {len(points)}")
@@ -409,5 +427,5 @@ def _is_pgm(path) -> bool:
 def _check_seed(seed: int) -> int:
     seed = int(seed)
     if not (0 <= seed < 2**64):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        raise InvalidArgument(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed

@@ -66,22 +66,22 @@ class Tree:
     def __init__(self, root: Point, capacity: int):
         self._xy = np.empty((capacity, 2), dtype=np.float64)
         self._xy[0] = (root.x, root.y)
+        # each node's Point, built once: the planner loops read these, not _xy
+        self.points = [Point(float(root.x), float(root.y))]
         self.size = 1
         self.parents = [-1]
         self.costs = [0.0]
         self.children: list[list[int]] = [[]]
 
     def point(self, idx: int) -> Point:
-        return Point(float(self._xy[idx, 0]), float(self._xy[idx, 1]))
-
-    def coords(self) -> np.ndarray:
-        return self._xy[: self.size]
+        return self.points[idx]
 
     def add(self, p: Point, parent: int, cost: float) -> int:
         idx = self.size
         if idx == len(self._xy):
             self._xy = np.vstack([self._xy, np.empty_like(self._xy)])
         self._xy[idx] = (p.x, p.y)
+        self.points.append(Point(float(p.x), float(p.y)))
         self.size += 1
         self.parents.append(parent)
         self.costs.append(cost)
@@ -290,6 +290,7 @@ def _rrt_star(grid, start, goal, cfg):
     rng = np.random.default_rng(cfg.seed)
     cells = grid.free_cells()
     tree = Tree(start, cfg.max_samples + 1)
+    points, costs = tree.points, tree.costs
     candidates: dict[int, float] = {}
     first_length = None
 
@@ -305,32 +306,27 @@ def _rrt_star(grid, start, goal, cfg):
         if near_pt.distance_to(new_pt) == 0.0 or not grid.is_free(new_pt):
             continue
 
-        neighbors = tree.near(new_pt, cfg.rewire_radius)
+        neighbors = tree.near(new_pt, cfg.rewire_radius).tolist()
         if near_idx not in neighbors:
-            neighbors = np.append(neighbors, near_idx)
-        ranked = sorted(
-            neighbors,
-            key=lambda i: (tree.costs[i] + tree.point(i).distance_to(new_pt), i),
-        )
+            neighbors.append(near_idx)
+        # one distance per neighbour, shared by choose-parent and rewiring
+        nx, ny = new_pt.x, new_pt.y
+        dists = [math.hypot(points[i].x - nx, points[i].y - ny) for i in neighbors]
         parent = -1
-        for i in ranked:
-            p = tree.point(i)
-            if grid.segment_clear(p, new_pt):
-                parent = int(i)
-                new_cost = tree.costs[i] + p.distance_to(new_pt)
+        for new_cost, i in sorted((costs[i] + d, i) for i, d in zip(neighbors, dists)):
+            if grid.segment_clear(points[i], new_pt):
+                parent = i
                 break
         if parent < 0:
             continue
         idx = tree.add(new_pt, parent, new_cost)
 
-        for i in neighbors:
-            i = int(i)
+        for i, d in zip(neighbors, dists):
             if i == parent:
                 continue
-            improved = new_cost + new_pt.distance_to(tree.point(i))
-            if improved < tree.costs[i] - _REWIRE_EPS and grid.segment_clear(
-                new_pt, tree.point(i)
-            ):
+            improved = new_cost + d
+            # costs[i] is read live: an earlier reparent may have shifted it
+            if improved < costs[i] - _REWIRE_EPS and grid.segment_clear(new_pt, points[i]):
                 tree.reparent(i, idx, improved)
 
         if new_pt.distance_to(goal) <= cfg.goal_tolerance and grid.segment_clear(new_pt, goal):

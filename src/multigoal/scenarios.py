@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .grid import GoalSet, GridMap, Point
 
 
@@ -86,7 +87,9 @@ def builtin_scenario(name: str) -> Scenario:
     try:
         return BUILTIN_SCENARIOS[name]()
     except KeyError:
-        raise ValueError(f"unknown scenario {name!r}; choose from {sorted(BUILTIN_SCENARIOS)}") from None
+        raise InvalidArgument(
+            f"unknown scenario {name!r}; choose from {sorted(BUILTIN_SCENARIOS)}"
+        ) from None
 
 
 def narrow_passage_map(

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import multigoal
 from multigoal import ALGORITHMS, GridMap, load_map, save_goals, save_map, GoalSet, Point
 from multigoal.cli import main
 
@@ -42,6 +46,18 @@ class TestGenMap:
         run(["gen-map", "--seed", 5, "--out", a])
         run(["gen-map", "--seed", 5, "--out", b])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "m.map"
+        assert run(["gen-map", "--seed", -1, "--out", out]) == 1
+        assert "seed must be an unsigned 64-bit integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestGenDataset:
+    def test_zero_samples(self, tmp_path, capsys):
+        assert run(["gen-dataset", "--n", 0, "--out-dir", tmp_path / "ds"]) == 1
+        assert "n_maps must be at least 1" in capsys.readouterr().err
 
 
 class TestEstimateAndTsp:
@@ -192,6 +208,23 @@ class TestPipelineCommand:
         err = capsys.readouterr().err
         assert f"{goals_path}: goal 1 at (11.5, 10.5) is inside an obstacle" in err
 
+    def test_duplicate_goal_rows(self, small_world, tmp_path, capsys):
+        map_path, _ = small_world
+        goals_path = tmp_path / "dup.csv"
+        goals_path.write_text("2.5,2.5\n20.5,3.5\n\n2.5,2.5\n")
+        code = run(["pipeline", "--map", map_path, "--goals", goals_path,
+                    "--out-dir", tmp_path / "sol"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{goals_path} rows 1 and 4: duplicate goal at (2.5, 2.5)" in err
+
+    def test_unknown_estimator(self, small_world, tmp_path, capsys):
+        map_path, goals_path = small_world
+        code = run(["pipeline", "--map", map_path, "--goals", goals_path,
+                    "--estimator", "foo", "--out-dir", tmp_path / "sol"])
+        assert code == 1
+        assert "unknown estimator 'foo'" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_seed(self, small_world, tmp_path):
@@ -285,6 +318,27 @@ class TestBenchCommand:
         code = run(["bench", "--scenarios", "simple", "--algorithms", "astar",
                     "--out-dir", tmp_path / "b"])
         assert code == 1
+
+    def test_unknown_scenario(self, tmp_path, capsys):
+        code = run(["bench", "--scenarios", "nosuch", "--out-dir", tmp_path / "b"])
+        assert code == 1
+        assert "unknown scenario 'nosuch'" in capsys.readouterr().err
+
+    def test_zero_repeats(self, tmp_path, capsys):
+        code = run(["bench", "--scenarios", "simple", "--repeats", 0, "--out-dir", tmp_path / "b"])
+        assert code == 1
+        assert "repeats must be at least 1" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(multigoal.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "multigoal", "--help"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "gen-map" in proc.stdout
 
 
 class TestScoreCommand:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,31 @@ class TestSegmentClear:
         # but passing below the blocked cell entirely is fine
         assert g.segment_clear(Point(1.5, 1.0), Point(3.5, 2.0))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Point(4.0, 1.5), Point(1.5, 1.5)),  # x == width
+            (Point(1.5, 1.5), Point(1.5, 4.0)),  # y == height
+            (Point(-0.5, 1.5), Point(1.5, 1.5)),
+            (Point(1.5, 1.5), Point(1.5, -1e-300)),
+        ],
+    )
+    def test_endpoint_outside_map_raises(self, a, b):
+        g = empty_map()
+        bad = a if not g.in_bounds(a) else b
+        message = f"segment endpoint ({bad.x}, {bad.y}) out of bounds"
+        with pytest.raises(OutOfBoundsError, match=re.escape(message)):
+            g.segment_clear(a, b)
+
+    def test_negative_zero_endpoint_lies_in_cell_zero(self):
+        cells = np.zeros((4, 4), dtype=bool)
+        cells[1, 0] = True
+        g = GridMap(cells)
+        assert g.segment_clear(Point(-0.0, 0.5), Point(3.5, -0.0))
+        assert not g.segment_clear(Point(-0.0, 1.5), Point(3.5, 1.5))
+        # an endpoint just inside the far edge is in the last cell
+        assert g.segment_clear(Point(3.9999999999999996, 3.9999999999999996), Point(1.5, 3.5))
+
 
 class TestGenerateMap:
     def test_deterministic(self):
@@ -270,6 +296,19 @@ class TestGoalFiles:
         path = tmp_path / "g.csv"
         path.write_text("1.0,2.0\n")
         with pytest.raises(FormatError):
+            load_goals(path)
+
+    def test_duplicate_rows_name_both(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("1.5,1.5\n2.5,2.5\n1.50,1.5\n")
+        with pytest.raises(FormatError, match=r"rows 1 and 3: duplicate goal at \(1\.5, 1\.5\)"):
+            load_goals(path)
+
+    @pytest.mark.parametrize("row", ["inf,1.0", "1.0,nan"])
+    def test_non_finite_row(self, tmp_path, row):
+        path = tmp_path / "g.csv"
+        path.write_text(f"0.5,0.5\n{row}\n")
+        with pytest.raises(FormatError, match="row 2: non-finite pair"):
             load_goals(path)
 
 

@@ -295,3 +295,53 @@ class TestPlanLegRrtStar:
         cfg = PlannerConfig(step_size=1, goal_tolerance=1, max_samples=500, seed=1)
         with pytest.raises(NoPathFound):
             plan_leg_rrt_star(g, Point(2, 8), Point(14, 8), cfg)
+
+
+class TestGoldenPaths:
+    """Exact outputs of both planners on one fixed instance, pinned so that a
+    speed-up of the inner loops cannot move a single bit of a path."""
+
+    def world(self):
+        cells = np.zeros((20, 20), dtype=bool)
+        cells[3:16, 9:11] = True
+        cfg = PlannerConfig(
+            step_size=2, goal_tolerance=1.5, rewire_radius=5, max_samples=300, seed=42
+        )
+        return GridMap(cells), cfg
+
+    def test_rrt_star(self):
+        g, cfg = self.world()
+        poly, samples = plan_leg_rrt_star(g, Point(2, 2), Point(17, 4), cfg)
+        assert samples == 300
+        assert [repr(p) for p in poly.points] == [
+            "Point(x=2.0, y=2.0)",
+            "Point(x=5.846478536067957, y=2.1794920723460876)",
+            "Point(x=10.764803552607233, y=2.8767107972646193)",
+            "Point(x=12.595713774685727, y=3.2312805396868525)",
+            "Point(x=17.0, y=4.0)",
+        ]
+
+    def test_rrt(self):
+        g, cfg = self.world()
+        poly, samples = plan_leg_rrt(g, Point(2, 2), Point(17, 4), free_mask(g), cfg)
+        assert samples == 83
+        assert [repr(p) for p in poly.points] == [
+            "Point(x=2.0, y=2.0)",
+            "Point(x=2.474787270503369, y=3.942827076136206)",
+            "Point(x=4.47477177767334, y=3.9506992473798666)",
+            "Point(x=6.335832235314358, y=4.683129430404162)",
+            "Point(x=8.211860397544946, y=3.9899351325931365)",
+            "Point(x=9.30094869178094, y=2.4885840453515335)",
+            "Point(x=11.26348959906986, y=2.8738543234908924)",
+            "Point(x=13.226030506358782, y=3.2591246016302513)",
+            "Point(x=14.906586211372284, y=2.1748125974789674)",
+            "Point(x=16.414074600009293, y=3.4891484594733804)",
+            "Point(x=17, y=4)",
+        ]
+
+    def test_tree_points_are_float(self):
+        tree = Tree(Point(1, 1), 4)
+        idx = tree.add(Point(2, 3), 0, 1.0)
+        for p in (tree.point(0), tree.point(idx)):
+            assert type(p.x) is float and type(p.y) is float
+        assert repr(tree.point(0)) == "Point(x=1.0, y=1.0)"
