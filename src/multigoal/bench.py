@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from .errors import InvalidArgument, NoPathFound, Unreachable
 from .pipeline import ALGORITHMS, Solution, run_algorithm
 from .planner import PlannerConfig
-from .tsp import TspConfig
 
 RESULTS_HEADER = ["scenario", "algorithm", "repeat", "seed", "cost", "time_s", "samples", "order"]
 
@@ -53,13 +52,12 @@ def benchmark(
     base_seed: int = 0,
     cfg_overrides: dict | None = None,
     estimator: str = "oracle",
-    tsp_config: TspConfig | None = None,
-    keep_solutions: bool = False,
 ) -> list[BenchmarkRecord]:
     """Run every (scenario, algorithm, repeat) combination independently.
 
-    Individual failures (no path, unreachable pair) become failed records
-    rather than aborting the sweep.
+    Each successful record carries its Solution. Individual failures (no
+    path, unreachable pair) become failed records rather than aborting the
+    sweep.
     """
     if repeats < 1:
         raise InvalidArgument("repeats must be at least 1")
@@ -72,7 +70,7 @@ def benchmark(
                 t0 = time.perf_counter()
                 try:
                     sol = run_algorithm(
-                        scenario.grid, scenario.goals, algorithm, cfg, tsp_config, estimator
+                        scenario.grid, scenario.goals, algorithm, cfg, estimator=estimator
                     )
                     records.append(
                         BenchmarkRecord(
@@ -84,7 +82,7 @@ def benchmark(
                             time.perf_counter() - t0,
                             sol.samples_total,
                             sol.tour.order,
-                            solution=sol if keep_solutions else None,
+                            solution=sol,
                         )
                     )
                 except (NoPathFound, Unreachable) as exc:

@@ -65,7 +65,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MultigoalError as exc:
+    except (MultigoalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -427,10 +427,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    try:
+        weights = LossWeights(tuple(float(v) for v in args.alpha.split(",")))
+    except ValueError as exc:
+        raise FormatError(f"--alpha: {exc}") from None
     labels = load_external_predictions(args.labels)
     predictions = load_external_predictions(args.predictions)
-    alpha = tuple(float(v) for v in args.alpha.split(","))
-    rows, agg = score_predictions(labels, predictions, LossWeights(alpha))
+    rows, agg = score_predictions(labels, predictions, weights)
 
     print(f"{'pair':>8} {'bce':>12} {'dice':>10} {'sq_err':>12}")
     for i, j, l1, l2, err in rows:

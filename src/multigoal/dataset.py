@@ -34,14 +34,12 @@ def generate_dataset(
     out_dir,
     width: int = 64,
     height: int = 64,
-    obstacle_spec: ObstacleSpec | None = None,
     min_separation: float | None = None,
-    dilation_radius: float | None = None,
 ) -> dict:
     """Generate n_maps labeled samples under out_dir and return the manifest."""
     if n_maps < 1:
         raise InvalidArgument("n_maps must be at least 1")
-    spec = obstacle_spec or ObstacleSpec(count_range=(4, 64), density_range=(0.10, 0.30))
+    spec = ObstacleSpec(count_range=(4, 64), density_range=(0.10, 0.30))
     if min_separation is None:
         min_separation = max(width, height) / 8.0
 
@@ -54,8 +52,7 @@ def generate_dataset(
     for i in range(n_maps):
         sample_id = f"sample_{i:05d}"
         grid, goals, path, length = _make_sample(seed, i, width, height, spec, min_separation)
-        radius = dilation_radius if dilation_radius is not None else default_dilation_radius(grid)
-        mask = dilate_path_to_region(grid, path, radius)
+        mask = dilate_path_to_region(grid, path, default_dilation_radius(grid))
 
         map_rel = f"maps/{sample_id}.map"
         goals_rel = f"goals/{sample_id}.csv"

@@ -1,6 +1,6 @@
 """Pairwise distance and promising-region estimation, and weight-matrix assembly.
 
-Estimators map a goal pair on a map to a (distance, region mask) estimate.
+Estimators map every goal pair of a goal set to a (distance, region mask) estimate.
 Three strategies are provided: straight-line distance, an exact 8-connected
 grid oracle (Dijkstra shortest path dilated into a region), and externally
 produced predictions loaded from files.
@@ -266,12 +266,7 @@ def _pair_unreachable(i: int, j: int, exc: Unreachable) -> Unreachable:
 
 
 class Estimator:
-    """Strategy interface: deterministic goal pair -> (distance, region) estimate."""
-
-    name = "base"
-
-    def estimate(self, grid: GridMap, a: Point, b: Point, pair=None) -> PairEstimate:
-        raise NotImplementedError
+    """Strategy interface: deterministic goal pairs -> (distance, region) estimates."""
 
     def estimate_all(self, grid: GridMap, goals: GoalSet) -> dict:
         """{(i, j): PairEstimate} for every unordered goal pair i < j, in (i, j) order.
@@ -279,31 +274,14 @@ class Estimator:
         An unreachable pair raises Unreachable naming the first failing
         (i, j) in that order, with ``pair`` set to it.
         """
-        out = {}
-        m = len(goals)
-        for i in range(m):
-            for j in range(i + 1, m):
-                try:
-                    out[(i, j)] = self.estimate(grid, goals[i], goals[j], pair=(i, j))
-                except Unreachable as exc:
-                    raise _pair_unreachable(i, j, exc) from exc
-        return out
-
-
-def _free_mask(grid: GridMap) -> RegionMask:
-    return RegionMask((~grid.cells).astype(np.float64))
+        raise NotImplementedError
 
 
 class EuclideanEstimator(Estimator):
     """Straight-line distance; carries no region information (all free cells promising)."""
 
-    name = "euclidean"
-
-    def estimate(self, grid, a, b, pair=None):
-        return PairEstimate(a.distance_to(b), _free_mask(grid))
-
     def estimate_all(self, grid, goals):
-        mask = _free_mask(grid)  # read-only, so every pair can share it
+        mask = RegionMask((~grid.cells).astype(np.float64))  # read-only, so every pair can share it
         m = len(goals)
         return {
             (i, j): PairEstimate(goals[i].distance_to(goals[j]), mask)
@@ -315,17 +293,11 @@ class EuclideanEstimator(Estimator):
 class GridOracleEstimator(Estimator):
     """Exact grid shortest-path length with the optimal path dilated into a region."""
 
-    name = "oracle"
-
     def __init__(self, dilation_radius: float | None = None):
         self.dilation_radius = dilation_radius
 
     def _radius(self, grid: GridMap) -> float:
         return self.dilation_radius if self.dilation_radius is not None else default_dilation_radius(grid)
-
-    def estimate(self, grid, a, b, pair=None):
-        path, length = grid_shortest_path(grid, a, b)
-        return PairEstimate(length, dilate_path_to_region(grid, path, self._radius(grid)))
 
     def estimate_all(self, grid, goals):
         """One search from each goal i to all goals j > i: M-1 searches in all."""
@@ -346,24 +318,24 @@ class GridOracleEstimator(Estimator):
 class ExternalEstimator(Estimator):
     """Estimates read back from a prediction directory (see load_external_predictions)."""
 
-    name = "external"
-
     def __init__(self, distances: dict, masks: dict, source: str = ""):
         self.distances = distances
         self.masks = masks
         self.source = source
 
-    def estimate(self, grid, a, b, pair=None):
-        if pair is None:
-            raise MissingPrediction(
-                "external estimates are keyed by goal indices; pass pair=(i, j)"
-            )
-        key = (min(pair), max(pair))
-        if key not in self.distances or key not in self.masks:
-            raise MissingPrediction(f"no stored prediction for pair {key} in {self.source!r}")
-        mask = self.masks[key]
-        mask.check_shape(grid)
-        return PairEstimate(self.distances[key], mask)
+    def estimate_all(self, grid, goals):
+        out = {}
+        m = len(goals)
+        for i in range(m):
+            for j in range(i + 1, m):
+                if (i, j) not in self.distances or (i, j) not in self.masks:
+                    raise MissingPrediction(
+                        f"no stored prediction for pair {(i, j)} in {self.source!r}"
+                    )
+                mask = self.masks[(i, j)]
+                mask.check_shape(grid)
+                out[(i, j)] = PairEstimate(self.distances[(i, j)], mask)
+        return out
 
 
 def build_weight_matrix(

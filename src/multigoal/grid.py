@@ -68,9 +68,9 @@ class GridMap:
             raise ValueError("cells must be a 2D table")
         height, width = arr.shape
         if width < 2 or height < 2:
-            raise ValueError(f"map must be at least 2x2, got {width}x{height}")
+            raise InvalidArgument(f"map must be at least 2x2, got {width}x{height}")
         if arr.all():
-            raise ValueError("map has no free cell")
+            raise InvalidArgument("map has no free cell")
         arr.setflags(write=False)
         self.cells = arr
         self.width = width
@@ -100,12 +100,6 @@ class GridMap:
             raise OutOfBoundsError(f"point ({p.x}, {p.y}) outside {self.width}x{self.height} map")
         cx, cy = p.cell()
         return not self.cells[cy, cx]
-
-    def cell_free(self, cx: int, cy: int) -> bool:
-        """Free test by integer cell index; out-of-range indices count as blocked."""
-        if 0 <= cx < self.width and 0 <= cy < self.height:
-            return not self.cells[cy, cx]
-        return False
 
     def segment_clear(self, a: Point, b: Point) -> bool:
         """Exact conservative collision test: no cell floor(p(t)) along the
@@ -251,12 +245,12 @@ class ObstacleSpec:
 
     def __post_init__(self):
         if self.count_range[0] < 0 or self.count_range[0] > self.count_range[1]:
-            raise ValueError(f"bad count_range {self.count_range}")
+            raise InvalidArgument(f"bad count_range {self.count_range}")
         if self.size_range[0] < 1 or self.size_range[0] > self.size_range[1]:
-            raise ValueError(f"bad size_range {self.size_range}")
+            raise InvalidArgument(f"bad size_range {self.size_range}")
         lo, hi = self.density_range
         if not (0.0 <= lo <= hi <= 1.0):
-            raise ValueError(f"bad density_range {self.density_range}")
+            raise InvalidArgument(f"bad density_range {self.density_range}")
 
 
 def generate_map(seed: int, width: int, height: int, spec: ObstacleSpec | None = None) -> GridMap:
@@ -314,9 +308,9 @@ def place_goals(grid: GridMap, m: int, seed: int, min_separation: float = 0.0) -
     rejection-sampling budget runs out.
     """
     if m < 2:
-        raise ValueError(f"need m >= 2 goals, got {m}")
+        raise InvalidArgument(f"need m >= 2 goals, got {m}")
     if min_separation < 0:
-        raise ValueError("min_separation must be nonnegative")
+        raise InvalidArgument("min_separation must be nonnegative")
     rng = np.random.default_rng(_check_seed(seed))
     cells = grid.largest_component_cells()
     if len(cells) < m:

@@ -198,19 +198,6 @@ def _sample_point(cells: np.ndarray, rng, weights=None) -> Point:
     return Point(float(x) + dx, float(y) + dy)
 
 
-def hybrid_sample(mask, goal: Point, cfg: PlannerConfig, rng, fallback_cells=None) -> Point:
-    """One draw of the hybrid sampler over a promising-region mask.
-
-    With probability cfg.k the goal point is returned; otherwise a uniform
-    point within a uniformly chosen cell whose mask value reaches
-    cfg.mask_threshold. When no cell qualifies, sampling falls back to
-    fallback_cells (pass the map's free cells) or, failing that, to every
-    cell of the mask rectangle.
-    """
-    cells, weights = _region_cells(mask, cfg, fallback_cells)
-    return _hybrid_draw(cells, goal, cfg, rng, weights)
-
-
 def _hybrid_draw(cells, goal, cfg, rng, weights=None) -> Point:
     u = rng.random()
     if u > cfg.k:
@@ -218,7 +205,8 @@ def _hybrid_draw(cells, goal, cfg, rng, weights=None) -> Point:
     return goal
 
 
-def _region_cells(mask, cfg: PlannerConfig, fallback_cells=None):
+def _region_cells(mask, cfg: PlannerConfig, fallback_cells):
+    """(cells, weights) the hybrid sampler draws from; fallback_cells when no mask cell qualifies."""
     if cfg.density_sampling:
         cells = mask.cells_at_least(np.nextafter(0.0, 1.0))
         if len(cells):
@@ -228,10 +216,7 @@ def _region_cells(mask, cfg: PlannerConfig, fallback_cells=None):
         cells = mask.cells_at_least(cfg.mask_threshold)
         if len(cells):
             return cells, None
-    if fallback_cells is not None and len(fallback_cells):
-        return fallback_cells, None
-    xs, ys = np.meshgrid(np.arange(mask.width), np.arange(mask.height))
-    return np.column_stack([xs.ravel(), ys.ravel()]).astype(np.intp), None
+    return fallback_cells, None
 
 
 def plan_leg_rrt(

@@ -57,18 +57,12 @@ def _canonical(seq: list[int]) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class TspConfig:
     exact_threshold: int = 13
-    nn_start: int = 0
-    move_budget: int | None = None
 
     def __post_init__(self):
         if self.exact_threshold > EXACT_LIMIT:
             raise ValueError(
                 f"exact_threshold must be at most {EXACT_LIMIT}, got {self.exact_threshold}"
             )
-        if self.nn_start < 0:
-            raise ValueError(f"nn_start must be nonnegative, got {self.nn_start}")
-        if self.move_budget is not None and self.move_budget < 0:
-            raise ValueError(f"move_budget must be nonnegative, got {self.move_budget}")
 
 
 @dataclass(frozen=True)
@@ -165,22 +159,18 @@ def nearest_neighbor(w, start: int = 0) -> Tour:
     return Tour(order)
 
 
-def local_search_improve(w, t: Tour, budget: int | None = None) -> Tour:
+def local_search_improve(w, t: Tour) -> Tour:
     """Improve a tour with first-improvement 2-opt and Or-opt (segments 1-3).
 
     Scans run in deterministic index order and restart after every applied
-    move; stops at a local optimum of both neighborhoods or when the move
-    budget is exhausted. The result never costs more than the input.
+    move; stops at a local optimum of both neighborhoods. The result never
+    costs more than the input.
     """
     w = _as_matrix(w)
     order = list(t.order)
     wl = w.w.tolist()
-    moves = 0
-    while budget is None or moves < budget:
-        if _apply_first_2opt(wl, order) or _apply_first_oropt(wl, order):
-            moves += 1
-            continue
-        break
+    while _apply_first_2opt(wl, order) or _apply_first_oropt(wl, order):
+        pass
     return Tour(order)
 
 
@@ -233,6 +223,5 @@ def solve_tsp(w, config: TspConfig | None = None) -> TspResult:
     if w.m <= config.exact_threshold:
         t, cost = held_karp(w)
         return TspResult(t, cost, "EXACT")
-    t = nearest_neighbor(w, config.nn_start)
-    t = local_search_improve(w, t, config.move_budget)
+    t = local_search_improve(w, nearest_neighbor(w))
     return TspResult(t, tour_cost(w, t), "HEURISTIC")

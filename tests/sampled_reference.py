@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from multigoal import OutOfBoundsError
+from multigoal.errors import OutOfBoundsError
 
 
 def segment_free(grid, a, b, resolution):

@@ -198,9 +198,7 @@ def test_criterion_5_heuristic_sampling_speedup():
 def test_criterion_6_pipeline_integrity():
     t0 = time.perf_counter()
     scenarios = [mg.builtin_scenario("simple"), mg.builtin_scenario("complex")]
-    records = benchmark(
-        scenarios, mg.ALGORITHMS, repeats=3, base_seed=20240500, keep_solutions=True
-    )
+    records = benchmark(scenarios, mg.ALGORITHMS, repeats=3, base_seed=20240500)
     verified = failed = 0
     for record in records:
         if record.failed:

@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from multigoal import (
-    GridMap,
-    GoalSet,
-    Point,
-    Scenario,
-    bench_seed,
-    benchmark,
-    generate_dataset,
-    validate_dataset,
-)
-from multigoal.bench import aggregate, format_report, write_aggregate_csv, write_results_csv
-from multigoal.dataset import _split_of
+from multigoal import GridMap, GoalSet, Point, benchmark
+from multigoal.bench import aggregate, bench_seed, format_report, write_aggregate_csv, write_results_csv
+from multigoal.dataset import _split_of, generate_dataset, validate_dataset
+from multigoal.scenarios import Scenario
 
 
 def tiny_scenarios():
@@ -85,8 +77,7 @@ class TestBenchmark:
 
     def test_keep_solutions(self):
         records = benchmark(
-            tiny_scenarios()[:1], ("guided",), repeats=1, base_seed=2,
-            cfg_overrides=FAST, keep_solutions=True,
+            tiny_scenarios()[:1], ("guided",), repeats=1, base_seed=2, cfg_overrides=FAST
         )
         assert records[0].solution is not None
         assert records[0].solution.total_cost == records[0].cost

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import multigoal
-from multigoal import ALGORITHMS, GridMap, load_map, save_goals, save_map, GoalSet, Point
+from multigoal import ALGORITHMS, GridMap, save_goals, save_map, GoalSet, Point
 from multigoal.cli import main
+from multigoal.grid import load_map
 
 
 def run(args):
@@ -400,3 +401,43 @@ class TestRenderCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}") and where in err
+
+
+class TestBadInputExitsOne:
+    def test_render_missing_mask(self, small_world, tmp_path, capsys):
+        map_path, _ = small_world
+        missing = tmp_path / "nosuch.pgm"
+        code = run(["render", "--map", map_path, "--mask", missing, "--out", tmp_path / "r.svg"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+
+    def test_pipeline_missing_goals(self, small_world, tmp_path, capsys):
+        map_path, _ = small_world
+        missing = tmp_path / "nosuch.csv"
+        code = run(["pipeline", "--map", map_path, "--goals", missing, "--out-dir", tmp_path / "o"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+
+    def test_tsp_missing_weights(self, tmp_path, capsys):
+        missing = tmp_path / "nosuch.csv"
+        assert run(["tsp", "--weights", missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["gen-map", "--width", 1], "map must be at least 2x2, got 1x64"),
+        (["gen-map", "--count-min", 5, "--count-max", 2], "bad count_range (5, 2)"),
+        (["gen-map", "--goals", 1], "need m >= 2 goals, got 1"),
+        (["score", "--alpha", "1,x"], "--alpha: could not convert string to float: 'x'"),
+        (["score", "--alpha", "0,1,1"], "--alpha: all loss weights must be positive"),
+    ])
+    def test_rejected_value(self, tmp_path, capsys, args, message):
+        if args[0] == "gen-map":
+            args = args + ["--out", tmp_path / "m.map"]
+        else:
+            args = args + ["--labels", tmp_path, "--predictions", tmp_path]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err

@@ -5,20 +5,18 @@ import numpy as np
 import pytest
 
 from multigoal import (
-    FormatError,
     GoalSet,
     GridMap,
     ObstacleSpec,
-    OutOfBoundsError,
     PlacementFailed,
     Point,
     generate_map,
-    load_goals,
-    load_map,
     place_goals,
     save_goals,
     save_map,
 )
+from multigoal.errors import FormatError, OutOfBoundsError
+from multigoal.grid import load_goals, load_map
 from sampled_reference import segment_free
 
 

@@ -5,17 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigoal import (
-    DegenerateInput,
-    EmptyInput,
-    LengthMismatch,
-    LossWeights,
-    ShapeMismatch,
-    bce_loss,
-    dice_loss,
-    mse_loss,
-    total_loss,
-)
+from multigoal import LossWeights, bce_loss, dice_loss, mse_loss, total_loss
+from multigoal.errors import DegenerateInput, EmptyInput, LengthMismatch, ShapeMismatch
 
 
 def arr(values):
@@ -176,18 +167,18 @@ class TestTotalLoss:
 
 class TestLabelPair:
     def test_accepts_binary_mask(self):
-        from multigoal import LabelPair
+        from multigoal.losses import LabelPair
 
         LabelPair(arr([[1.0, 0.0], [0.0, 1.0]]), 3.5)
 
     def test_rejects_soft_mask(self):
-        from multigoal import LabelPair
+        from multigoal.losses import LabelPair
 
         with pytest.raises(ValueError, match="binary"):
             LabelPair(arr([[0.5]]), 1.0)
 
     def test_rejects_negative_distance(self):
-        from multigoal import LabelPair
+        from multigoal.losses import LabelPair
 
         with pytest.raises(ValueError, match="distance"):
             LabelPair(arr([[1.0]]), -2.0)

@@ -8,24 +8,20 @@ from hypothesis import strategies as st
 import multigoal.pipeline
 from multigoal import (
     ALGORITHMS,
-    EUCLIDEAN_RRT_STAR,
-    GUIDED,
-    RRT_STAR,
     EuclideanEstimator,
     GoalSet,
     GridMap,
     NoPathFound,
     PlannerConfig,
     Point,
-    Unreachable,
     build_weight_matrix,
-    derive_seed,
     held_karp,
-    render_svg,
-    run_algorithm,
     tour_cost,
     verify_solution,
 )
+from multigoal.errors import Unreachable
+from multigoal.pipeline import EUCLIDEAN_RRT_STAR, GUIDED, RRT_STAR, derive_seed, run_algorithm
+from multigoal.render import render_svg
 
 
 def empty_map(w=48, h=48):

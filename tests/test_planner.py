@@ -3,23 +3,20 @@ import statistics
 import numpy as np
 import pytest
 
-from multigoal import (
-    GridMap,
-    NoPathFound,
+from multigoal import GridMap, NoPathFound, PlannerConfig, Point, RegionMask, plan_leg_rrt
+from multigoal.planner import (
     PathPolyline,
-    PlannerConfig,
-    Point,
-    RegionMask,
     Tree,
-    hybrid_sample,
+    _hybrid_draw,
+    _region_cells,
+    _rrt,
+    _rrt_star,
     load_path,
     path_cost,
-    plan_leg_rrt,
     plan_leg_rrt_star,
     save_path,
     steer,
 )
-from multigoal.planner import _rrt, _rrt_star
 from sampled_reference import segment_free
 
 
@@ -49,6 +46,12 @@ def validate_tree(tree: Tree, ordered_parents: bool):
             v = tree.parents[v]
 
 
+def hybrid_draws(mask, goal, cfg, rng, n, fallback_cells):
+    """n draws of the hybrid sampler, made as the guided RRT makes them."""
+    cells, weights = _region_cells(mask, cfg, fallback_cells)
+    return [_hybrid_draw(cells, goal, cfg, rng, weights) for _ in range(n)]
+
+
 class TestHybridSample:
     def cfg(self, k, threshold=0.5):
         return PlannerConfig(k=k, mask_threshold=threshold)
@@ -57,8 +60,8 @@ class TestHybridSample:
         g = empty_map()
         goal = Point(5.0, 6.0)
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            assert hybrid_sample(free_mask(g), goal, self.cfg(1.0), rng) == goal
+        for p in hybrid_draws(free_mask(g), goal, self.cfg(1.0), rng, 200, g.free_cells()):
+            assert p == goal
 
     def test_k0_never_goal_and_respects_threshold(self):
         values = np.zeros((8, 8))
@@ -69,8 +72,7 @@ class TestHybridSample:
         goal = Point(0.25, 0.25)
         rng = np.random.default_rng(1)
         allowed = {(3, 2), (6, 5)}
-        for _ in range(500):
-            p = hybrid_sample(mask, goal, self.cfg(0.0), rng)
+        for p in hybrid_draws(mask, goal, self.cfg(0.0), rng, 500, empty_map(8, 8).free_cells()):
             assert p != goal
             assert p.cell() in allowed
 
@@ -78,9 +80,8 @@ class TestHybridSample:
         g = empty_map()
         goal = Point(3.0, 3.0)
         rng = np.random.default_rng(2)
-        hits = sum(
-            hybrid_sample(free_mask(g), goal, self.cfg(0.1), rng) == goal for _ in range(10_000)
-        )
+        draws = hybrid_draws(free_mask(g), goal, self.cfg(0.1), rng, 10_000, g.free_cells())
+        hits = sum(p == goal for p in draws)
         assert 900 <= hits <= 1100  # 3 sigma of Binomial(1e4, 0.1)
 
     def test_empty_region_falls_back_to_free_cells(self):
@@ -90,8 +91,7 @@ class TestHybridSample:
         mask = RegionMask(np.zeros((4, 4)))
         rng = np.random.default_rng(3)
         free = {tuple(c) for c in g.free_cells()}
-        for _ in range(100):
-            p = hybrid_sample(mask, Point(1.5, 1.5), self.cfg(0.0), rng, g.free_cells())
+        for p in hybrid_draws(mask, Point(1.5, 1.5), self.cfg(0.0), rng, 100, g.free_cells()):
             assert p.cell() in free
 
     def test_density_sampling_prefers_high_values(self):
@@ -101,7 +101,8 @@ class TestHybridSample:
         mask = RegionMask(values)
         cfg = PlannerConfig(k=0.0, density_sampling=True)
         rng = np.random.default_rng(4)
-        hits = sum(hybrid_sample(mask, Point(0, 0), cfg, rng).cell() == (0, 0) for _ in range(2000))
+        draws = hybrid_draws(mask, Point(0, 0), cfg, rng, 2000, empty_map(2, 2).free_cells())
+        hits = sum(p.cell() == (0, 0) for p in draws)
         assert 1700 <= hits <= 1900  # ~90%
 
     def test_matches_plain_uniform_stream_on_all_ones_mask(self):
@@ -114,7 +115,7 @@ class TestHybridSample:
         cfg = self.cfg(0.1)
 
         rng1 = np.random.default_rng(99)
-        ours = [hybrid_sample(free_mask(g), goal, cfg, rng1) for _ in range(500)]
+        ours = hybrid_draws(free_mask(g), goal, cfg, rng1, 500, g.free_cells())
 
         rng2 = np.random.default_rng(99)
         free = g.free_cells()

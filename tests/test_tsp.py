@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 
 from multigoal import (
-    InvalidMatrix,
-    InvalidTour,
-    TooLarge,
     Tour,
-    TspConfig,
     WeightMatrix,
     held_karp,
     local_search_improve,
     nearest_neighbor,
-    solve_tsp,
     tour_cost,
 )
+from multigoal.errors import InvalidMatrix, InvalidTour, TooLarge
+from multigoal.tsp import TspConfig, solve_tsp
 
 FOUR = np.array([[0, 1, 10, 1], [1, 0, 1, 10], [10, 1, 0, 1], [1, 10, 1, 0]], dtype=float)
 
@@ -195,29 +192,12 @@ class TestLocalSearch:
             improved = local_search_improve(w, nn)
             assert tour_cost(w, improved) <= tour_cost(w, nn) + 1e-12
 
-    def test_budget_limits_moves(self):
-        rng = np.random.default_rng(8)
-        w = random_matrix(rng, 12)
-        nn = nearest_neighbor(w, 0)
-        one_move = local_search_improve(w, nn, budget=1)
-        free = local_search_improve(w, nn)
-        assert tour_cost(w, one_move) >= tour_cost(w, free)
-
 
 class TestTspConfig:
     def test_rejects_exact_threshold_above_limit(self):
         with pytest.raises(ValueError, match="exact_threshold"):
             TspConfig(exact_threshold=17)
         assert TspConfig(exact_threshold=16).exact_threshold == 16
-
-    def test_rejects_negative_nn_start(self):
-        with pytest.raises(ValueError, match="nn_start"):
-            TspConfig(nn_start=-1)
-
-    def test_rejects_negative_move_budget(self):
-        with pytest.raises(ValueError, match="move_budget"):
-            TspConfig(move_budget=-1)
-        assert TspConfig(move_budget=0).move_budget == 0
 
 
 class TestSolveTsp:
