@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import bench as bench_mod
-from .errors import BlockedPoint, FormatError, MultigoalError
+from .errors import BlockedPoint, FormatError, MultigoalError, OutOfBoundsError
 from .estimators import (
     RegionMask,
     WeightMatrix,
@@ -246,8 +246,8 @@ def _load_goals_on(grid: GridMap, path) -> GoalSet:
     goals = load_goals(path)
     try:
         goals.validate_on(grid)
-    except BlockedPoint as exc:
-        raise BlockedPoint(f"{path}: {exc}") from None
+    except (BlockedPoint, OutOfBoundsError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return goals
 
 
@@ -268,10 +268,12 @@ def _cmd_gen_map(args) -> int:
         density_range=(args.density_min, args.density_max),
     )
     grid = generate_map(seed, args.width, args.height, spec)
+    goals = None
+    if args.goals:  # placed before anything is written, so a failure leaves no file behind
+        goals = place_goals(grid, args.goals, derive_seed(seed, 1), args.min_sep)
     save_map(args.out, grid)
     print(f"wrote {args.out}: {grid.width}x{grid.height}, density {grid.density():.3f}")
-    if args.goals:
-        goals = place_goals(grid, args.goals, derive_seed(seed, 1), args.min_sep)
+    if goals is not None:
         goals_out = args.goals_out or (os.path.splitext(args.out)[0] + ".goals.csv")
         save_goals(goals_out, goals)
         print(f"wrote {goals_out}: {len(goals)} goals")
@@ -453,7 +455,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_render(args) -> int:
     grid = load_map(args.map_path)
-    goals = load_goals(args.goals_path) if args.goals_path else None
+    goals = _load_goals_on(grid, args.goals_path) if args.goals_path else None
     masks = [RegionMask.from_u8(read_pgm(p)) for p in args.mask] or None
 
     legs = [load_path(p) for p in args.path]

@@ -12,9 +12,9 @@ import heapq
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     DimensionMismatch,
@@ -145,6 +145,41 @@ class WeightMatrix:
         return cls(np.array(rows, dtype=np.float64))
 
 
+@lru_cache(maxsize=16)
+def _move_table(pw: int) -> tuple:
+    """For each 8-bit move code, the (id offset, step cost) of its set moves in
+    NEIGHBORS_8 order, for ids on a map padded to width pw."""
+    moves = [(dy * pw + dx, cost) for dx, dy, cost in NEIGHBORS_8]
+    return tuple(
+        tuple(move for k, move in enumerate(moves) if code >> k & 1) for code in range(256)
+    )
+
+
+def _move_codes(grid: GridMap) -> bytes:
+    """One code byte per cell id of the padded map: bit k is set when move k of
+    NEIGHBORS_8 is legal from the cell. A move is legal when its target is
+    free and, for a diagonal, both orthogonal cells are free; blocked cells
+    get 0. Cached on the grid, like GridMap.free_cells.
+    """
+    if not hasattr(grid, "_move_codes"):
+        h, w = grid.height, grid.width
+        free = np.zeros((h + 4, w + 4), dtype=bool)  # two blocked rings: every shift stays inside
+        free[2:-2, 2:-2] = ~grid.cells
+
+        def shifted(dx, dy):  # free[y + dy, x + dx] for every cell of the padded map
+            return free[1 + dy : h + 3 + dy, 1 + dx : w + 3 + dx]
+
+        codes = np.zeros((h + 2, w + 2), dtype=np.uint8)
+        for k, (dx, dy, _) in enumerate(NEIGHBORS_8):
+            legal = shifted(dx, dy)
+            if dx and dy:
+                legal = legal & shifted(dx, 0) & shifted(0, dy)
+            codes |= legal.astype(np.uint8) << k
+        codes[~shifted(0, 0)] = 0
+        grid._move_codes = codes.tobytes()
+    return grid._move_codes
+
+
 def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
     """Shortest 8-connected cell-center paths from the cell of a to each target's cell.
 
@@ -158,7 +193,8 @@ def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
 
     Returns one (cell path, length) per target, in target order, or None for
     a target that cannot be reached. Cells are ids on the map padded by a
-    one-cell blocked border, so neighbor tests need no bounds check.
+    one-cell blocked border; each cell's legal moves come from its move code
+    (see _move_codes), so the inner loop tests neither bounds nor obstacles.
     """
     if not grid.is_free(a):
         raise ValueError(f"start ({a.x}, {a.y}) is not in a free cell")
@@ -166,11 +202,8 @@ def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
         if not grid.is_free(b):
             raise ValueError(f"goal ({b.x}, {b.y}) is not in a free cell")
     pw = grid.width + 2
-    padded = np.ones((grid.height + 2, pw), dtype=bool)
-    padded[1:-1, 1:-1] = grid.cells
-    free = (~padded).ravel().tolist()
-    # (id offset, step cost, x offset, y offset); both offsets are nonzero only on diagonals
-    moves = [(dy * pw + dx, cost, dx, dy * pw) for dx, dy, cost in NEIGHBORS_8]
+    code = _move_codes(grid)
+    table = _move_table(pw)
 
     def cell_id(p: Point) -> int:
         x, y = p.cell()
@@ -179,7 +212,7 @@ def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
     start = cell_id(a)
     pending: dict[int, float | None] = {cell_id(b): None for b in targets}
     left = len(pending)
-    n = len(free)
+    n = len(code)
     dist = [math.inf] * n
     dist[start] = 0.0
     parent = [-1] * n
@@ -198,12 +231,8 @@ def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
             if not left:
                 break
         done[c] = True
-        for off, cost, ox, oy in moves:
+        for off, cost in table[code[c]]:
             nc = c + off
-            if not free[nc]:
-                continue
-            if ox and oy and not (free[c + ox] and free[c + oy]):
-                continue
             nd = d + cost
             if nd < dist[nc]:
                 dist[nc] = nd
@@ -247,18 +276,50 @@ def default_dilation_radius(grid: GridMap) -> float:
     return max(grid.width, grid.height) / 32.0
 
 
+def _check_radius(radius: float) -> None:
+    if not radius >= 0:  # also rejects nan
+        raise InvalidArgument(f"dilation radius must be >= 0, got {radius}")
+
+
+@lru_cache(maxsize=64)
+def _disk_rows(radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row offsets dy of the disk of a finite radius, and each row's half-width:
+    the largest dx with sqrt(dx*dx + dy*dy) <= radius."""
+    r = int(radius)
+    dy = np.arange(-r, r + 1)
+    dx = np.arange(r + 1)
+    half = (np.sqrt(dx * dx + (dy * dy)[:, None]) <= radius).sum(axis=1) - 1
+    dy.setflags(write=False)
+    half.setflags(write=False)
+    return dy, half
+
+
 def dilate_path_to_region(grid: GridMap, path, radius: float) -> RegionMask:
-    """Mark free cells whose center lies within radius of some path cell center."""
-    if not path:
-        raise ValueError("path must be nonempty")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    on_path = np.zeros((grid.height, grid.width), dtype=bool)
-    for x, y in path:
-        on_path[y, x] = True
-    dist = ndimage.distance_transform_edt(~on_path)
-    region = (dist <= radius) & ~grid.cells
-    return RegionMask(region.astype(np.float64))
+    """Mark free cells whose center lies within radius of some path cell center.
+
+    The disk around a cell covers, on row offset dy, the offsets dx up to the
+    largest one with sqrt(dx*dx + dy*dy) <= radius: the float test a full-map
+    Euclidean distance transform applies. Each path cell marks those row
+    intervals, and a cumulative sum over per-row difference counts takes
+    their union. A radius beyond the map diagonal marks every free cell.
+    """
+    if not len(path):
+        raise InvalidArgument("path must be nonempty")
+    _check_radius(radius)
+    h, w = grid.height, grid.width
+    xs, ys = np.asarray(path, dtype=np.intp).T
+    if xs.min() < 0 or ys.min() < 0 or xs.max() >= w or ys.max() >= h:
+        raise InvalidArgument(f"path leaves the {w}x{h} map")
+    dy, half = _disk_rows(min(radius, math.hypot(w, h)))
+    rows = ys[:, None] + dy
+    inside = (rows >= 0) & (rows < h)
+    rows = rows[inside] * (w + 1)
+    lo = np.maximum(xs[:, None] - half, 0)[inside]
+    hi = np.minimum(xs[:, None] + half + 1, w)[inside]
+    size = h * (w + 1)
+    edges = np.bincount(rows + lo, minlength=size) - np.bincount(rows + hi, minlength=size)
+    covered = edges.reshape(h, w + 1).cumsum(axis=1)[:, :w] > 0
+    return RegionMask((covered & ~grid.cells).astype(np.float64))
 
 
 def _pair_unreachable(i: int, j: int, exc: Unreachable) -> Unreachable:
@@ -294,6 +355,8 @@ class GridOracleEstimator(Estimator):
     """Exact grid shortest-path length with the optimal path dilated into a region."""
 
     def __init__(self, dilation_radius: float | None = None):
+        if dilation_radius is not None:
+            _check_radius(dilation_radius)
         self.dilation_radius = dilation_radius
 
     def _radius(self, grid: GridMap) -> float:

@@ -88,6 +88,30 @@ def tour_cost(w, t) -> float:
     return total
 
 
+def _held_karp_table(wt: np.ndarray) -> np.ndarray:
+    """dp[mask, j]: min cost of a path 0 -> ... -> j visiting exactly the
+    vertices in mask (bit 0 always set, bit j set); inf elsewhere.
+
+    Each entry is the minimum over i of dp[mask ^ bit j, i] + w[j, i]. The
+    table is filled by layers: the odd masks with k bits among 1..m-1, for
+    k = 1..m-1, read only layer k-1.
+    """
+    m = wt.shape[0]
+    dp = np.full((1 << m, m), np.inf)
+    dp[1, 0] = 0.0
+    masks = np.arange(1, 1 << m, 2)
+    size = np.zeros(len(masks), dtype=np.intp)
+    for j in range(1, m):
+        size += masks >> j & 1
+    for k in range(1, m):
+        layer = masks[size == k]
+        for j in range(1, m):
+            sel = layer[layer >> j & 1 == 1]
+            # wt is symmetric, so row j holds the costs into j
+            dp[sel, j] = (dp[sel ^ (1 << j)] + wt[j]).min(axis=1)
+    return dp
+
+
 def held_karp(w) -> tuple[Tour, float]:
     """Exact minimum-cost tour by dynamic programming over vertex subsets.
 
@@ -102,18 +126,9 @@ def held_karp(w) -> tuple[Tour, float]:
         t = Tour((0, 1))
         return t, tour_cost(w, t)
 
-    # dp[mask][j]: min cost of a path 0 -> ... -> j visiting exactly the
-    # vertices in mask (bit 0 always set, bit j set).
+    wt = w.w
+    dp = _held_karp_table(wt)
     full = (1 << m) - 1
-    dp = np.full((full + 1, m), np.inf)
-    dp[1][0] = 0.0
-    wt = w.w  # symmetric, so w[:, j] == w[j, :]
-    bits = 1 << np.arange(m)
-    for mask in range(3, full + 1, 2):
-        js = [j for j in range(1, m) if mask >> j & 1]
-        prev = mask ^ bits[js]
-        cand = dp[prev] + wt[js]
-        dp[mask, js] = cand.min(axis=1)
 
     # Forward greedy reconstruction. With exact symmetry, the cost of
     # completing a prefix that ends at j with unvisited set R is

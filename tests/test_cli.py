@@ -10,6 +10,7 @@ import multigoal
 from multigoal import ALGORITHMS, GridMap, save_goals, save_map, GoalSet, Point
 from multigoal.cli import main
 from multigoal.grid import load_map
+from multigoal.pgm import read_pgm
 
 
 def run(args):
@@ -425,6 +426,43 @@ class TestBadInputExitsOne:
         assert run(["tsp", "--weights", missing]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(missing) in err
+
+    def test_gen_map_failed_goals_leave_no_file(self, tmp_path, capsys):
+        out = tmp_path / "m.map"
+        assert run(["gen-map", "--goals", 1, "--out", out]) == 1
+        assert "need m >= 2 goals, got 1" in capsys.readouterr().err
+        assert not out.exists() and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("radius, shown", [("-1", "-1.0"), ("nan", "nan")])
+    def test_estimate_bad_dilation_radius(self, small_world, tmp_path, capsys, radius, shown):
+        map_path, goals_path = small_world
+        out_dir = tmp_path / "est"
+        code = run(["estimate", "--map", map_path, "--goals", goals_path,
+                    "--dilation-radius", radius, "--out-dir", out_dir])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: dilation radius must be >= 0, got {shown}\n"
+        assert not out_dir.exists()
+
+    def test_estimate_infinite_dilation_radius(self, small_world, tmp_path):
+        map_path, goals_path = small_world
+        out_dir = tmp_path / "est"
+        code = run(["estimate", "--map", map_path, "--goals", goals_path,
+                    "--dilation-radius", "inf", "--out-dir", out_dir])
+        assert code == 0
+        free = np.where(load_map(map_path).cells, 0, 255)
+        assert np.array_equal(read_pgm(out_dir / "pair_0_1.pgm"), free)
+
+    def test_render_goal_off_the_map(self, small_world, tmp_path, capsys):
+        map_path, _ = small_world
+        goals = tmp_path / "far.csv"
+        goals.write_text("100.5,3.5\n2.5,2.5\n")
+        out = tmp_path / "r.svg"
+        code = run(["render", "--map", map_path, "--goals", goals, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {goals}: point (100.5, 3.5) outside 24x24 map\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
         (["gen-map", "--width", 1], "map must be at least 2x2, got 1x64"),

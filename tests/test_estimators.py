@@ -23,6 +23,7 @@ from multigoal import (
 from multigoal.errors import (
     DimensionMismatch,
     FormatError,
+    InvalidArgument,
     InvalidMatrix,
     MissingPrediction,
     Unreachable,
@@ -33,6 +34,7 @@ from multigoal.estimators import (
     load_external_predictions,
     shortest_paths_from,
 )
+import oracle_reference as ref
 
 SQRT2 = math.sqrt(2.0)
 
@@ -182,6 +184,24 @@ class TestDilation:
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             dilate_path_to_region(empty_map(4, 4), [], 1.0)
+
+    @pytest.mark.parametrize("radius", [-1.0, -1e-9, math.nan])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(InvalidArgument, match="dilation radius must be >= 0"):
+            dilate_path_to_region(empty_map(4, 4), [(1, 1)], radius)
+        with pytest.raises(InvalidArgument, match="dilation radius must be >= 0"):
+            GridOracleEstimator(radius)
+
+    def test_infinite_radius_covers_free_space(self):
+        g = GridMap(np.random.default_rng(4).random((7, 9)) < 0.3)
+        mask = dilate_path_to_region(g, [tuple(g.free_cells()[0])], math.inf)
+        assert np.array_equal(mask.values == 1.0, ~g.cells)
+        assert GridOracleEstimator(math.inf).dilation_radius == math.inf
+
+    @pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+    def test_path_off_the_map_rejected(self, cell):
+        with pytest.raises(InvalidArgument, match="path leaves the 4x4 map"):
+            dilate_path_to_region(empty_map(4, 4), [(1, 1), cell], 1.0)
 
 
 def estimate_pair(est, grid, a, b):
@@ -383,6 +403,78 @@ class TestEstimateAll:
         # the two searches add the same step costs in a different order, so
         # the sums may differ in the last bit (3.82842712474619 vs ...903)
         assert abs(grid_shortest_path(grid, b, a)[1] - forward) <= 1e-9
+
+
+@st.composite
+def reference_maps(draw):
+    """A small map of one of three kinds: open (every route has many
+    equal-length twins), random (about a quarter blocked, so some targets are
+    unreachable) or a checkerboard with some cells opened (corner pinches)."""
+    w = draw(st.integers(2, 12))
+    h = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["open", "random", "checker"]))
+    if kind == "open":
+        cells = np.zeros((h, w), dtype=bool)
+    else:
+        coins = draw(st.lists(st.integers(0, 3), min_size=w * h, max_size=w * h))
+        coins = np.array(coins).reshape(h, w)
+        if kind == "random":
+            cells = coins == 0
+        else:
+            ys, xs = np.indices((h, w))
+            cells = ((xs + ys) % 2 == 1) & (coins != 0)
+    assume(not cells.all())
+    return GridMap(cells)
+
+
+class TestMatchesReference:
+    """The table-driven search and the disk-row dilation against the plain
+    versions in tests/oracle_reference.py, compared for exact equality."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(reference_maps(), st.data())
+    def test_search(self, grid, data):
+        free = grid.free_cells()
+        cell = st.sampled_from([Point(x + 0.5, y + 0.5) for x, y in free])
+        start = data.draw(cell)
+        # targets may repeat and may include the start cell
+        targets = data.draw(st.lists(st.one_of(cell, st.just(start)), min_size=1, max_size=5))
+        assert shortest_paths_from(grid, start, targets) == ref.shortest_paths_from(
+            grid, start, targets
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        reference_maps(),
+        st.data(),
+        st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, math.sqrt(8), 3.7, 1e9, math.inf]),
+            st.floats(0.0, 20.0),
+        ),
+    )
+    def test_dilation(self, grid, data, radius):
+        cell = st.tuples(st.integers(0, grid.width - 1), st.integers(0, grid.height - 1))
+        path = data.draw(st.lists(cell, min_size=1, max_size=6))
+        mask = dilate_path_to_region(grid, path, radius)
+        assert np.array_equal(mask.values == 1.0, ref.dilate_path_to_region(grid, path, radius))
+        assert set(np.unique(mask.values)) <= {0.0, 1.0}
+
+    def test_search_on_many_small_maps(self):
+        # equal-length routes whose float sums also tie are rare (about one
+        # search in a hundred here), so this sweeps more maps than hypothesis
+        # draws; a change of relaxation order shows in about 15 of them
+        rng = np.random.default_rng(5)
+        for _ in range(1500):
+            w, h = rng.integers(2, 13, 2)
+            cells = rng.random((h, w)) < 0.25
+            if cells.all():
+                continue
+            g = GridMap(cells)
+            free = g.free_cells()[rng.integers(0, len(g.free_cells()), 4)]
+            start, *targets = [Point(x + 0.5, y + 0.5) for x, y in free]
+            assert shortest_paths_from(g, start, targets) == ref.shortest_paths_from(
+                g, start, targets
+            )
 
 
 class TestWeightMatrix:

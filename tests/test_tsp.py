@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigoal import (
     Tour,
@@ -13,8 +15,10 @@ from multigoal import (
     tour_cost,
 )
 from multigoal.errors import InvalidMatrix, InvalidTour, TooLarge
-from multigoal.tsp import TspConfig, solve_tsp
+from multigoal.tsp import TspConfig, _held_karp_table, solve_tsp
+import oracle_reference as ref
 
+SQRT2 = math.sqrt(2.0)
 FOUR = np.array([[0, 1, 10, 1], [1, 0, 1, 10], [10, 1, 0, 1], [1, 10, 1, 0]], dtype=float)
 
 
@@ -140,6 +144,41 @@ class TestHeldKarp:
             t2, c2 = held_karp(WeightMatrix(w.w * 3.0))
             assert t2.order == t1.order
             assert c2 == pytest.approx(3.0 * c1, rel=1e-12)
+
+
+@st.composite
+def tied_matrices(draw, high=10):
+    """Symmetric matrices with few distinct weights, so many tours tie."""
+    m = draw(st.integers(3, high))
+    values = draw(st.sampled_from([(1.0, 2.0), (1.0, 2.0, 3.0), (0.1, 0.2, 0.3), (0.5, SQRT2)]))
+    upper = draw(st.lists(st.sampled_from(values), min_size=m * m, max_size=m * m))
+    w = np.triu(np.array(upper).reshape(m, m), 1)
+    return WeightMatrix(w + w.T)
+
+
+class TestHeldKarpMatchesReference:
+    """The layered table fill against the mask-by-mask loop in
+    tests/oracle_reference.py, and against brute force."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(tied_matrices())
+    def test_table_and_tour(self, w):
+        assert np.array_equal(_held_karp_table(w.w), ref.held_karp_table(w.w))
+        tour, cost = held_karp(w)
+        assert tour == Tour(ref.held_karp_order(w.w))
+        assert cost == tour_cost(w, tour)
+        heuristic = tour_cost(w, local_search_improve(w, nearest_neighbor(w)))
+        assert cost <= heuristic * (1 + 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tied_matrices(high=8))
+    def test_brute_force(self, w):
+        tour, cost = held_karp(w)
+        b_order, b_cost = brute_force(w)
+        assert cost == pytest.approx(b_cost, rel=1e-12)
+        # sums of 1.0/2.0/3.0 are exact, so those ties resolve as brute force does
+        if set(np.unique(w.w)) <= {0.0, 1.0, 2.0, 3.0}:
+            assert cost == b_cost and tour.order == b_order
 
 
 class TestNearestNeighbor:
