@@ -31,6 +31,7 @@ from .grid import (
     load_goals,
     load_map,
     place_goals,
+    read_rows,
     save_goals,
     save_map,
 )
@@ -49,15 +50,27 @@ from .render import render_svg
 from .scenarios import builtin_scenario
 from .tsp import TspConfig, solve_tsp
 
+
+_SWITCHES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _bool(text: str) -> bool:
+    """A config switch: 1/0, true/false or yes/no, in any case."""
+    return _SWITCHES[text.lower()]
+
+
 _PLANNER_FLAGS = [
-    # (flag dest, PlannerConfig attr, cast)
-    ("step", "step_size", float),
-    ("max_samples", "max_samples", int),
-    ("k", "k", float),
-    ("goal_tol", "goal_tolerance", float),
-    ("rewire_radius", "rewire_radius", float),
-    ("mask_threshold", "mask_threshold", float),
+    # (flag dest, PlannerConfig attr, value parser, help)
+    ("step", "step_size", float, "extension step, cells"),
+    ("max_samples", "max_samples", int, None),
+    ("k", "k", float, "goal-bias coefficient in [0,1]"),
+    ("goal_tol", "goal_tolerance", float, None),
+    ("rewire_radius", "rewire_radius", float, None),
+    ("mask_threshold", "mask_threshold", float, None),
+    ("density_sampling", "density_sampling", _bool, None),
 ]
+# every key some subcommand reads, so that one file can serve several subcommands
+_CONFIG_KEYS = {"seed": int, "base_seed": int, **{f: cast for f, _, cast, _ in _PLANNER_FLAGS}}
 
 
 def main(argv=None) -> int:
@@ -73,8 +86,15 @@ def main(argv=None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="multigoal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--config", help="key=value config file; flags override it")
+    seeded.add_argument("--seed", type=int, default=None)
+    planner = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    for flag, _, cast, help_text in _PLANNER_FLAGS:
+        kind = {"action": "store_true"} if cast is _bool else {"type": cast}
+        planner.add_argument("--" + flag.replace("_", "-"), default=None, help=help_text, **kind)
 
-    p = _sub(sub, "gen-map", "Generate a random obstacle map (optionally with goals).")
+    p = _sub(sub, "gen-map", "Generate a random obstacle map (optionally with goals).", [seeded])
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--count-min", type=int, default=0)
@@ -89,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goals-out", help="goals CSV (default: map path with .goals.csv)")
     p.set_defaults(func=_cmd_gen_map)
 
-    p = _sub(sub, "gen-dataset", "Generate a labeled two-goal dataset with 6:2:2 splits.")
+    p = _sub(sub, "gen-dataset", "Generate a labeled two-goal dataset with 6:2:2 splits.", [seeded])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--width", type=int, default=64)
@@ -98,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate", action="store_true", help="re-check every written sample")
     p.set_defaults(func=_cmd_gen_dataset)
 
-    p = _sub(sub, "estimate", "Estimate all goal-pair weights and region masks.")
+    p = _sub(sub, "estimate", "Estimate all goal-pair weights and region masks.", [])
     p.add_argument("--map", required=True, dest="map_path")
     p.add_argument("--goals", required=True, dest="goals_path")
     p.add_argument("--estimator", default="oracle", help="euclidean | oracle | external:<dir>")
@@ -106,13 +126,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_estimate)
 
-    p = _sub(sub, "tsp", "Solve the visiting order for a weight-matrix CSV.")
+    p = _sub(sub, "tsp", "Solve the visiting order for a weight-matrix CSV.", [])
     p.add_argument("--weights", required=True)
     p.add_argument("--exact-threshold", type=int, default=13)
     p.add_argument("--out", help="tour JSON (default: stdout)")
     p.set_defaults(func=_cmd_tsp)
 
-    p = _sub(sub, "plan", "Plan a single leg between two points.", planner=True)
+    p = _sub(sub, "plan", "Plan a single leg between two points.", [planner])
     p.add_argument("--map", required=True, dest="map_path")
     p.add_argument("--start", required=True, help="x,y")
     p.add_argument("--goal", required=True, help="x,y")
@@ -122,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-stats", help="stats JSON (length, samples, wall time)")
     p.set_defaults(func=_cmd_plan)
 
-    p = _sub(sub, "pipeline", "Run the full multi-goal pipeline.", planner=True)
+    p = _sub(sub, "pipeline", "Run the full multi-goal pipeline.", [planner])
     p.add_argument("--map", required=True, dest="map_path")
     p.add_argument("--goals", required=True, dest="goals_path")
     p.add_argument("--estimator", default="oracle", help="euclidean | oracle | external:<dir>")
@@ -132,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="also render the solution to this SVG file")
     p.set_defaults(func=_cmd_pipeline)
 
-    p = _sub(sub, "bench", "Benchmark algorithms across scenarios.", planner=True)
+    p = _sub(sub, "bench", "Benchmark algorithms across scenarios.", [planner])
     p.add_argument("--scenarios", default="simple,complex", help="comma-separated builtin names")
     p.add_argument("--algorithms", default=",".join(ALGORITHMS))
     p.add_argument("--repeats", type=int, default=20)
@@ -142,14 +162,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times-out", help="also write wall times to this CSV (not reproducible)")
     p.set_defaults(func=_cmd_bench)
 
-    p = _sub(sub, "score", "Score predictions against labels with the loss suite.")
+    p = _sub(sub, "score", "Score predictions against labels with the loss suite.", [])
     p.add_argument("--labels", required=True, help="label directory (masks + distances.csv)")
     p.add_argument("--predictions", required=True, help="prediction directory, same layout")
     p.add_argument("--alpha", default="1,1,1", help="loss weights")
     p.add_argument("--out", help="per-pair losses CSV")
     p.set_defaults(func=_cmd_score)
 
-    p = _sub(sub, "render", "Render a map (and goals/masks/paths) to SVG.")
+    p = _sub(sub, "render", "Render a map (and goals/masks/paths) to SVG.", [])
     p.add_argument("--map", required=True, dest="map_path")
     p.add_argument("--goals", dest="goals_path")
     p.add_argument("--mask", action="append", default=[], help="mask PGM overlay (repeatable)")
@@ -161,68 +181,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sub(sub, name, help_text, planner=False):
-    p = sub.add_parser(name, help=help_text, description=help_text)
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--seed", type=int, default=None)
-    if planner:
-        p.add_argument("--step", type=float, default=None, help="extension step, cells")
-        p.add_argument("--max-samples", type=int, default=None)
-        p.add_argument("--k", type=float, default=None, help="goal-bias coefficient in [0,1]")
-        p.add_argument("--goal-tol", type=float, default=None)
-        p.add_argument("--rewire-radius", type=float, default=None)
-        p.add_argument("--mask-threshold", type=float, default=None)
-        p.add_argument("--density-sampling", action="store_true", default=None)
-    return p
+def _sub(sub, name, help_text, parents):
+    return sub.add_parser(name, help=help_text, description=help_text, parents=parents)
 
 
 def _load_config(path) -> dict:
     values = {}
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path} line {lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in read_rows(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path} line {lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in _CONFIG_KEYS:
+            raise FormatError(f"{path} line {lineno}: unknown key {key!r}")
+        cast = _CONFIG_KEYS[key]
+        try:
+            values[key] = cast(value)
+        except (KeyError, ValueError):
+            raise FormatError(
+                f"{path}: {key}={value!r} is not a valid "
+                f"{'bool' if cast is _bool else cast.__name__} (line {lineno})"
+            ) from None
     return values
 
 
 def _config_of(args) -> dict:
-    return _load_config(args.config) if getattr(args, "config", None) else {}
+    """Config file values, overridden by the flags given; the seed defaults to 0."""
+    config = {"seed": 0, **(_load_config(args.config) if args.config else {})}
+    for key in _CONFIG_KEYS:  # each key is also the dest of a flag
+        if getattr(args, key, None) is not None:
+            config[key] = getattr(args, key)
+    return config
 
 
-def _config_value(args, config, key, cast, default=None):
-    if key not in config:
-        return default
-    try:
-        return cast(config[key])
-    except ValueError:
-        raise FormatError(f"{args.config}: {key}={config[key]!r} is not a valid {cast.__name__}") from None
-
-
-def _seed_of(args, config) -> int:
-    if args.seed is not None:
-        return args.seed
-    return _config_value(args, config, "seed", int, 0)
-
-
-def _planner_overrides(args, config) -> dict:
-    """PlannerConfig overrides from the planner flags, falling back to the config file."""
-    overrides = {}
-    for flag, attr, cast in _PLANNER_FLAGS:
-        value = getattr(args, flag, None)
-        if value is None:
-            value = _config_value(args, config, flag, cast)
-        if value is not None:
-            overrides[attr] = value
-    density = getattr(args, "density_sampling", None)
-    if density is None and "density_sampling" in config:
-        density = config["density_sampling"].lower() in ("1", "true", "yes")
-    if density is not None:
-        overrides["density_sampling"] = density
+def _planner_overrides(config) -> dict:
+    overrides = {attr: config[flag] for flag, attr, _, _ in _PLANNER_FLAGS if flag in config}
     try:
         PlannerConfig(**overrides)  # each check covers one field, so this rejects what for_map would
     except ValueError as exc:
@@ -230,8 +226,8 @@ def _planner_overrides(args, config) -> dict:
     return overrides
 
 
-def _planner_config(args, config, grid: GridMap, seed: int) -> PlannerConfig:
-    return PlannerConfig.for_map(grid, seed=seed, **_planner_overrides(args, config))
+def _planner_config(config, grid: GridMap) -> PlannerConfig:
+    return PlannerConfig.for_map(grid, seed=config["seed"], **_planner_overrides(config))
 
 
 def _tsp_config(args) -> TspConfig:
@@ -260,8 +256,7 @@ def _parse_point(text: str) -> Point:
 
 
 def _cmd_gen_map(args) -> int:
-    config = _config_of(args)
-    seed = _seed_of(args, config)
+    seed = _config_of(args)["seed"]
     spec = ObstacleSpec(
         count_range=(args.count_min, args.count_max),
         size_range=(args.size_min, args.size_max),
@@ -281,8 +276,7 @@ def _cmd_gen_map(args) -> int:
 
 
 def _cmd_gen_dataset(args) -> int:
-    config = _config_of(args)
-    seed = _seed_of(args, config)
+    seed = _config_of(args)["seed"]
     manifest = generate_dataset(
         args.n, seed, args.out_dir, args.width, args.height, min_separation=args.min_sep
     )
@@ -328,11 +322,10 @@ def _cmd_tsp(args) -> int:
 
 def _cmd_plan(args) -> int:
     config = _config_of(args)
-    seed = _seed_of(args, config)
     grid = load_map(args.map_path)
     start = _parse_point(args.start)
     goal = _parse_point(args.goal)
-    cfg = _planner_config(args, config, grid, seed)
+    cfg = _planner_config(config, grid)
 
     t0 = time.perf_counter()
     if args.algorithm == "rrt-star":
@@ -357,10 +350,9 @@ def _cmd_plan(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     config = _config_of(args)
-    seed = _seed_of(args, config)
     grid = load_map(args.map_path)
     goals = _load_goals_on(grid, args.goals_path)
-    cfg = _planner_config(args, config, grid, seed)
+    cfg = _planner_config(config, grid)
     tsp_config = _tsp_config(args)
 
     solution = run_algorithm(grid, goals, args.algorithm, cfg, tsp_config, args.estimator)
@@ -401,9 +393,7 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = _config_of(args)
-    base_seed = args.base_seed
-    if base_seed is None:
-        base_seed = _config_value(args, config, "base_seed", int, _seed_of(args, config))
+    base_seed = config.get("base_seed", config["seed"])
     scenarios = [builtin_scenario(name) for name in args.scenarios.split(",") if name]
     algorithms = [a for a in args.algorithms.split(",") if a]
     for a in algorithms:
@@ -415,7 +405,7 @@ def _cmd_bench(args) -> int:
         algorithms,
         repeats=args.repeats,
         base_seed=base_seed,
-        cfg_overrides=_planner_overrides(args, config),
+        cfg_overrides=_planner_overrides(config),
         estimator=args.estimator,
     )
     os.makedirs(args.out_dir, exist_ok=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import GenerationFailed, InvalidArgument, PlacementFailed, Unreachable
+from .errors import FormatError, GenerationFailed, InvalidArgument, PlacementFailed, Unreachable
 from .estimators import default_dilation_radius, dilate_path_to_region, grid_shortest_path
 from .grid import (
     ObstacleSpec,
@@ -19,6 +19,7 @@ from .grid import (
     load_goals,
     load_map,
     place_goals,
+    read_rows,
     save_goals,
     save_map,
 )
@@ -122,15 +123,18 @@ def validate_dataset(out_dir) -> int:
     """
     with open(os.path.join(out_dir, "manifest.json"), "r", encoding="ascii") as f:
         manifest = json.load(f)
+    dist_path = os.path.join(out_dir, "distances.csv")
     distances = {}
-    with open(os.path.join(out_dir, "distances.csv"), "r", encoding="ascii") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                sample_id, value = line.split(",")
-                distances[sample_id] = float(value)
+    for row, line in read_rows(dist_path):
+        try:
+            sample_id, value = line.split(",")
+            distances[sample_id] = float(value)
+        except ValueError:
+            raise FormatError(f"{dist_path} row {row}: bad entry {line!r}") from None
 
     for entry in manifest["samples"]:
+        if entry["id"] not in distances:
+            raise FormatError(f"{dist_path}: no row for {entry['id']}")
         grid = load_map(os.path.join(out_dir, entry["map"]))
         goals = load_goals(os.path.join(out_dir, entry["goals"]))
         raster = read_pgm(os.path.join(out_dir, entry["mask"]))

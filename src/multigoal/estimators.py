@@ -24,7 +24,7 @@ from .errors import (
     MissingPrediction,
     Unreachable,
 )
-from .grid import GoalSet, GridMap, Point
+from .grid import GoalSet, GridMap, Point, read_rows
 from .pgm import read_pgm, write_pgm
 
 SQRT2 = math.sqrt(2.0)
@@ -127,22 +127,22 @@ class WeightMatrix:
     @classmethod
     def from_csv(cls, path) -> "WeightMatrix":
         rows = []
-        with open(path, "r", encoding="ascii") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append([float(v) for v in line.split(",")])
-                except ValueError:
-                    raise FormatError(f"{path} row {lineno}: non-numeric entry") from None
+        for row, line in read_rows(path):
+            try:
+                values = [float(v) for v in line.split(",")]
+            except ValueError:
+                raise FormatError(f"{path} row {row}: non-numeric entry") from None
+            if rows and len(values) != len(rows[0]):
+                raise FormatError(
+                    f"{path} row {row}: expected {len(rows[0])} columns, got {len(values)}"
+                )
+            rows.append(values)
         if not rows:
             raise FormatError(f"{path}: empty weight matrix")
-        width = len(rows[0])
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise FormatError(f"{path} row {i + 1}: expected {width} columns, got {len(row)}")
-        return cls(np.array(rows, dtype=np.float64))
+        try:
+            return cls(np.array(rows, dtype=np.float64))
+        except InvalidMatrix as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 @lru_cache(maxsize=16)
@@ -450,19 +450,20 @@ def load_external_predictions(directory, map_id: str | None = None) -> ExternalE
     if not os.path.exists(dist_path):
         raise MissingPrediction(f"{root}: no distances.csv")
     distances: dict[tuple[int, int], float] = {}
-    with open(dist_path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise FormatError(f"{dist_path} row {lineno}: expected 'i,j,distance'")
-            try:
-                i, j, d = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise FormatError(f"{dist_path} row {lineno}: bad entry {line!r}") from None
-            distances[(min(i, j), max(i, j))] = d
+    for row, line in read_rows(dist_path):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise FormatError(f"{dist_path} row {row}: expected 'i,j,distance'")
+        try:
+            i, j, d = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise FormatError(f"{dist_path} row {row}: bad entry {line!r}") from None
+        pair = (min(i, j), max(i, j))
+        if pair in distances:
+            raise FormatError(f"{dist_path} row {row}: pair {pair} listed twice")
+        if i == j or pair[0] < 0 or not (math.isfinite(d) and d >= 0):
+            raise FormatError(f"{dist_path} row {row}: bad entry {line!r}")
+        distances[pair] = d
     masks: dict[tuple[int, int], RegionMask] = {}
     for i, j in distances:
         mask_path = os.path.join(root, pair_mask_filename(i, j))

@@ -184,12 +184,6 @@ class GridMap:
         rows, cols = np.nonzero(labels == best)
         return np.column_stack([cols, rows]).astype(np.intp)
 
-    def same_component(self, a: Point, b: Point) -> bool:
-        labels = self.component_labels()
-        ax, ay = a.cell()
-        bx, by = b.cell()
-        return labels[ay, ax] != 0 and labels[ay, ax] == labels[by, bx]
-
 
 class GoalSet:
     """An ordered set of at least two pairwise-distinct goal points."""
@@ -281,18 +275,12 @@ def generate_map(seed: int, width: int, height: int, spec: ObstacleSpec | None =
             cells[y0 : y0 + h, x0 : x0 + w] = True
             placed += 1
 
-        density = cells.sum() / total
-        if not (dmin <= density <= dmax):
+        blocked = cells.sum()
+        if not (dmin <= blocked / total <= dmax) or blocked == total:
             continue
-        if cells.all():
-            continue
-        labels, count = ndimage.label(~cells, structure=ORACLE_CONNECTIVITY)
-        free = (~cells).sum()
-        if count > 0:
-            sizes = np.bincount(labels.ravel())
-            sizes[0] = 0
-            if sizes.max() >= 0.5 * free:
-                return GridMap(cells)
+        grid = GridMap(cells)
+        if len(grid.largest_component_cells()) >= 0.5 * (total - blocked):
+            return grid
 
     raise GenerationFailed(
         f"no admissible {width}x{height} map with density in [{dmin}, {dmax}] "
@@ -340,20 +328,22 @@ def save_map(path, grid: GridMap) -> None:
     if _is_pgm(path):
         write_pgm(path, np.where(grid.cells, 0, 255).astype(np.uint8))
         return
-    lines = [f"{grid.width} {grid.height}"]
-    for y in range(grid.height):
-        lines.append("".join("#" if grid.cells[y, x] else "." for x in range(grid.width)))
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    text = np.full((grid.height, grid.width + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = np.where(grid.cells, ord("#"), ord("."))
+    with open(path, "wb") as f:
+        f.write(f"{grid.width} {grid.height}\n".encode("ascii") + text.tobytes())
 
 
 def load_map(path) -> GridMap:
     """Read a map written by save_map (text or PGM)."""
-    if _is_pgm(path):
-        raster = read_pgm(path)
-        return GridMap(raster == 0)
-    with open(path, "r", encoding="ascii") as f:
-        lines = f.read().splitlines()
+    try:
+        return GridMap(read_pgm(path) == 0 if _is_pgm(path) else _text_map_cells(path))
+    except InvalidArgument as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _text_map_cells(path) -> np.ndarray:
+    lines = read_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty map file")
     header = lines[0].split()
@@ -363,19 +353,19 @@ def load_map(path) -> GridMap:
         width, height = int(header[0]), int(header[1])
     except ValueError:
         raise FormatError(f"{path} line 1: non-integer dimensions {lines[0]!r}") from None
-    if len(lines) < 1 + height:
+    if width < 0 or height < 0:
+        raise FormatError(f"{path} line 1: negative dimensions {lines[0]!r}")
+    rows = lines[1 : 1 + height]
+    if len(rows) < height:
         raise FormatError(f"{path}: expected {height} rows, file has {len(lines) - 1}")
-    cells = np.zeros((height, width), dtype=bool)
-    for y in range(height):
-        row = lines[1 + y]
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != width:
-            raise FormatError(f"{path} line {y + 2}: expected {width} characters, got {len(row)}")
-        for x, ch in enumerate(row):
-            if ch == "#":
-                cells[y, x] = True
-            elif ch != ".":
-                raise FormatError(f"{path} line {y + 2}: invalid character {ch!r}")
-    return GridMap(cells)
+            raise FormatError(f"{path} line {lineno}: expected {width} characters, got {len(row)}")
+        if row.count("#") + row.count(".") != width:
+            bad = next(ch for ch in row if ch not in "#.")
+            raise FormatError(f"{path} line {lineno}: invalid character {bad!r}")
+    block = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    return block.reshape(height, width) == ord("#")
 
 
 def save_goals(path, goals: GoalSet) -> None:
@@ -389,29 +379,47 @@ def load_goals(path) -> GoalSet:
     """Read a goals CSV; line number = goal index."""
     points = []
     first_row: dict[tuple[float, float], int] = {}
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{path} row {lineno}: expected 'x,y', got {line!r}")
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise FormatError(f"{path} row {lineno}: non-numeric pair {line!r}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise FormatError(f"{path} row {lineno}: non-finite pair {line!r}")
-            if (x, y) in first_row:
-                raise FormatError(
-                    f"{path} rows {first_row[x, y]} and {lineno}: duplicate goal at ({x}, {y})"
-                )
-            first_row[x, y] = lineno
-            points.append(Point(x, y))
+    for row, line in read_rows(path):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise FormatError(f"{path} row {row}: expected 'x,y', got {line!r}")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise FormatError(f"{path} row {row}: non-numeric pair {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise FormatError(f"{path} row {row}: non-finite pair {line!r}")
+        if (x, y) in first_row:
+            raise FormatError(
+                f"{path} rows {first_row[x, y]} and {row}: duplicate goal at ({x}, {y})"
+            )
+        first_row[x, y] = row
+        points.append(Point(x, y))
     if len(points) < 2:
         raise FormatError(f"{path}: goals file needs at least 2 rows, got {len(points)}")
     return GoalSet(points)
+
+
+def read_lines(path) -> list[str]:
+    r"""The lines of an ASCII text file; "\n", "\r\n" and "\r" each end a line.
+
+    Every map, CSV and config file of the package is read here. A non-ASCII
+    byte raises FormatError naming the file and the byte's offset.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    if not data.isascii():
+        offset = next(i for i, byte in enumerate(data) if byte > 0x7F)
+        raise FormatError(f"{path} byte {offset}: non-ASCII byte 0x{data[offset]:02x}")
+    return [line.decode("ascii") for line in data.splitlines()]
+
+
+def read_rows(path):
+    """Yield (line number, stripped text) of each non-blank line of an ASCII text file."""
+    for row, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if line:
+            yield row, line
 
 
 def _is_pgm(path) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlockedPoint, FormatError, NoPathFound
-from .grid import GridMap, Point
+from .grid import GridMap, Point, read_rows
 
 _REWIRE_EPS = 1e-12
 
@@ -33,15 +33,15 @@ class PlannerConfig:
     density_sampling: bool = False  # sample cells proportionally to mask value
 
     def __post_init__(self):
-        if self.step_size <= 0:
+        if not self.step_size > 0:  # also rejects nan
             raise ValueError("step_size must be positive")
         if self.max_samples < 1:
             raise ValueError("max_samples must be at least 1")
         if not 0.0 <= self.k <= 1.0:
             raise ValueError("k must lie in [0, 1]")
-        if self.goal_tolerance < 0:
+        if not self.goal_tolerance >= 0:
             raise ValueError("goal_tolerance must be nonnegative")
-        if self.rewire_radius <= 0:
+        if not self.rewire_radius > 0:
             raise ValueError("rewire_radius must be positive")
         if not 0.0 <= self.mask_threshold <= 1.0:
             raise ValueError("mask_threshold must lie in [0, 1]")
@@ -61,7 +61,7 @@ class PlannerConfig:
 
 
 class Tree:
-    """An exploring tree rooted at the start point."""
+    """An exploring tree rooted at the start point, holding at most capacity nodes."""
 
     def __init__(self, root: Point, capacity: int):
         self._xy = np.empty((capacity, 2), dtype=np.float64)
@@ -78,8 +78,6 @@ class Tree:
 
     def add(self, p: Point, parent: int, cost: float) -> int:
         idx = self.size
-        if idx == len(self._xy):
-            self._xy = np.vstack([self._xy, np.empty_like(self._xy)])
         self._xy[idx] = (p.x, p.y)
         self.points.append(Point(float(p.x), float(p.y)))
         self.size += 1
@@ -158,18 +156,14 @@ def save_path(path, poly: PathPolyline) -> None:
 
 def load_path(path) -> PathPolyline:
     points = []
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                x, y = (float(v) for v in line.split(","))
-                points.append(Point(x, y))
-            except ValueError:
-                raise FormatError(
-                    f"{path} row {lineno}: expected 'x,y' with two finite numbers, got {line!r}"
-                ) from None
+    for row, line in read_rows(path):
+        try:
+            x, y = (float(v) for v in line.split(","))
+            points.append(Point(x, y))
+        except ValueError:
+            raise FormatError(
+                f"{path} row {row}: expected 'x,y' with two finite numbers, got {line!r}"
+            ) from None
     if len(points) < 2:
         raise FormatError(f"{path}: a path needs at least 2 points, got {len(points)}")
     return PathPolyline(points)

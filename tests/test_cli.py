@@ -464,6 +464,70 @@ class TestBadInputExitsOne:
         assert err == f"error: {goals}: point (100.5, 3.5) outside 24x24 map\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--goals", "--weights", "--map", "--path", "--config"])
+    def test_non_ascii_file(self, small_world, tmp_path, capsys, flag):
+        map_path, goals_path = small_world
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1.5,1.5\n2.5,2\xe9.5\n")
+        args = {
+            "--goals": ["pipeline", "--map", map_path, "--goals", bad, "--out-dir", tmp_path / "o"],
+            "--weights": ["tsp", "--weights", bad],
+            "--map": ["render", "--map", bad, "--out", tmp_path / "r.svg"],
+            "--path": ["render", "--map", map_path, "--path", bad, "--out", tmp_path / "r.svg"],
+            "--config": ["pipeline", "--map", map_path, "--goals", goals_path, "--config", bad,
+                         "--out-dir", tmp_path / "o"],
+        }[flag]
+        assert run(args) == 1
+        assert capsys.readouterr().err == f"error: {bad} byte 13: non-ASCII byte 0xe9\n"
+        assert not (tmp_path / "o").exists() and not (tmp_path / "r.svg").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "score"])
+    def test_nan_prediction_distance(self, small_world, tmp_path, capsys, command):
+        map_path, goals_path = small_world
+        preds = tmp_path / "preds"
+        run(["estimate", "--map", map_path, "--goals", goals_path, "--estimator", "euclidean",
+             "--out-dir", preds])
+        dist = preds / "distances.csv"
+        dist.write_text("0,1,nan\n" + "".join(dist.read_text().splitlines(True)[1:]))
+        capsys.readouterr()
+        args = {
+            "pipeline": ["pipeline", "--map", map_path, "--goals", goals_path,
+                         "--estimator", f"external:{preds}", "--out-dir", tmp_path / "o"],
+            "score": ["score", "--labels", preds, "--predictions", preds],
+        }[command]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {dist} row 1: bad entry '0,1,nan'\n"
+
+    @pytest.mark.parametrize("text, expected", [
+        ("seed=3\nstpe=3\n", "error: {config} line 2: unknown key 'stpe'\n"),
+        ("density_sampling=ture\n",
+         "error: {config}: density_sampling='ture' is not a valid bool (line 1)\n"),
+        ("step=nan\n", "error: planner settings: step_size must be positive\n"),
+    ])
+    def test_config_rejects_typos(self, small_world, tmp_path, capsys, text, expected):
+        map_path, goals_path = small_world
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        code = run(["pipeline", "--map", map_path, "--goals", goals_path, "--config", config,
+                    "--out-dir", tmp_path / "o"])
+        assert code == 1
+        assert capsys.readouterr().err == expected.format(config=config)
+        assert not (tmp_path / "o").exists()
+
+    def test_config_keys_of_other_subcommands_stay_valid(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=4\nbase_seed=2\nmax_samples=900\ndensity_sampling=Yes\n")
+        assert run(["gen-map", "--config", config, "--width", 16, "--height", 16,
+                    "--out", tmp_path / "m.map"]) == 0
+
+    @pytest.mark.parametrize("command", ["estimate", "tsp", "score", "render"])
+    def test_unread_options_are_gone(self, capsys, command):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        usage = capsys.readouterr().out
+        assert "--out" in usage and "--seed" not in usage and "--config" not in usage
+
     @pytest.mark.parametrize("args, message", [
         (["gen-map", "--width", 1], "map must be at least 2x2, got 1x64"),
         (["gen-map", "--count-min", 5, "--count-max", 2], "bad count_range (5, 2)"),

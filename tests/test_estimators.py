@@ -43,6 +43,13 @@ def empty_map(w, h):
     return GridMap(np.zeros((h, w), dtype=bool))
 
 
+def same_component(grid, a, b):
+    """True iff the oracle can reach b's cell from a's cell."""
+    labels = grid.component_labels()
+    (ax, ay), (bx, by) = a.cell(), b.cell()
+    return labels[ay, ax] != 0 and labels[ay, ax] == labels[by, bx]
+
+
 def cell_free(grid, x, y):
     """Free test by cell index; out-of-range indices count as blocked."""
     return 0 <= x < grid.width and 0 <= y < grid.height and not grid.cells[y, x]
@@ -377,7 +384,7 @@ class TestEstimateAll:
         assert len(found) == len(goals) - 1
         for b, hit in zip(goals[1:], found):
             if hit is None:
-                assert not grid.same_component(goals[0], b)
+                assert not same_component(grid, goals[0], b)
                 continue
             path, length = hit
             assert path[0] == goals[0].cell() and path[-1] == b.cell()
@@ -531,6 +538,20 @@ class TestExternalPredictions:
         g, goals, matrix, masks = self.setup_exported(tmp_path)
         (tmp_path / "pair_0_2.pgm").unlink()
         with pytest.raises(MissingPrediction, match=r"\(0, 2\)"):
+            load_external_predictions(tmp_path)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1,nan\n", "row 1: bad entry '0,1,nan'"),
+        ("0,1,3.5\n0,2,-1.0\n", "row 2: bad entry '0,2,-1.0'"),
+        ("0,1,inf\n", "row 1: bad entry '0,1,inf'"),
+        ("0,1,3.5\n\n2,2,1.0\n", "row 3: bad entry '2,2,1.0'"),
+        ("-1,2,1.0\n", "row 1: bad entry '-1,2,1.0'"),
+        ("0,1,3.5\n1,0,3.5\n", r"row 2: pair \(0, 1\) listed twice"),
+    ])
+    def test_bad_distance_rows(self, tmp_path, rows, message):
+        self.setup_exported(tmp_path)
+        (tmp_path / "distances.csv").write_text(rows)
+        with pytest.raises(FormatError, match=f"distances.csv {message}"):
             load_external_predictions(tmp_path)
 
     def test_unknown_pair_at_estimate(self, tmp_path):

@@ -269,6 +269,29 @@ class TestMapFiles:
             load_map(path)
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\n.x.\n..\n", "line 2: invalid character 'x'"),
+        ("3 2\n..\n.x.\n", "line 2: expected 3 characters, got 2"),
+        ("3 2\n...\n.x.\n", "line 3: invalid character 'x'"),
+        ("3 2\n...\n..\n", "line 3: expected 3 characters, got 2"),
+        ("3 2\n...\n", "expected 2 rows, file has 1"),
+        ("3 2\n...\x0c...\n...\n", "line 2: expected 3 characters, got 7"),
+        ("-3 2\n", "line 1: negative dimensions '-3 2'"),
+        ("2 2\n##\n##\n", "map has no free cell"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, text, message):
+        path = tmp_path / "m.map"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(FormatError) as info:
+            load_map(path)
+        assert str(info.value).startswith(str(path)) and str(info.value).endswith(message)
+
+    def test_any_line_end(self, tmp_path):
+        path = tmp_path / "m.map"
+        path.write_bytes(b"3 2\r\n.#.\r...")
+        assert np.array_equal(load_map(path).cells, [[False, True, False], [False, False, False]])
+
+
 class TestGoalFiles:
     def test_round_trip(self, tmp_path):
         goals = GoalSet([Point(3.5, 2.0), Point(10.0, 11.25), Point(0.125, 7.75)])

@@ -1,13 +1,18 @@
-"""Save-then-load round trips for every file format the package writes."""
+"""Save-then-load round trips for every file format the package writes, and
+random bytes fed to every reader."""
 
 import os
 import tempfile
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multigoal import GoalSet, GridMap, Point, RegionMask, WeightMatrix, save_goals, save_map
+from multigoal.dataset import generate_dataset, validate_dataset
+from multigoal.errors import FormatError, MissingPrediction
+from multigoal.estimators import load_external_predictions
 from multigoal.grid import load_goals, load_map
 from multigoal.pgm import read_pgm, write_pgm
 from multigoal.planner import PathPolyline, load_path, save_path
@@ -72,3 +77,63 @@ def test_weight_csv_round_trip(m, data):
             w[i, j] = w[j, i] = data.draw(weight)
     matrix = WeightMatrix(w)
     assert round_trip(lambda p, x: x.to_csv(p), WeightMatrix.from_csv, matrix, "w.csv") == matrix
+
+
+# Pieces of the text formats, so that the draws also reach the checks behind
+# the ASCII test: numbers, separators, rare line ends and non-ASCII bytes.
+_TOKENS = [b"0", b"1", b"2", b"-1", b"0.5", b"1e400", b"nan", b",", b" ", b"\n", b"\r",
+           b"\x0b", b"\x0c", b"\x1c", b".", b"#", b"=", b"P5", b"255", b"\x80", b"\xff"]
+noise = st.one_of(
+    st.binary(max_size=300),
+    st.lists(st.sampled_from(_TOKENS), max_size=60).map(b"".join),
+)
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("dataset")
+    generate_dataset(1, 3, out, width=16, height=16)
+    return out
+
+
+# (reader, file name it reads); load_external_predictions takes the directory
+# that holds its file
+READERS = [
+    (load_map, "m.map"),
+    (load_map, "m.pgm"),
+    (read_pgm, "r.pgm"),
+    (load_goals, "g.csv"),
+    (load_path, "p.csv"),
+    (WeightMatrix.from_csv, "w.csv"),
+    (load_external_predictions, "distances.csv"),
+]
+
+
+@pytest.mark.parametrize("reader, name", READERS, ids=lambda v: getattr(v, "__name__", v))
+@settings(max_examples=150, deadline=None)
+@given(data=noise)
+@example(data=b"-2 2\n\n\n")  # a negative map width
+@example(data=b"2 2\n##\n##\n")  # a map with no free cell
+def test_random_bytes_raise_only_format_error(reader, name, data):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, name)
+        with open(path, "wb") as f:
+            f.write(data)
+        try:
+            reader(d if name == "distances.csv" else path)
+        except MissingPrediction:
+            # a well-formed row names a pair whose mask file the directory lacks
+            assert reader is load_external_predictions
+        except FormatError as exc:
+            assert path in str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=noise)
+def test_random_distances_fail_validation_with_format_error(dataset_dir, data):
+    path = os.path.join(dataset_dir, "distances.csv")
+    with open(path, "wb") as f:
+        f.write(data)
+    with pytest.raises(FormatError) as info:
+        validate_dataset(dataset_dir)
+    assert path in str(info.value)
