@@ -31,6 +31,7 @@ from .grid import (
     load_goals,
     load_map,
     place_goals,
+    read_json_entries,
     read_rows,
     save_goals,
     save_map,
@@ -51,14 +52,6 @@ from .scenarios import builtin_scenario
 from .tsp import TspConfig, solve_tsp
 
 
-_SWITCHES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _bool(text: str) -> bool:
-    """A config switch: 1/0, true/false or yes/no, in any case."""
-    return _SWITCHES[text.lower()]
-
-
 _PLANNER_FLAGS = [
     # (flag dest, PlannerConfig attr, value parser, help)
     ("step", "step_size", float, "extension step, cells"),
@@ -67,10 +60,9 @@ _PLANNER_FLAGS = [
     ("goal_tol", "goal_tolerance", float, None),
     ("rewire_radius", "rewire_radius", float, None),
     ("mask_threshold", "mask_threshold", float, None),
-    ("density_sampling", "density_sampling", _bool, None),
 ]
 # every key some subcommand reads, so that one file can serve several subcommands
-_CONFIG_KEYS = {"seed": int, "base_seed": int, **{f: cast for f, _, cast, _ in _PLANNER_FLAGS}}
+_CONFIG_KEYS = {"seed": int, **{f: cast for f, _, cast, _ in _PLANNER_FLAGS}}
 
 
 def main(argv=None) -> int:
@@ -91,8 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=int, default=None)
     planner = argparse.ArgumentParser(add_help=False, parents=[seeded])
     for flag, _, cast, help_text in _PLANNER_FLAGS:
-        kind = {"action": "store_true"} if cast is _bool else {"type": cast}
-        planner.add_argument("--" + flag.replace("_", "-"), default=None, help=help_text, **kind)
+        planner.add_argument("--" + flag.replace("_", "-"), type=cast, default=None, help=help_text)
 
     p = _sub(sub, "gen-map", "Generate a random obstacle map (optionally with goals).", [seeded])
     p.add_argument("--width", type=int, default=64)
@@ -156,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenarios", default="simple,complex", help="comma-separated builtin names")
     p.add_argument("--algorithms", default=",".join(ALGORITHMS))
     p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--base-seed", type=int, default=None)
     p.add_argument("--estimator", default="oracle")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--times-out", help="also write wall times to this CSV (not reproducible)")
@@ -200,10 +190,9 @@ def _load_config(path) -> dict:
         cast = _CONFIG_KEYS[key]
         try:
             values[key] = cast(value)
-        except (KeyError, ValueError):
+        except ValueError:
             raise FormatError(
-                f"{path}: {key}={value!r} is not a valid "
-                f"{'bool' if cast is _bool else cast.__name__} (line {lineno})"
+                f"{path}: {key}={value!r} is not a valid {cast.__name__} (line {lineno})"
             ) from None
     return values
 
@@ -393,7 +382,6 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = _config_of(args)
-    base_seed = config.get("base_seed", config["seed"])
     scenarios = [builtin_scenario(name) for name in args.scenarios.split(",") if name]
     algorithms = [a for a in args.algorithms.split(",") if a]
     for a in algorithms:
@@ -404,7 +392,7 @@ def _cmd_bench(args) -> int:
         scenarios,
         algorithms,
         repeats=args.repeats,
-        base_seed=base_seed,
+        base_seed=config["seed"],
         cfg_overrides=_planner_overrides(config),
         estimator=args.estimator,
     )
@@ -450,10 +438,10 @@ def _cmd_render(args) -> int:
 
     legs = [load_path(p) for p in args.path]
     if args.solution_dir:
-        with open(os.path.join(args.solution_dir, "solution.json"), "r", encoding="ascii") as f:
-            summary = json.load(f)
+        solution = os.path.join(args.solution_dir, "solution.json")
         legs.extend(
-            load_path(os.path.join(args.solution_dir, leg["file"])) for leg in summary["legs"]
+            load_path(os.path.join(args.solution_dir, leg["file"]))
+            for leg in read_json_entries(solution, "legs", ("file",))
         )
     render_svg(grid, goals, masks=masks, legs=legs, out_path=args.out)
     print(f"wrote {args.out}")

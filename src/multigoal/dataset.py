@@ -19,6 +19,7 @@ from .grid import (
     load_goals,
     load_map,
     place_goals,
+    read_json_entries,
     read_rows,
     save_goals,
     save_map,
@@ -121,8 +122,9 @@ def validate_dataset(out_dir) -> int:
     Returns the number of validated samples; raises ValueError on the first
     violation.
     """
-    with open(os.path.join(out_dir, "manifest.json"), "r", encoding="ascii") as f:
-        manifest = json.load(f)
+    samples = read_json_entries(
+        os.path.join(out_dir, "manifest.json"), "samples", ("id", "map", "goals", "mask")
+    )
     dist_path = os.path.join(out_dir, "distances.csv")
     distances = {}
     for row, line in read_rows(dist_path):
@@ -132,7 +134,7 @@ def validate_dataset(out_dir) -> int:
         except ValueError:
             raise FormatError(f"{dist_path} row {row}: bad entry {line!r}") from None
 
-    for entry in manifest["samples"]:
+    for entry in samples:
         if entry["id"] not in distances:
             raise FormatError(f"{dist_path}: no row for {entry['id']}")
         grid = load_map(os.path.join(out_dir, entry["map"]))
@@ -146,7 +148,7 @@ def validate_dataset(out_dir) -> int:
             raise ValueError(
                 f"{entry['id']}: stored distance {distances[entry['id']]} != oracle {length}"
             )
-    return len(manifest["samples"])
+    return len(samples)
 
 
 __all__ = ["generate_dataset", "validate_dataset"]

@@ -439,13 +439,13 @@ def export_predictions(directory, grid: GridMap, goals: GoalSet, est: Estimator)
     return matrix, masks
 
 
-def load_external_predictions(directory, map_id: str | None = None) -> ExternalEstimator:
+def load_external_predictions(directory) -> ExternalEstimator:
     """Load an ExternalEstimator from a prediction directory.
 
-    The directory (or its map_id subdirectory) must hold distances.csv with
-    rows "i,j,distance" and one pair_i_j.pgm mask per listed pair.
+    The directory must hold distances.csv with rows "i,j,distance" and one
+    pair_i_j.pgm mask per listed pair.
     """
-    root = os.path.join(directory, map_id) if map_id else os.fspath(directory)
+    root = os.fspath(directory)
     dist_path = os.path.join(root, "distances.csv")
     if not os.path.exists(dist_path):
         raise MissingPrediction(f"{root}: no distances.csv")

@@ -13,6 +13,7 @@ Goals files are CSV with one "x,y" pair per line.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -403,7 +404,7 @@ def load_goals(path) -> GoalSet:
 def read_lines(path) -> list[str]:
     r"""The lines of an ASCII text file; "\n", "\r\n" and "\r" each end a line.
 
-    Every map, CSV and config file of the package is read here. A non-ASCII
+    Every map, CSV, config and JSON file of the package is read here. A non-ASCII
     byte raises FormatError naming the file and the byte's offset.
     """
     with open(path, "rb") as f:
@@ -420,6 +421,25 @@ def read_rows(path):
         line = line.strip()
         if line:
             yield row, line
+
+
+def read_json_entries(path, key: str, fields: tuple[str, ...]) -> list[dict]:
+    """The list under key of the JSON object in an ASCII text file; each entry
+    must be an object whose fields are strings.
+
+    Bad JSON, a missing key or a mistyped entry raises FormatError naming the file.
+    """
+    try:
+        doc = json.loads("\n".join(read_lines(path)))
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting beyond the parser's depth
+        raise FormatError(f"{path}: not valid JSON ({exc})") from None
+    entries = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: expected an object with a {key!r} list")
+    for n, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and all(isinstance(entry.get(f), str) for f in fields)):
+            raise FormatError(f"{path}: {key}[{n}] needs string fields {', '.join(fields)}")
+    return entries
 
 
 def _is_pgm(path) -> bool:

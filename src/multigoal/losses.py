@@ -9,11 +9,13 @@ component is clamped away from zero before the log.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptyInput, LengthMismatch, ShapeMismatch
+from .errors import DegenerateInput, EmptyInput, FormatError, LengthMismatch, ShapeMismatch
+from .estimators import pair_mask_filename
 
 EPS = 1e-12
 
@@ -27,21 +29,6 @@ class LossWeights:
     def __post_init__(self):
         if not self.alpha or any(a <= 0 for a in self.alpha):
             raise ValueError(f"all loss weights must be positive, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class LabelPair:
-    """Ground truth for one goal pair: a binary region mask and the true distance."""
-
-    mask: object  # RegionMask (or array-like)
-    distance: float
-
-    def __post_init__(self):
-        values = _values(self.mask)
-        if not np.isin(values, (0.0, 1.0)).all():
-            raise ValueError("label masks must be binary")
-        if not (math.isfinite(self.distance) and self.distance >= 0):
-            raise ValueError(f"label distance must be finite and >= 0, got {self.distance}")
 
 
 def _values(mask) -> np.ndarray:
@@ -101,7 +88,9 @@ def score_predictions(labels, predictions, weights: LossWeights | None = None):
     """Score one prediction set against labels over their shared goal pairs.
 
     Both arguments are ExternalEstimator-like objects exposing ``distances``
-    and ``masks`` dicts keyed by (i, j). Returns (rows, aggregate): one
+    and ``masks`` dicts keyed by (i, j). Every label mask must be binary; a
+    mask that is not raises FormatError naming its pair_i_j.pgm file under
+    the labels' ``source`` directory. Returns (rows, aggregate): one
     (i, j, bce, dice, squared_error) row per pair, and an aggregate dict with
     mean BCE, mean Dice, the MSE over all pair distances, and the combined
     log-weighted total of those three.
@@ -114,12 +103,15 @@ def score_predictions(labels, predictions, weights: LossWeights | None = None):
     rows = []
     c_true, c_est = [], []
     for i, j in keys:
-        label = LabelPair(labels.masks[(i, j)], labels.distances[(i, j)])
-        l1 = bce_loss(label.mask, predictions.masks[(i, j)])
-        l2 = dice_loss(label.mask, predictions.masks[(i, j)])
-        err = (label.distance - predictions.distances[(i, j)]) ** 2
+        mask, distance = labels.masks[(i, j)], labels.distances[(i, j)]
+        if not np.isin(_values(mask), (0.0, 1.0)).all():
+            path = os.path.join(labels.source, pair_mask_filename(i, j))
+            raise FormatError(f"{path}: a label mask may hold only 0 and 255")
+        l1 = bce_loss(mask, predictions.masks[(i, j)])
+        l2 = dice_loss(mask, predictions.masks[(i, j)])
+        err = (distance - predictions.distances[(i, j)]) ** 2
         rows.append((i, j, l1, l2, err))
-        c_true.append(label.distance)
+        c_true.append(distance)
         c_est.append(predictions.distances[(i, j)])
     l1_mean = float(np.mean([r[2] for r in rows]))
     l2_mean = float(np.mean([r[3] for r in rows]))

@@ -7,14 +7,14 @@ import numpy as np
 from .errors import FormatError
 
 
-def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
+def write_pgm(path, values: np.ndarray) -> None:
     """Write a 2D uint8 array as a binary PGM (P5) file, row 0 first."""
     arr = np.asarray(values, dtype=np.uint8)
     if arr.ndim != 2:
         raise ValueError("PGM data must be 2D")
     height, width = arr.shape
     with open(path, "wb") as f:
-        f.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
+        f.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         f.write(arr.tobytes())
 
 

@@ -30,7 +30,6 @@ class PlannerConfig:
     rewire_radius: float = 6.0
     mask_threshold: float = 0.5
     seed: int = 0
-    density_sampling: bool = False  # sample cells proportionally to mask value
 
     def __post_init__(self):
         if not self.step_size > 0:  # also rejects nan
@@ -73,9 +72,6 @@ class Tree:
         self.costs = [0.0]
         self.children: list[list[int]] = [[]]
 
-    def point(self, idx: int) -> Point:
-        return self.points[idx]
-
     def add(self, p: Point, parent: int, cost: float) -> int:
         idx = self.size
         self._xy[idx] = (p.x, p.y)
@@ -113,7 +109,7 @@ class Tree:
         """Points from the root to idx."""
         rev = []
         while idx >= 0:
-            rev.append(self.point(idx))
+            rev.append(self.points[idx])
             idx = self.parents[idx]
         rev.reverse()
         return rev
@@ -180,37 +176,26 @@ def steer(frm: Point, to: Point, step: float) -> Point:
     return Point(frm.x + f * (to.x - frm.x), frm.y + f * (to.y - frm.y))
 
 
-def _sample_point(cells: np.ndarray, rng, weights=None) -> Point:
-    """Uniform point inside one cell of cells (weighted cell choice optional)."""
-    if weights is None:
-        idx = int(rng.integers(len(cells)))
-    else:
-        idx = int(rng.choice(len(cells), p=weights))
-    x, y = cells[idx]
+def _sample_point(cells: np.ndarray, rng) -> Point:
+    """Uniform point inside a uniformly chosen cell of cells."""
+    x, y = cells[int(rng.integers(len(cells)))]
     dx = rng.random()
     dy = rng.random()
     return Point(float(x) + dx, float(y) + dy)
 
 
-def _hybrid_draw(cells, goal, cfg, rng, weights=None) -> Point:
+def _hybrid_draw(cells, goal, cfg, rng) -> Point:
     u = rng.random()
     if u > cfg.k:
-        return _sample_point(cells, rng, weights)
+        return _sample_point(cells, rng)
     return goal
 
 
 def _region_cells(mask, cfg: PlannerConfig, fallback_cells):
-    """(cells, weights) the hybrid sampler draws from; fallback_cells when no mask cell qualifies."""
-    if cfg.density_sampling:
-        cells = mask.cells_at_least(np.nextafter(0.0, 1.0))
-        if len(cells):
-            vals = mask.values[cells[:, 1], cells[:, 0]]
-            return cells, vals / vals.sum()
-    else:
-        cells = mask.cells_at_least(cfg.mask_threshold)
-        if len(cells):
-            return cells, None
-    return fallback_cells, None
+    """Cells the hybrid sampler draws from: those at or above mask_threshold,
+    or fallback_cells when none qualifies."""
+    cells = mask.cells_at_least(cfg.mask_threshold)
+    return cells if len(cells) else fallback_cells
 
 
 def plan_leg_rrt(
@@ -229,16 +214,16 @@ def _rrt(grid, start, goal, mask, cfg):
     _check_endpoints(grid, start, goal)
     mask.check_shape(grid)
     rng = np.random.default_rng(cfg.seed)
-    cells, weights = _region_cells(mask, cfg, grid.free_cells())
+    cells = _region_cells(mask, cfg, grid.free_cells())
 
     tree = Tree(start, cfg.max_samples + 1)
     if start.distance_to(goal) <= cfg.goal_tolerance and grid.segment_clear(start, goal):
         return _finish([start], goal), 0, tree
 
     for samples in range(1, cfg.max_samples + 1):
-        target = _hybrid_draw(cells, goal, cfg, rng, weights)
+        target = _hybrid_draw(cells, goal, cfg, rng)
         near_idx = tree.nearest(target)
-        near_pt = tree.point(near_idx)
+        near_pt = tree.points[near_idx]
         new_pt = steer(near_pt, target, cfg.step_size)
         d = near_pt.distance_to(new_pt)
         if d == 0.0:
@@ -280,7 +265,7 @@ def _rrt_star(grid, start, goal, cfg):
     for _ in range(cfg.max_samples):
         target = _hybrid_draw(cells, goal, cfg, rng)
         near_idx = tree.nearest(target)
-        near_pt = tree.point(near_idx)
+        near_pt = points[near_idx]
         new_pt = steer(near_pt, target, cfg.step_size)
         if near_pt.distance_to(new_pt) == 0.0 or not grid.is_free(new_pt):
             continue

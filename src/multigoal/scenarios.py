@@ -92,69 +92,53 @@ def builtin_scenario(name: str) -> Scenario:
         ) from None
 
 
-def narrow_passage_map(
-    seed: int,
-    width: int = 64,
-    height: int = 64,
-    n_walls: int = 2,
-    gap_cells: int = 2,
-    wall_thickness: int = 3,
-) -> GridMap:
-    """Thick vertical walls with small randomly placed gaps; deterministic per seed.
+def narrow_passage_instance(seed: int):
+    """(map, start, goal) on a 64x64 map split by two thick vertical walls,
+    each pierced by one randomly placed 2-cell gap; the endpoints lie in the
+    outermost chambers. Deterministic per seed.
 
-    Walls thicker than the dilation radius keep path-dilated regions from
-    bleeding into the far side of a wall.
+    The 3-cell walls are thicker than the dilation radius, which keeps
+    path-dilated regions from bleeding into the far side of a wall.
     """
+    size, n_walls, gap_cells, wall_thickness = 64, 2, 2, 3
     rng = np.random.default_rng(seed)
-    cells = np.zeros((height, width), dtype=bool)
-    spacing = width // (n_walls + 1)
+    cells = np.zeros((size, size), dtype=bool)
+    spacing = size // (n_walls + 1)
     for w in range(n_walls):
         x = spacing * (w + 1)
         cells[:, x : x + wall_thickness] = True
-        gap = int(rng.integers(1, height - gap_cells - 1))
+        gap = int(rng.integers(1, size - gap_cells - 1))
         cells[gap : gap + gap_cells, x : x + wall_thickness] = False
-    return GridMap(cells)
-
-
-def narrow_passage_instance(seed: int, width: int = 64, height: int = 64):
-    """(map, start, goal) with the endpoints in the outermost chambers."""
-    grid = narrow_passage_map(seed, width, height)
     rng = np.random.default_rng(seed ^ 0x9E3779B97F4A7C15)
-    sy = int(rng.integers(1, height - 1))
-    gy = int(rng.integers(1, height - 1))
-    return grid, Point(1.5, sy + 0.5), Point(width - 1.5, gy + 0.5)
+    sy = int(rng.integers(1, size - 1))
+    gy = int(rng.integers(1, size - 1))
+    return GridMap(cells), Point(1.5, sy + 0.5), Point(size - 1.5, gy + 0.5)
 
 
-def comb_map(
-    seed: int,
-    width: int = 64,
-    height: int = 64,
-    n_teeth: int = 5,
-    tooth_depth: float = 0.8,
-    min_density: float = 0.25,
-) -> GridMap:
-    """Comb-shaped walls plus random rectangles filled to a density floor.
+def comb_map(seed: int) -> GridMap:
+    """A 64x64 comb: five 2-cell-wide teeth reaching 80% of the height, plus
+    random rectangles until at least 25% of the cells are blocked.
 
     Teeth alternate from the top and bottom edges, leaving pockets whose
     inside/outside goal pairs are close in a straight line but far apart
     along any feasible route. Deterministic per seed; retries tooth layouts
     that wall off the map entirely.
     """
+    size, n_teeth, depth, min_density = 64, 5, 51, 0.25
     rng = np.random.default_rng(seed)
     for _ in range(100):
-        cells = np.zeros((height, width), dtype=bool)
-        depth = int(height * tooth_depth)
+        cells = np.zeros((size, size), dtype=bool)
         for t in range(n_teeth):
-            pos = int(rng.integers(6, width - 6))
+            pos = int(rng.integers(6, size - 6))
             if t % 2 == 0:
                 cells[:depth, pos : pos + 2] = True
             else:
-                cells[height - depth :, pos : pos + 2] = True
+                cells[size - depth :, pos : pos + 2] = True
         while cells.mean() < min_density:
             w = int(rng.integers(3, 10))
             h = int(rng.integers(3, 10))
-            x0 = int(rng.integers(0, width - w))
-            y0 = int(rng.integers(0, height - h))
+            x0 = int(rng.integers(0, size - w))
+            y0 = int(rng.integers(0, size - h))
             cells[y0 : y0 + h, x0 : x0 + w] = True
         if not cells.all():
             return GridMap(cells)

@@ -122,9 +122,6 @@ def held_karp(w) -> tuple[Tour, float]:
     m = w.m
     if m > EXACT_LIMIT:
         raise TooLarge(f"Held-Karp limited to {EXACT_LIMIT} vertices, got {m}")
-    if m == 2:
-        t = Tour((0, 1))
-        return t, tour_cost(w, t)
 
     wt = w.w
     dp = _held_karp_table(wt)

@@ -273,7 +273,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         out = tmp_path / name
         code = cli_main(
             ["bench", "--scenarios", "simple", "--algorithms", "guided,euclidean-rrt-star",
-             "--repeats", "2", "--base-seed", "11", "--out-dir", str(out)]
+             "--repeats", "2", "--seed", "11", "--out-dir", str(out)]
         )
         assert code == 0
         bench_outs.append(tree_bytes(out))

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from multigoal import GridMap, GoalSet, Point, benchmark
 from multigoal.bench import aggregate, bench_seed, format_report, write_aggregate_csv, write_results_csv
 from multigoal.dataset import _split_of, generate_dataset, validate_dataset
+from multigoal.errors import FormatError
 from multigoal.scenarios import Scenario
 
 
@@ -156,6 +159,17 @@ class TestGenerateDataset:
         lines[0] = f"{sample_id},{float(value) + 1.0!r}"
         dist_file.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="distance"):
+            validate_dataset(tmp_path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "not valid JSON"),
+        ('{"samples": [{"id": "sample_00000", "map": "m.map", "goals": "g.csv"}]}',
+         "samples[0] needs string fields id, map, goals, mask"),
+    ])
+    def test_bad_manifest_names_the_file(self, tmp_path, text, message):
+        generate_dataset(1, 5, tmp_path, width=16, height=16)
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(FormatError, match=re.escape(f"manifest.json: {message}")):
             validate_dataset(tmp_path)
 
     def test_rejects_nonpositive_n(self, tmp_path):

@@ -263,7 +263,7 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "command, entry",
         [("plan", "step=abc"), ("plan", "seed=x"), ("pipeline", "seed=x"),
-         ("pipeline", "max_samples=1.5"), ("bench", "base_seed=x"), ("bench", "k=high")],
+         ("pipeline", "max_samples=1.5"), ("bench", "seed=x"), ("bench", "k=high")],
     )
     def test_bad_config_value(self, small_world, tmp_path, capsys, command, entry):
         map_path, goals_path = small_world
@@ -286,7 +286,7 @@ class TestBenchCommand:
     def test_bench_outputs(self, tmp_path, capsys):
         out = tmp_path / "bench"
         code = run(["bench", "--scenarios", "simple", "--algorithms", "guided",
-                    "--repeats", 2, "--base-seed", 3, "--out-dir", out])
+                    "--repeats", 2, "--seed", 3, "--out-dir", out])
         assert code == 0
         assert (out / "results.csv").exists()
         assert (out / "aggregate.csv").exists()
@@ -296,19 +296,9 @@ class TestBenchCommand:
         out = tmp_path / "bench"
         times = tmp_path / "times.csv"
         run(["bench", "--scenarios", "simple", "--algorithms", "guided",
-             "--repeats", 1, "--base-seed", 3, "--out-dir", out, "--times-out", times])
+             "--repeats", 1, "--seed", 3, "--out-dir", out, "--times-out", times])
         assert times.exists()
         assert times.read_text().startswith("scenario,algorithm,repeat,time_s")
-
-    def test_density_sampling_reaches_planner(self, tmp_path):
-        outs = []
-        for extra in ([], ["--density-sampling"]):
-            out = tmp_path / f"bench{len(extra)}"
-            code = run(["bench", "--scenarios", "simple", "--algorithms", "guided",
-                        "--repeats", 1, "--base-seed", 3, "--out-dir", out, *extra])
-            assert code == 0
-            outs.append((out / "results.csv").read_text())
-        assert outs[0] != outs[1]
 
     def test_bad_planner_flag(self, tmp_path, capsys):
         code = run(["bench", "--scenarios", "simple", "--algorithms", "guided",
@@ -367,6 +357,23 @@ class TestScoreCommand:
         code = run(["score", "--labels", labels, "--predictions", preds])
         assert code == 0
 
+    @pytest.mark.parametrize("bad", ["gray-mask", "negative-distance"])
+    def test_bad_labels(self, small_world, tmp_path, capsys, bad):
+        map_path, goals_path = small_world
+        labels = tmp_path / "labels"
+        run(["estimate", "--map", map_path, "--goals", goals_path, "--out-dir", labels])
+        if bad == "gray-mask":
+            culprit = labels / "pair_0_2.pgm"
+            culprit.write_bytes(culprit.read_bytes().replace(b"\xff", b"\xc8"))
+            expected = f"error: {culprit}: a label mask may hold only 0 and 255\n"
+        else:
+            culprit = labels / "distances.csv"
+            culprit.write_text(culprit.read_text().replace("0,1,", "0,1,-"))
+            expected = f"error: {culprit} row 1: bad entry '0,1,-"
+        capsys.readouterr()
+        assert run(["score", "--labels", labels, "--predictions", labels]) == 1
+        assert capsys.readouterr().err.startswith(expected)
+
 
 class TestRenderCommand:
     def test_render_solution_dir(self, small_world, tmp_path):
@@ -379,6 +386,23 @@ class TestRenderCommand:
                     "--solution-dir", sol, "--out", out])
         assert code == 0
         assert out.read_text().count("<polyline") == 4
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"legs": [\xe9]}', " byte 10: non-ASCII byte 0xe9"),
+        (b"{", ": not valid JSON (Expecting property name"),
+        (b'{"leg": []}', ": expected an object with a 'legs' list"),
+        (b'{"legs": [{"file": 3}]}', ": legs[0] needs string fields file"),
+    ])
+    def test_bad_solution_json(self, small_world, tmp_path, capsys, data, message):
+        map_path, goals_path = small_world
+        sol = tmp_path / "sol"
+        run(["pipeline", "--map", map_path, "--goals", goals_path, "--out-dir", sol])
+        (sol / "solution.json").write_bytes(data)
+        capsys.readouterr()
+        out = tmp_path / "r.svg"
+        assert run(["render", "--map", map_path, "--solution-dir", sol, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {sol / 'solution.json'}{message}")
+        assert not out.exists()
 
     def test_render_mask(self, small_world, tmp_path):
         map_path, goals_path = small_world
@@ -501,8 +525,6 @@ class TestBadInputExitsOne:
 
     @pytest.mark.parametrize("text, expected", [
         ("seed=3\nstpe=3\n", "error: {config} line 2: unknown key 'stpe'\n"),
-        ("density_sampling=ture\n",
-         "error: {config}: density_sampling='ture' is not a valid bool (line 1)\n"),
         ("step=nan\n", "error: planner settings: step_size must be positive\n"),
     ])
     def test_config_rejects_typos(self, small_world, tmp_path, capsys, text, expected):
@@ -517,7 +539,7 @@ class TestBadInputExitsOne:
 
     def test_config_keys_of_other_subcommands_stay_valid(self, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text("seed=4\nbase_seed=2\nmax_samples=900\ndensity_sampling=Yes\n")
+        config.write_text("seed=4\nmax_samples=900\nmask_threshold=0.3\n")
         assert run(["gen-map", "--config", config, "--width", 16, "--height", 16,
                     "--out", tmp_path / "m.map"]) == 0
 

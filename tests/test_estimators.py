@@ -568,13 +568,6 @@ class TestExternalPredictions:
         with pytest.raises(DimensionMismatch):
             est.estimate_all(wrong, GoalSet(goals[:2]))
 
-    def test_map_id_subdirectory(self, tmp_path):
-        g = generate_map(31, 24, 24, None)
-        goals = place_goals(g, 3, 8, 3)
-        export_predictions(tmp_path / "m7", g, goals, EuclideanEstimator())
-        est = load_external_predictions(tmp_path, map_id="m7")
-        assert est.estimate_all(g, GoalSet(goals[:2]))[(0, 1)].distance > 0
-
 
 class TestRegionMask:
     def test_rejects_out_of_range(self):

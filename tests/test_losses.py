@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multigoal import LossWeights, bce_loss, dice_loss, mse_loss, total_loss
-from multigoal.errors import DegenerateInput, EmptyInput, LengthMismatch, ShapeMismatch
+from multigoal.errors import (
+    DegenerateInput,
+    EmptyInput,
+    FormatError,
+    LengthMismatch,
+    ShapeMismatch,
+)
+from multigoal.estimators import ExternalEstimator, RegionMask
+from multigoal.losses import score_predictions
 
 
 def arr(values):
@@ -165,20 +174,18 @@ class TestTotalLoss:
         assert total_loss(vals, w) == total_loss(vals, w)
 
 
-class TestLabelPair:
-    def test_accepts_binary_mask(self):
-        from multigoal.losses import LabelPair
+class TestScorePredictions:
+    @staticmethod
+    def labels(values, source):
+        return ExternalEstimator({(0, 1): 3.5}, {(0, 1): RegionMask(arr(values))}, str(source))
 
-        LabelPair(arr([[1.0, 0.0], [0.0, 1.0]]), 3.5)
+    def test_binary_labels_score(self, tmp_path):
+        labels = self.labels([[1.0, 0.0], [0.0, 1.0]], tmp_path)
+        rows, aggregate = score_predictions(labels, labels)
+        assert [r[:2] for r in rows] == [(0, 1)]
+        assert aggregate["mse"] == 0.0 and aggregate["dice_mean"] == 0.0
 
-    def test_rejects_soft_mask(self):
-        from multigoal.losses import LabelPair
-
-        with pytest.raises(ValueError, match="binary"):
-            LabelPair(arr([[0.5]]), 1.0)
-
-    def test_rejects_negative_distance(self):
-        from multigoal.losses import LabelPair
-
-        with pytest.raises(ValueError, match="distance"):
-            LabelPair(arr([[1.0]]), -2.0)
+    def test_gray_label_mask_names_its_file(self, tmp_path):
+        labels = self.labels([[1.0, 200 / 255]], tmp_path)
+        with pytest.raises(FormatError, match=re.escape(f"{tmp_path / 'pair_0_1.pgm'}: ")):
+            score_predictions(labels, labels)

@@ -42,7 +42,7 @@ def validate_tree(tree: Tree, ordered_parents: bool):
         assert 0 <= p < tree.size and p != i
         if ordered_parents:
             assert p < i
-        d = tree.point(i).distance_to(tree.point(p))
+        d = tree.points[i].distance_to(tree.points[p])
         assert abs(tree.costs[i] - (tree.costs[p] + d)) < 1e-9
     for i in range(tree.size):  # acyclic: every parent chain reaches the root
         seen = set()
@@ -55,8 +55,8 @@ def validate_tree(tree: Tree, ordered_parents: bool):
 
 def hybrid_draws(mask, goal, cfg, rng, n, fallback_cells):
     """n draws of the hybrid sampler, made as the guided RRT makes them."""
-    cells, weights = _region_cells(mask, cfg, fallback_cells)
-    return [_hybrid_draw(cells, goal, cfg, rng, weights) for _ in range(n)]
+    cells = _region_cells(mask, cfg, fallback_cells)
+    return [_hybrid_draw(cells, goal, cfg, rng) for _ in range(n)]
 
 
 class TestHybridSample:
@@ -100,17 +100,6 @@ class TestHybridSample:
         free = {tuple(c) for c in g.free_cells()}
         for p in hybrid_draws(mask, Point(1.5, 1.5), self.cfg(0.0), rng, 100, g.free_cells()):
             assert p.cell() in free
-
-    def test_density_sampling_prefers_high_values(self):
-        values = np.zeros((2, 2))
-        values[0, 0] = 0.9
-        values[1, 1] = 0.1
-        mask = RegionMask(values)
-        cfg = PlannerConfig(k=0.0, density_sampling=True)
-        rng = np.random.default_rng(4)
-        draws = hybrid_draws(mask, Point(0, 0), cfg, rng, 2000, empty_map(2, 2).free_cells())
-        hits = sum(p.cell() == (0, 0) for p in draws)
-        assert 1700 <= hits <= 1900  # ~90%
 
     def test_matches_plain_uniform_stream_on_all_ones_mask(self):
         # With an all-ones mask the heuristic sampler degenerates to uniform
@@ -350,6 +339,6 @@ class TestGoldenPaths:
     def test_tree_points_are_float(self):
         tree = Tree(Point(1, 1), 4)
         idx = tree.add(Point(2, 3), 0, 1.0)
-        for p in (tree.point(0), tree.point(idx)):
+        for p in (tree.points[0], tree.points[idx]):
             assert type(p.x) is float and type(p.y) is float
-        assert repr(tree.point(0)) == "Point(x=1.0, y=1.0)"
+        assert repr(tree.points[0]) == "Point(x=1.0, y=1.0)"

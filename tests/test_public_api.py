@@ -1,12 +1,15 @@
 """The names ``import multigoal`` offers: exactly what the README, the
 acceptance suite and perfbench use. Anything else comes from its submodule."""
 
+import argparse
+import dataclasses
 import os
 import subprocess
 import sys
 import types
 
 import multigoal
+from multigoal import PlannerConfig, cli
 
 PUBLIC = {
     # README
@@ -60,3 +63,45 @@ def test_bare_import_leaves_out_scipy_linalg_and_csgraph():
         "print(*(m for m in ('scipy.sparse.csgraph', 'scipy.linalg') if m in sys.modules))"
     )
     assert out.split() == []
+
+
+# Every value a user can set, by subcommand. A new option, config key or
+# planner field shows up here as a diff, so each one is a deliberate choice.
+_SEEDED = ["--config", "--seed"]
+_PLANNER = _SEEDED + ["--step", "--max-samples", "--k", "--goal-tol", "--rewire-radius",
+                      "--mask-threshold"]
+SUBCOMMAND_OPTIONS = {
+    "gen-map": _SEEDED + ["--width", "--height", "--count-min", "--count-max", "--size-min",
+                          "--size-max", "--density-min", "--density-max", "--out", "--goals",
+                          "--min-sep", "--goals-out"],
+    "gen-dataset": _SEEDED + ["--n", "--out-dir", "--width", "--height", "--min-sep",
+                              "--validate"],
+    "estimate": ["--map", "--goals", "--estimator", "--dilation-radius", "--out-dir"],
+    "tsp": ["--weights", "--exact-threshold", "--out"],
+    "plan": _PLANNER + ["--map", "--start", "--goal", "--mask", "--algorithm", "--out-path",
+                        "--out-stats"],
+    "pipeline": _PLANNER + ["--map", "--goals", "--estimator", "--algorithm",
+                            "--exact-threshold", "--out-dir", "--svg"],
+    "bench": _PLANNER + ["--scenarios", "--algorithms", "--repeats", "--estimator", "--out-dir",
+                         "--times-out"],
+    "score": ["--labels", "--predictions", "--alpha", "--out"],
+    "render": ["--map", "--goals", "--mask", "--path", "--solution-dir", "--out"],
+}
+
+
+def test_settable_surface():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [a.option_strings[-1] for a in p._actions if a.option_strings and a.dest != "help"]
+        for name, p in sub.choices.items()
+    }
+    assert options == SUBCOMMAND_OPTIONS
+    assert sum(map(len, options.values())) == 84
+    assert sorted(cli._CONFIG_KEYS) == [
+        "goal_tol", "k", "mask_threshold", "max_samples", "rewire_radius", "seed", "step",
+    ]
+    assert [f.name for f in dataclasses.fields(PlannerConfig)] == [
+        "step_size", "max_samples", "k", "goal_tolerance", "rewire_radius", "mask_threshold",
+        "seed",
+    ]

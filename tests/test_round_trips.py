@@ -13,7 +13,7 @@ from multigoal import GoalSet, GridMap, Point, RegionMask, WeightMatrix, save_go
 from multigoal.dataset import generate_dataset, validate_dataset
 from multigoal.errors import FormatError, MissingPrediction
 from multigoal.estimators import load_external_predictions
-from multigoal.grid import load_goals, load_map
+from multigoal.grid import load_goals, load_map, read_json_entries
 from multigoal.pgm import read_pgm, write_pgm
 from multigoal.planner import PathPolyline, load_path, save_path
 
@@ -96,6 +96,11 @@ def dataset_dir(tmp_path_factory):
     return out
 
 
+def solution_legs(path):
+    """The leg entries of a pipeline solution.json, read as render reads them."""
+    return read_json_entries(path, "legs", ("file",))
+
+
 # (reader, file name it reads); load_external_predictions takes the directory
 # that holds its file
 READERS = [
@@ -106,6 +111,7 @@ READERS = [
     (load_path, "p.csv"),
     (WeightMatrix.from_csv, "w.csv"),
     (load_external_predictions, "distances.csv"),
+    (solution_legs, "solution.json"),
 ]
 
 
@@ -114,6 +120,7 @@ READERS = [
 @given(data=noise)
 @example(data=b"-2 2\n\n\n")  # a negative map width
 @example(data=b"2 2\n##\n##\n")  # a map with no free cell
+@example(data=b"[" * 100_000)  # JSON nested beyond the parser's depth
 def test_random_bytes_raise_only_format_error(reader, name, data):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, name)

@@ -94,6 +94,11 @@ class TestTourCost:
 
 
 class TestHeldKarp:
+    def test_m2_counts_its_edge_twice(self):
+        tour, cost = held_karp(WeightMatrix(np.array([[0.0, 3.5], [3.5, 0.0]])))
+        assert tour.order == (0, 1)
+        assert cost == 7.0
+
     def test_m3_unique_cycle(self):
         rng = np.random.default_rng(1)
         w = random_matrix(rng, 3)
