@@ -56,6 +56,16 @@ class RegionMask:
         self.values = arr
         self.height, self.width = arr.shape
 
+    @classmethod
+    def _of_fresh(cls, values: np.ndarray) -> "RegionMask":
+        """Take over a fresh 2D float64 table of 0s and 1s built in this module,
+        without the copy and range scan that masks from files or callers get."""
+        mask = cls.__new__(cls)
+        values.setflags(write=False)
+        mask.values = values
+        mask.height, mask.width = values.shape
+        return mask
+
     def __eq__(self, other):
         return isinstance(other, RegionMask) and bool(np.array_equal(self.values, other.values))
 
@@ -319,7 +329,7 @@ def dilate_path_to_region(grid: GridMap, path, radius: float) -> RegionMask:
     size = h * (w + 1)
     edges = np.bincount(rows + lo, minlength=size) - np.bincount(rows + hi, minlength=size)
     covered = edges.reshape(h, w + 1).cumsum(axis=1)[:, :w] > 0
-    return RegionMask((covered & ~grid.cells).astype(np.float64))
+    return RegionMask._of_fresh((covered & ~grid.cells).astype(np.float64))
 
 
 def _pair_unreachable(i: int, j: int, exc: Unreachable) -> Unreachable:
@@ -342,7 +352,7 @@ class EuclideanEstimator(Estimator):
     """Straight-line distance; carries no region information (all free cells promising)."""
 
     def estimate_all(self, grid, goals):
-        mask = RegionMask((~grid.cells).astype(np.float64))  # read-only, so every pair can share it
+        mask = RegionMask._of_fresh((~grid.cells).astype(np.float64))  # read-only: pairs share it
         m = len(goals)
         return {
             (i, j): PairEstimate(goals[i].distance_to(goals[j]), mask)

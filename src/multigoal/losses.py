@@ -90,10 +90,12 @@ def score_predictions(labels, predictions, weights: LossWeights | None = None):
     Both arguments are ExternalEstimator-like objects exposing ``distances``
     and ``masks`` dicts keyed by (i, j). Every label mask must be binary; a
     mask that is not raises FormatError naming its pair_i_j.pgm file under
-    the labels' ``source`` directory. Returns (rows, aggregate): one
-    (i, j, bce, dice, squared_error) row per pair, and an aggregate dict with
-    mean BCE, mean Dice, the MSE over all pair distances, and the combined
-    log-weighted total of those three.
+    the labels' ``source`` directory. A label and prediction of different
+    shapes, or both all-zero, raise ShapeMismatch or DegenerateInput naming
+    the pair's file under both ``source`` directories. Returns (rows,
+    aggregate): one (i, j, bce, dice, squared_error) row per pair, and an
+    aggregate dict with mean BCE, mean Dice, the MSE over all pair distances,
+    and the combined log-weighted total of those three.
     """
     weights = weights or LossWeights()
     keys = sorted(labels.distances.keys())
@@ -104,11 +106,15 @@ def score_predictions(labels, predictions, weights: LossWeights | None = None):
     c_true, c_est = [], []
     for i, j in keys:
         mask, distance = labels.masks[(i, j)], labels.distances[(i, j)]
+        label_path = os.path.join(labels.source, pair_mask_filename(i, j))
         if not np.isin(_values(mask), (0.0, 1.0)).all():
-            path = os.path.join(labels.source, pair_mask_filename(i, j))
-            raise FormatError(f"{path}: a label mask may hold only 0 and 255")
-        l1 = bce_loss(mask, predictions.masks[(i, j)])
-        l2 = dice_loss(mask, predictions.masks[(i, j)])
+            raise FormatError(f"{label_path}: a label mask may hold only 0 and 255")
+        try:
+            l1 = bce_loss(mask, predictions.masks[(i, j)])
+            l2 = dice_loss(mask, predictions.masks[(i, j)])
+        except (ShapeMismatch, DegenerateInput) as exc:
+            prediction_path = os.path.join(predictions.source, pair_mask_filename(i, j))
+            raise type(exc)(f"{label_path} vs {prediction_path}: {exc}") from None
         err = (distance - predictions.distances[(i, j)]) ** 2
         rows.append((i, j, l1, l2, err))
         c_true.append(distance)

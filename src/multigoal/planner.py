@@ -19,6 +19,8 @@ from .errors import BlockedPoint, FormatError, NoPathFound
 from .grid import GridMap, Point, read_rows
 
 _REWIRE_EPS = 1e-12
+# Tree allocates its node arrays for the whole sample budget up front
+MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,8 @@ class PlannerConfig:
             raise ValueError("step_size must be positive")
         if self.max_samples < 1:
             raise ValueError("max_samples must be at least 1")
+        if self.max_samples > MAX_SAMPLES:
+            raise ValueError(f"max_samples must be at most {MAX_SAMPLES}, got {self.max_samples}")
         if not 0.0 <= self.k <= 1.0:
             raise ValueError("k must lie in [0, 1]")
         if not self.goal_tolerance >= 0:
@@ -60,12 +64,17 @@ class PlannerConfig:
 
 
 class Tree:
-    """An exploring tree rooted at the start point, holding at most capacity nodes."""
+    """An exploring tree rooted at the start point, holding at most capacity nodes.
+
+    Node coordinates sit in two float arrays for the nearest and near
+    queries; points holds each node's Point for collision checks and chains.
+    """
 
     def __init__(self, root: Point, capacity: int):
-        self._xy = np.empty((capacity, 2), dtype=np.float64)
-        self._xy[0] = (root.x, root.y)
-        # each node's Point, built once: the planner loops read these, not _xy
+        self._x = np.empty(capacity, dtype=np.float64)
+        self._y = np.empty(capacity, dtype=np.float64)
+        self._x[0] = root.x
+        self._y[0] = root.y
         self.points = [Point(float(root.x), float(root.y))]
         self.size = 1
         self.parents = [-1]
@@ -73,9 +82,11 @@ class Tree:
         self.children: list[list[int]] = [[]]
 
     def add(self, p: Point, parent: int, cost: float) -> int:
+        """Append p itself (the planners build it from floats) under parent."""
         idx = self.size
-        self._xy[idx] = (p.x, p.y)
-        self.points.append(Point(float(p.x), float(p.y)))
+        self._x[idx] = p.x
+        self._y[idx] = p.y
+        self.points.append(p)
         self.size += 1
         self.parents.append(parent)
         self.costs.append(cost)
@@ -83,14 +94,23 @@ class Tree:
         self.children[parent].append(idx)
         return idx
 
-    def nearest(self, p: Point) -> int:
-        """Index of the node closest to p; ties go to the lower index."""
-        d2 = np.square(self._xy[: self.size, 0] - p.x) + np.square(self._xy[: self.size, 1] - p.y)
-        return int(np.argmin(d2))
+    def nearest(self, x: float, y: float) -> int:
+        """Index of the node closest to (x, y); ties go to the lower index."""
+        return int(self._dist2(x, y).argmin())
 
-    def near(self, p: Point, radius: float) -> np.ndarray:
-        d2 = np.square(self._xy[: self.size, 0] - p.x) + np.square(self._xy[: self.size, 1] - p.y)
-        return np.nonzero(d2 <= radius * radius)[0]
+    def near(self, x: float, y: float, radius: float) -> np.ndarray:
+        """Indices of the nodes within radius of (x, y), ascending."""
+        return (self._dist2(x, y) <= radius * radius).nonzero()[0]
+
+    def _dist2(self, x: float, y: float) -> np.ndarray:
+        """Squared distance of every node to (x, y), computed in place: the
+        same bits as np.square(dx) + np.square(dy)."""
+        dx = self._x[: self.size] - x
+        dy = self._y[: self.size] - y
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return dx
 
     def reparent(self, idx: int, new_parent: int, new_cost: float) -> None:
         """Attach idx under new_parent and shift the whole subtree's costs."""
@@ -165,30 +185,27 @@ def load_path(path) -> PathPolyline:
     return PathPolyline(points)
 
 
-def steer(frm: Point, to: Point, step: float) -> Point:
-    """Move from frm toward to by at most step."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    d = frm.distance_to(to)
-    if d <= step:
-        return to
-    f = step / d
-    return Point(frm.x + f * (to.x - frm.x), frm.y + f * (to.y - frm.y))
+def _draw(cells: np.ndarray, goal_xy: tuple[float, float], k: float, rng) -> tuple[float, float]:
+    """One hybrid-sampler draw: goal_xy with probability k, otherwise a
+    uniform point inside a uniformly chosen cell of cells.
+
+    The rng calls keep a fixed order (goal test, cell, x offset, y offset);
+    every seeded path depends on it.
+    """
+    if rng.random() > k:
+        i = rng.integers(len(cells))
+        return cells.item(i, 0) + rng.random(), cells.item(i, 1) + rng.random()
+    return goal_xy
 
 
-def _sample_point(cells: np.ndarray, rng) -> Point:
-    """Uniform point inside a uniformly chosen cell of cells."""
-    x, y = cells[int(rng.integers(len(cells)))]
-    dx = rng.random()
-    dy = rng.random()
-    return Point(float(x) + dx, float(y) + dy)
-
-
-def _hybrid_draw(cells, goal, cfg, rng) -> Point:
-    u = rng.random()
-    if u > cfg.k:
-        return _sample_point(cells, rng)
-    return goal
+def _steer(ax: float, ay: float, tx: float, ty: float, step: float) -> tuple[float, float, float]:
+    """The point at most step from (ax, ay) toward (tx, ty), and its distance."""
+    d = math.hypot(ax - tx, ay - ty)
+    if d > step:
+        f = step / d
+        tx, ty = ax + f * (tx - ax), ay + f * (ty - ay)
+        d = math.hypot(ax - tx, ay - ty)
+    return tx, ty, d
 
 
 def _region_cells(mask, cfg: PlannerConfig, fallback_cells):
@@ -220,18 +237,20 @@ def _rrt(grid, start, goal, mask, cfg):
     if start.distance_to(goal) <= cfg.goal_tolerance and grid.segment_clear(start, goal):
         return _finish([start], goal), 0, tree
 
+    points, costs = tree.points, tree.costs
+    goal_xy = gx, gy = float(goal.x), float(goal.y)
     for samples in range(1, cfg.max_samples + 1):
-        target = _hybrid_draw(cells, goal, cfg, rng)
-        near_idx = tree.nearest(target)
-        near_pt = tree.points[near_idx]
-        new_pt = steer(near_pt, target, cfg.step_size)
-        d = near_pt.distance_to(new_pt)
+        tx, ty = _draw(cells, goal_xy, cfg.k, rng)
+        near_idx = tree.nearest(tx, ty)
+        near_pt = points[near_idx]
+        x, y, d = _steer(near_pt.x, near_pt.y, tx, ty, cfg.step_size)
         if d == 0.0:
             continue
+        new_pt = Point(x, y)  # the one Point a sample builds, once the step moves
         if not grid.segment_clear(near_pt, new_pt):
             continue
-        idx = tree.add(new_pt, near_idx, tree.costs[near_idx] + d)
-        if new_pt.distance_to(goal) <= cfg.goal_tolerance and grid.segment_clear(new_pt, goal):
+        idx = tree.add(new_pt, near_idx, costs[near_idx] + d)
+        if math.hypot(x - gx, y - gy) <= cfg.goal_tolerance and grid.segment_clear(new_pt, goal):
             return _finish(tree.chain(idx), goal), samples, tree
     raise NoPathFound(f"no path within {cfg.max_samples} samples")
 
@@ -262,19 +281,22 @@ def _rrt_star(grid, start, goal, cfg):
         candidates[0] = start.distance_to(goal)
         first_length = candidates[0]
 
+    goal_xy = gx, gy = float(goal.x), float(goal.y)
     for _ in range(cfg.max_samples):
-        target = _hybrid_draw(cells, goal, cfg, rng)
-        near_idx = tree.nearest(target)
+        tx, ty = _draw(cells, goal_xy, cfg.k, rng)
+        near_idx = tree.nearest(tx, ty)
         near_pt = points[near_idx]
-        new_pt = steer(near_pt, target, cfg.step_size)
-        if near_pt.distance_to(new_pt) == 0.0 or not grid.is_free(new_pt):
+        nx, ny, d = _steer(near_pt.x, near_pt.y, tx, ty, cfg.step_size)
+        if d == 0.0:
+            continue
+        new_pt = Point(nx, ny)
+        if not grid.is_free(new_pt):
             continue
 
-        neighbors = tree.near(new_pt, cfg.rewire_radius).tolist()
+        neighbors = tree.near(nx, ny, cfg.rewire_radius).tolist()
         if near_idx not in neighbors:
             neighbors.append(near_idx)
         # one distance per neighbour, shared by choose-parent and rewiring
-        nx, ny = new_pt.x, new_pt.y
         dists = [math.hypot(points[i].x - nx, points[i].y - ny) for i in neighbors]
         parent = -1
         for new_cost, i in sorted((costs[i] + d, i) for i, d in zip(neighbors, dists)):
@@ -293,8 +315,9 @@ def _rrt_star(grid, start, goal, cfg):
             if improved < costs[i] - _REWIRE_EPS and grid.segment_clear(new_pt, points[i]):
                 tree.reparent(i, idx, improved)
 
-        if new_pt.distance_to(goal) <= cfg.goal_tolerance and grid.segment_clear(new_pt, goal):
-            candidates[idx] = new_pt.distance_to(goal)
+        to_goal = math.hypot(nx - gx, ny - gy)
+        if to_goal <= cfg.goal_tolerance and grid.segment_clear(new_pt, goal):
+            candidates[idx] = to_goal
             if first_length is None:
                 first_length = new_cost + candidates[idx]
 

@@ -10,7 +10,8 @@ import multigoal
 from multigoal import ALGORITHMS, GridMap, save_goals, save_map, GoalSet, Point
 from multigoal.cli import main
 from multigoal.grid import load_map
-from multigoal.pgm import read_pgm
+from multigoal.pgm import read_pgm, write_pgm
+from multigoal.planner import MAX_SAMPLES
 
 
 def run(args):
@@ -154,6 +155,15 @@ class TestPlan:
                     "--max-samples", 300, "--out-path", tmp_path / "p.csv"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_max_samples_above_the_cap(self, small_world, tmp_path, capsys):
+        map_path, _ = small_world
+        code = run(["plan", "--map", map_path, "--start", "2.5,2.5", "--goal", "20.5,3.5",
+                    "--max-samples", MAX_SAMPLES + 1, "--out-path", tmp_path / "p.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"max_samples must be at most {MAX_SAMPLES}" in err and "Traceback" not in err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_start_in_obstacle(self, small_world, tmp_path, capsys):
         map_path, _ = small_world
@@ -373,6 +383,27 @@ class TestScoreCommand:
         capsys.readouterr()
         assert run(["score", "--labels", labels, "--predictions", labels]) == 1
         assert capsys.readouterr().err.startswith(expected)
+
+
+    @pytest.mark.parametrize("bad", ["shape", "all-zero"])
+    def test_mask_pair_errors_name_both_files(self, small_world, tmp_path, capsys, bad):
+        map_path, goals_path = small_world
+        labels, preds = tmp_path / "labels", tmp_path / "preds"
+        for out in (labels, preds):
+            run(["estimate", "--map", map_path, "--goals", goals_path,
+                 "--dilation-radius", "0", "--out-dir", out])
+        if bad == "shape":
+            write_pgm(preds / "pair_0_1.pgm", np.zeros((16, 20), dtype=np.uint8))
+            message = "mask shapes differ: (24, 24) vs (16, 20)"
+        else:
+            for out in (labels, preds):
+                write_pgm(out / "pair_0_1.pgm", np.zeros((24, 24), dtype=np.uint8))
+            message = "both masks are all-zero; Dice denominator vanishes"
+        capsys.readouterr()
+        assert run(["score", "--labels", labels, "--predictions", preds]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {labels / 'pair_0_1.pgm'} vs {preds / 'pair_0_1.pgm'}: {message}\n"
+        )
 
 
 class TestRenderCommand:

@@ -338,6 +338,8 @@ class TestEstimateAll:
         assert len(out) == 10 and len(masks) == 1
         mask = next(iter(out.values())).mask
         assert not mask.values.flags.writeable
+        assert mask == RegionMask((~g.cells).astype(np.float64))
+        assert (mask.width, mask.height) == (16, 16)
         for (i, j), pe in out.items():
             assert pe == estimate_pair(EuclideanEstimator(), g, goals[i], goals[j])
 
@@ -465,6 +467,10 @@ class TestMatchesReference:
         mask = dilate_path_to_region(grid, path, radius)
         assert np.array_equal(mask.values == 1.0, ref.dilate_path_to_region(grid, path, radius))
         assert set(np.unique(mask.values)) <= {0.0, 1.0}
+        # built without the checked constructor: the same mask as one built with it
+        assert mask == RegionMask(mask.values) and mask.values.dtype == np.float64
+        assert (mask.width, mask.height) == (grid.width, grid.height)
+        assert not mask.values.flags.writeable
 
     def test_search_on_many_small_maps(self):
         # equal-length routes whose float sums also tie are rare (about one
@@ -573,6 +579,12 @@ class TestRegionMask:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             RegionMask(np.array([[0.5, 1.2]]))
+
+    def test_caller_values_are_copied(self):
+        values = np.array([[0.0, 0.5], [1.0, 0.25]])
+        mask = RegionMask(values)
+        values[0, 0] = 0.75
+        assert mask.values[0, 0] == 0.0 and not mask.values.flags.writeable
 
     def test_u8_round_trip_is_close(self):
         rng = np.random.default_rng(4)

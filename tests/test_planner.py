@@ -2,21 +2,25 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigoal import GridMap, NoPathFound, PlannerConfig, Point, RegionMask, plan_leg_rrt
 from multigoal.planner import (
+    MAX_SAMPLES,
     PathPolyline,
     Tree,
-    _hybrid_draw,
+    _draw,
     _region_cells,
     _rrt,
     _rrt_star,
+    _steer,
     load_path,
     path_cost,
     plan_leg_rrt_star,
     save_path,
-    steer,
 )
+import planner_reference
 from sampled_reference import segment_free
 
 
@@ -54,9 +58,14 @@ def validate_tree(tree: Tree, ordered_parents: bool):
 
 
 def hybrid_draws(mask, goal, cfg, rng, n, fallback_cells):
-    """n draws of the hybrid sampler, made as the guided RRT makes them."""
+    """n (x, y) draws of the hybrid sampler, made as the guided RRT makes them."""
     cells = _region_cells(mask, cfg, fallback_cells)
-    return [_hybrid_draw(cells, goal, cfg, rng) for _ in range(n)]
+    goal_xy = float(goal.x), float(goal.y)
+    return [_draw(cells, goal_xy, cfg.k, rng) for _ in range(n)]
+
+
+def cell_of(xy):
+    return Point(*xy).cell()
 
 
 class TestHybridSample:
@@ -68,7 +77,7 @@ class TestHybridSample:
         goal = Point(5.0, 6.0)
         rng = np.random.default_rng(0)
         for p in hybrid_draws(free_mask(g), goal, self.cfg(1.0), rng, 200, g.free_cells()):
-            assert p == goal
+            assert p == (5.0, 6.0) and type(p[0]) is float
 
     def test_k0_never_goal_and_respects_threshold(self):
         values = np.zeros((8, 8))
@@ -80,15 +89,15 @@ class TestHybridSample:
         rng = np.random.default_rng(1)
         allowed = {(3, 2), (6, 5)}
         for p in hybrid_draws(mask, goal, self.cfg(0.0), rng, 500, empty_map(8, 8).free_cells()):
-            assert p != goal
-            assert p.cell() in allowed
+            assert p != (goal.x, goal.y)
+            assert cell_of(p) in allowed
 
     def test_binomial_goal_rate(self):
         g = empty_map()
         goal = Point(3.0, 3.0)
         rng = np.random.default_rng(2)
         draws = hybrid_draws(free_mask(g), goal, self.cfg(0.1), rng, 10_000, g.free_cells())
-        hits = sum(p == goal for p in draws)
+        hits = sum(p == (goal.x, goal.y) for p in draws)
         assert 900 <= hits <= 1100  # 3 sigma of Binomial(1e4, 0.1)
 
     def test_empty_region_falls_back_to_free_cells(self):
@@ -99,7 +108,7 @@ class TestHybridSample:
         rng = np.random.default_rng(3)
         free = {tuple(c) for c in g.free_cells()}
         for p in hybrid_draws(mask, Point(1.5, 1.5), self.cfg(0.0), rng, 100, g.free_cells()):
-            assert p.cell() in free
+            assert cell_of(p) in free
 
     def test_matches_plain_uniform_stream_on_all_ones_mask(self):
         # With an all-ones mask the heuristic sampler degenerates to uniform
@@ -119,38 +128,46 @@ class TestHybridSample:
         for _ in range(500):
             if rng2.random() > cfg.k:
                 x, y = free[int(rng2.integers(len(free)))]
-                reference.append(Point(float(x) + rng2.random(), float(y) + rng2.random()))
+                reference.append((float(x) + rng2.random(), float(y) + rng2.random()))
             else:
-                reference.append(goal)
+                reference.append((goal.x, goal.y))
         assert ours == reference
 
 
 class TestNearestAndSteer:
     def test_single_node(self):
         t = Tree(Point(1, 1), 4)
-        assert t.nearest(Point(9, 9)) == 0
+        assert t.nearest(9.0, 9.0) == 0
 
     def test_picks_closest(self):
         t = Tree(Point(0, 0), 4)
-        t.add(Point(10, 0), 0, 10.0)
-        assert t.nearest(Point(1, 0)) == 0
-        assert t.nearest(Point(9, 0)) == 1
+        t.add(Point(10.0, 0.0), 0, 10.0)
+        assert t.nearest(1.0, 0.0) == 0
+        assert t.nearest(9.0, 0.0) == 1
 
     def test_tie_goes_to_lower_index(self):
         t = Tree(Point(0, 0), 4)
-        t.add(Point(2, 0), 0, 2.0)
-        assert t.nearest(Point(1, 0)) == 0
+        t.add(Point(2.0, 0.0), 0, 2.0)
+        assert t.nearest(1.0, 0.0) == 0
+
+    def test_near_is_inclusive_and_ascending(self):
+        t = Tree(Point(0, 0), 4)
+        t.add(Point(3.0, 4.0), 0, 5.0)
+        t.add(Point(1.0, 0.0), 0, 1.0)
+        assert t.near(0.0, 0.0, 5.0).tolist() == [0, 1, 2]
+        assert t.near(0.0, 0.0, 4.9).tolist() == [0, 2]
 
     def test_steer_short(self):
-        assert steer(Point(0, 0), Point(0, 0.5), 1.0) == Point(0, 0.5)
+        assert _steer(0.0, 0.0, 0.0, 0.5, 1.0) == (0.0, 0.5, 0.5)
 
     def test_steer_clamps(self):
-        assert steer(Point(0, 0), Point(10, 0), 1.0) == Point(1, 0)
+        assert _steer(0.0, 0.0, 10.0, 0.0, 1.0) == (1.0, 0.0, 1.0)
 
     def test_steer_3_4_5_direction(self):
-        p = steer(Point(0, 0), Point(3, 4), 2.5)
-        assert p.x == pytest.approx(1.5, abs=1e-12)
-        assert p.y == pytest.approx(2.0, abs=1e-12)
+        x, y, d = _steer(0.0, 0.0, 3.0, 4.0, 2.5)
+        assert x == pytest.approx(1.5, abs=1e-12)
+        assert y == pytest.approx(2.0, abs=1e-12)
+        assert d == pytest.approx(2.5, abs=1e-12)
 
 
 class TestPathCost:
@@ -337,8 +354,131 @@ class TestGoldenPaths:
         ]
 
     def test_tree_points_are_float(self):
-        tree = Tree(Point(1, 1), 4)
-        idx = tree.add(Point(2, 3), 0, 1.0)
-        for p in (tree.points[0], tree.points[idx]):
-            assert type(p.x) is float and type(p.y) is float
-        assert repr(tree.points[0]) == "Point(x=1.0, y=1.0)"
+        # int start and goal: a goal draw that reaches the tree must still be
+        # stored as floats, or save_path would write 17 for 17.0
+        g, cfg = self.world()
+        start, goal = Point(2, 2), Point(17, 4)
+        trees = (_rrt(g, start, goal, free_mask(g), cfg)[2], _rrt_star(g, start, goal, cfg)[3])
+        for tree in trees:
+            for p in tree.points:
+                assert type(p.x) is float and type(p.y) is float
+        assert repr(trees[0].points[0]) == "Point(x=2.0, y=2.0)"
+
+    def test_call_counts(self, monkeypatch):
+        """Calls to the methods perfbench wraps for its per-layer counters.
+
+        The loops must keep making these calls, one per query, so that a
+        faster loop cannot silently zero a counter.
+        """
+        counts = {}
+
+        def counting(cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(GridMap, "segment_clear")
+        for name in ("nearest", "near", "add"):
+            counting(Tree, name)
+        g, cfg = self.world()
+        plan_leg_rrt_star(g, Point(2, 2), Point(17, 4), cfg)
+        assert counts == {"nearest": 300, "near": 264, "add": 261, "segment_clear": 583}
+        counts.clear()
+        plan_leg_rrt(g, Point(2, 2), Point(17, 4), free_mask(g), cfg)
+        assert counts == {"nearest": 83, "add": 62, "segment_clear": 84}
+
+
+@st.composite
+def planner_instances(draw):
+    """A small random map, int start and goal cells, a mask and a seed."""
+    w = draw(st.integers(3, 20))
+    h = draw(st.integers(3, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.15, 0.3]))
+    free = np.argwhere(~cells)
+    if len(free) < 2:
+        cells[:] = False
+        free = np.argwhere(~cells)
+    a, b = rng.choice(len(free), 2, replace=False)
+    start = Point(int(free[a][1]), int(free[a][0]))
+    goal = Point(int(free[b][1]), int(free[b][0]))
+    kind = draw(st.sampled_from(["random", "empty", "free"]))
+    if kind == "random":
+        mask = RegionMask(rng.random((h, w)))
+    elif kind == "empty":  # no cell reaches the threshold: draws fall back to free cells
+        mask = RegionMask(np.zeros((h, w)))
+    else:
+        mask = RegionMask((~cells).astype(np.float64))
+    grid = GridMap(cells)
+    # a tolerance below the step lets a goal draw itself join the tree
+    cfg = PlannerConfig(
+        step_size=draw(st.sampled_from([0.75, 1.5, 3.0])),
+        goal_tolerance=draw(st.sampled_from([0.0, 0.5, 1.5, 3.0])),
+        rewire_radius=draw(st.sampled_from([1.0, 4.5])),
+        max_samples=draw(st.integers(1, 150)),
+        k=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+        mask_threshold=draw(st.sampled_from([0.3, 0.7])),
+        seed=draw(st.integers(0, 2**31)),
+    )
+    return grid, start, goal, mask, cfg
+
+
+def _outcome(plan, *args):
+    """What a planner run leaves behind, with points compared by repr."""
+    try:
+        out = plan(*args)
+    except NoPathFound as exc:
+        return ("NoPathFound", str(exc))
+    poly, tree = out[0], out[-1]
+    return (
+        [repr(p) for p in poly.points],
+        out[1:-1],  # samples, and RRT*'s first solution length
+        [repr(p) for p in tree.points],
+        tree.parents,
+        tree.costs,
+    )
+
+
+def assert_same_as_reference(grid, start, goal, mask, cfg):
+    assert _outcome(_rrt, grid, start, goal, mask, cfg) == _outcome(
+        planner_reference.rrt, grid, start, goal, mask, cfg
+    )
+    assert _outcome(_rrt_star, grid, start, goal, cfg) == _outcome(
+        planner_reference.rrt_star, grid, start, goal, cfg
+    )
+
+
+class TestMatchesPointReference:
+    """The float-pair loops return exactly what the Point-based loops return."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(planner_instances())
+    def test_property(self, instance):
+        assert_same_as_reference(*instance)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_sweep(self, seed):
+        rng = np.random.default_rng(seed)
+        cells = rng.random((32, 32)) < 0.2
+        cells[2, 2] = cells[29, 29] = False
+        grid = GridMap(cells)
+        values = rng.random((32, 32)) if seed % 2 else np.zeros((32, 32))
+        cfg = PlannerConfig(
+            step_size=1.5, goal_tolerance=0.5 + seed % 3 * 0.5, rewire_radius=4.5,
+            max_samples=400, seed=seed,
+        )
+        assert_same_as_reference(grid, Point(2, 2), Point(29, 29), RegionMask(values), cfg)
+
+
+class TestSampleCap:
+    def test_rejects_just_above_the_cap(self):
+        # the check fires in the config, before any tree is allocated
+        with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES}"):
+            PlannerConfig(max_samples=MAX_SAMPLES + 1)
+
+    def test_accepts_the_cap(self):
+        assert PlannerConfig(max_samples=MAX_SAMPLES).max_samples == MAX_SAMPLES
