@@ -26,7 +26,7 @@ from .grid import GoalSet, GridMap, ObstacleSpec, Point, generate_map, place_goa
 from .losses import LossWeights, bce_loss, dice_loss, mse_loss, total_loss
 from .pipeline import ALGORITHMS, verify_solution
 from .planner import PlannerConfig, plan_leg_rrt
-from .scenarios import builtin_scenario, comb_map, narrow_passage_instance
+from .scenarios import builtin_scenario
 from .tsp import Tour, held_karp, local_search_improve, nearest_neighbor, tour_cost
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from .errors import FormatError, GenerationFailed, InvalidArgument, PlacementFai
 from .estimators import default_dilation_radius, dilate_path_to_region, grid_shortest_path
 from .grid import (
     ObstacleSpec,
+    check_map_size,
     generate_map,
     load_goals,
     load_map,
@@ -41,6 +42,7 @@ def generate_dataset(
     """Generate n_maps labeled samples under out_dir and return the manifest."""
     if n_maps < 1:
         raise InvalidArgument("n_maps must be at least 1")
+    check_map_size(width, height)
     spec = ObstacleSpec(count_range=(4, 64), density_range=(0.10, 0.30))
     if min_separation is None:
         min_separation = max(width, height) / 8.0

@@ -8,9 +8,9 @@ produced predictions loaded from files.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,12 +157,15 @@ class WeightMatrix:
 
 @lru_cache(maxsize=16)
 def _move_table(pw: int) -> tuple:
-    """For each 8-bit move code, the (id offset, step cost) of its set moves in
-    NEIGHBORS_8 order, for ids on a map padded to width pw."""
+    """For each 8-bit move code, the id offsets of its set orthogonal moves and
+    of its set diagonal moves, each in NEIGHBORS_8 order, for ids on a map
+    padded to width pw."""
     moves = [(dy * pw + dx, cost) for dx, dy, cost in NEIGHBORS_8]
-    return tuple(
-        tuple(move for k, move in enumerate(moves) if code >> k & 1) for code in range(256)
-    )
+
+    def offsets(code: int, step: float) -> tuple:
+        return tuple(off for k, (off, cost) in enumerate(moves) if code >> k & 1 and cost == step)
+
+    return tuple((offsets(code, 1.0), offsets(code, SQRT2)) for code in range(256))
 
 
 def _move_codes(grid: GridMap) -> bytes:
@@ -194,9 +197,11 @@ def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
     """Shortest 8-connected cell-center paths from the cell of a to each target's cell.
 
     Orthogonal steps cost 1, diagonal steps sqrt(2); a diagonal move is
-    forbidden when either adjacent orthogonal cell is blocked. Ties are broken
-    by the fixed neighbor order and FIFO heap ordering, so every returned path
-    is deterministic. The search stops once every target cell is settled.
+    forbidden when either adjacent orthogonal cell is blocked. Cells are popped
+    from two FIFO queues, one for orthogonal and one for diagonal steps, in
+    the order of a heap with FIFO tie-breaking; with the fixed neighbor order
+    this breaks every tie, so every returned path is deterministic. The
+    search stops once every target cell is settled.
     Since a settled cell never gets a new parent, and the run up to settling
     a target is the run a single-target search would make, each path equals
     the one a search for that target alone returns.
@@ -226,29 +231,49 @@ def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
     dist = [math.inf] * n
     dist[start] = 0.0
     parent = [-1] * n
-    done = [False] * n
-    counter = 0
-    heap: list[tuple[float, int, int]] = [(0.0, counter, start)]
-    heappop, heappush = heapq.heappop, heapq.heappush
+    # The heap of a plain Dijkstra, as two FIFO queues of (key, cell): every
+    # key is d + 1 or d + sqrt(2) for the d just popped, popped keys never
+    # decrease and float addition is monotone, so each queue is already in
+    # (key, push order) and the heap minimum is the smaller head. On equal
+    # keys the diagonal head came from a strictly smaller d, since
+    # fl(d + sqrt(2)) > fl(d + 1) for d far below 2**51 (grid.MAX_CELLS keeps
+    # every distance there), so it was pushed first and wins the tie. Keys
+    # into a cell strictly decrease; an entry is stale unless its key is the
+    # cell's distance.
+    ortho: deque[tuple[float, int]] = deque()
+    diag: deque[tuple[float, int]] = deque()
+    push_ortho, pop_ortho = ortho.append, ortho.popleft
+    push_diag, pop_diag = diag.append, diag.popleft
+    d, c = 0.0, start
 
-    while heap:
-        d, _, c = heappop(heap)
-        if done[c]:
-            continue
-        if c in pending:
-            pending[c] = d
-            left -= 1
-            if not left:
-                break
-        done[c] = True
-        for off, cost in table[code[c]]:
-            nc = c + off
-            nd = d + cost
-            if nd < dist[nc]:
-                dist[nc] = nd
-                parent[nc] = c
-                counter += 1
-                heappush(heap, (nd, counter, nc))
+    while True:
+        if d == dist[c]:
+            if c in pending:
+                pending[c] = d
+                left -= 1
+                if not left:
+                    break
+            ortho_moves, diag_moves = table[code[c]]
+            nd = d + 1.0
+            for off in ortho_moves:
+                nc = c + off
+                if nd < dist[nc]:
+                    dist[nc] = nd
+                    parent[nc] = c
+                    push_ortho((nd, nc))
+            nd = d + SQRT2
+            for off in diag_moves:
+                nc = c + off
+                if nd < dist[nc]:
+                    dist[nc] = nd
+                    parent[nc] = c
+                    push_diag((nd, nc))
+        if diag and (not ortho or diag[0][0] <= ortho[0][0]):
+            d, c = pop_diag()
+        elif ortho:
+            d, c = pop_ortho()
+        else:
+            break
 
     out = []
     for b in targets:

@@ -39,6 +39,10 @@ from .pgm import read_pgm, write_pgm
 ORACLE_CONNECTIVITY = ndimage.generate_binary_structure(2, 1)
 
 _RETRY_BUDGET = 100
+# Largest map, in cells. It bounds what a map allocates (a map's per-cell
+# tables, the oracle's lists) and keeps every oracle distance far below 2**51,
+# which the oracle search's tie rule needs.
+MAX_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -64,12 +68,12 @@ class GridMap:
     """Immutable 2D occupancy grid; True cells are obstacles."""
 
     def __init__(self, cells: np.ndarray):
-        arr = np.array(cells, dtype=bool)
-        if arr.ndim != 2:
+        shape = np.shape(cells)
+        if len(shape) != 2:
             raise ValueError("cells must be a 2D table")
-        height, width = arr.shape
-        if width < 2 or height < 2:
-            raise InvalidArgument(f"map must be at least 2x2, got {width}x{height}")
+        height, width = shape
+        check_map_size(width, height)
+        arr = np.array(cells, dtype=bool)
         if arr.all():
             raise InvalidArgument("map has no free cell")
         arr.setflags(write=False)
@@ -248,12 +252,22 @@ class ObstacleSpec:
             raise InvalidArgument(f"bad density_range {self.density_range}")
 
 
+def check_map_size(width: int, height: int) -> None:
+    """Reject a map shape below 2x2 or above MAX_CELLS cells, before anything
+    of that size is allocated."""
+    if width < 2 or height < 2:
+        raise InvalidArgument(f"map must be at least 2x2, got {width}x{height}")
+    if width * height > MAX_CELLS:
+        raise InvalidArgument(f"map must have at most {MAX_CELLS} cells, got {width}x{height}")
+
+
 def generate_map(seed: int, width: int, height: int, spec: ObstacleSpec | None = None) -> GridMap:
     """Generate a random obstacle map, deterministic for a fixed seed.
 
     Retries internally (bounded) until density and connectivity constraints
     hold; raises GenerationFailed when the budget is exhausted.
     """
+    check_map_size(width, height)
     spec = spec or ObstacleSpec()
     rng = np.random.default_rng(_check_seed(seed))
     total = width * height

@@ -335,6 +335,9 @@ def _check_endpoints(grid, start, goal):
 
 
 def _finish(points: list[Point], goal: Point) -> PathPolyline:
+    """The polyline through points to goal, with float end points like every
+    tree node, whatever the caller's start and goal hold."""
+    points = [Point(float(points[0].x), float(points[0].y)), *points[1:]]
     if points[-1] != goal:
-        points = list(points) + [goal]
+        points.append(Point(float(goal.x), float(goal.y)))
     return PathPolyline(points)

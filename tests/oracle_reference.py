@@ -1,7 +1,10 @@
 """Plain versions of the oracle's grid search, Held-Karp table and region
-dilation, the references that the package's table-driven search, layered
-Held-Karp and disk-row dilation are tested against for exact equality."""
+dilation, the references that the package's two-queue table-driven search,
+layered Held-Karp and disk-row dilation are tested against for exact
+equality. The search here stays a textbook Dijkstra on one heap of
+(key, push counter, cell) entries."""
 
+import collections
 import heapq
 import math
 
@@ -11,11 +14,16 @@ from scipy import ndimage
 from multigoal.estimators import NEIGHBORS_8
 
 
-def shortest_paths_from(grid, a, targets):
+def shortest_paths_from(grid, a, targets, tally=None):
     """Dijkstra with the free and corner tests in the inner loop.
 
     Same contract as multigoal.estimators.shortest_paths_from: one
     (cell path, length) per target, or None for an unreachable target.
+
+    With a collections.Counter as tally, tally["ties"] counts the pops whose
+    entry has an equal key with a live entry of the other move kind
+    (orthogonal or diagonal) still in the heap: the pops where the push
+    counter, not the key, decides which of two cells comes first.
     """
     pw = grid.width + 2
     padded = np.ones((grid.height + 2, pw), dtype=bool)
@@ -38,10 +46,16 @@ def shortest_paths_from(grid, a, targets):
     done = [False] * n
     counter = 0
     heap = [(0.0, counter, start)]
+    # live entries by (key, diagonal), and the move kind of each cell's live entry
+    live = collections.Counter()
+    diagonal = [None] * n
     while heap:
         d, _, c = heapq.heappop(heap)
         if done[c]:
             continue
+        if tally is not None and diagonal[c] is not None:
+            live[d, diagonal[c]] -= 1
+            tally["ties"] += live[d, not diagonal[c]] > 0
         if c in pending:
             pending[c] = d
             left -= 1
@@ -56,6 +70,11 @@ def shortest_paths_from(grid, a, targets):
                 continue
             nd = d + cost
             if nd < dist[nc]:
+                if tally is not None:
+                    if diagonal[nc] is not None:  # its old entry goes stale
+                        live[dist[nc], diagonal[nc]] -= 1
+                    diagonal[nc] = cost != 1.0
+                    live[nd, diagonal[nc]] += 1
                 dist[nc] = nd
                 parent[nc] = c
                 counter += 1

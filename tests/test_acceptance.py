@@ -15,6 +15,7 @@ import multigoal as mg
 from multigoal.bench import benchmark
 from multigoal.cli import main as cli_main
 from multigoal.dataset import generate_dataset, validate_dataset
+from scenario_families import comb_map, narrow_passage_instance
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -134,7 +135,7 @@ def test_criterion_4_ordering_advantage():
     seed = 0
     while made < 50:
         seed += 1
-        grid = mg.comb_map(20240100 + seed)
+        grid = comb_map(20240100 + seed)
         if grid.density() < 0.25:
             continue
         try:
@@ -166,7 +167,7 @@ def test_criterion_5_heuristic_sampling_speedup():
     guided_counts, uniform_counts = [], []
     guided_ok = uniform_ok = 0
     for s in range(50):
-        grid, start, goal = mg.narrow_passage_instance(20240300 + s)
+        grid, start, goal = narrow_passage_instance(20240300 + s)
         path, _ = mg.grid_shortest_path(grid, start, goal)
         mask = mg.dilate_path_to_region(grid, path, mg.default_dilation_radius(grid))
         uniform_mask = mg.RegionMask((~grid.cells).astype(float))

@@ -6,7 +6,7 @@ import pytest
 from multigoal import GridMap, GoalSet, Point, benchmark
 from multigoal.bench import aggregate, bench_seed, format_report, write_aggregate_csv, write_results_csv
 from multigoal.dataset import _split_of, generate_dataset, validate_dataset
-from multigoal.errors import FormatError
+from multigoal.errors import FormatError, InvalidArgument
 from multigoal.scenarios import Scenario
 
 
@@ -175,3 +175,8 @@ class TestGenerateDataset:
     def test_rejects_nonpositive_n(self, tmp_path):
         with pytest.raises(ValueError):
             generate_dataset(0, 1, tmp_path)
+
+    def test_rejects_maps_above_the_cap_before_writing(self, tmp_path):
+        with pytest.raises(InvalidArgument, match="at most 16777216 cells, got 4097x4096"):
+            generate_dataset(1, 1, tmp_path / "ds", width=4097, height=4096)
+        assert not (tmp_path / "ds").exists()

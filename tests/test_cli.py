@@ -62,6 +62,13 @@ class TestGenDataset:
         assert run(["gen-dataset", "--n", 0, "--out-dir", tmp_path / "ds"]) == 1
         assert "n_maps must be at least 1" in capsys.readouterr().err
 
+    def test_map_above_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        args = ["gen-dataset", "--n", 1, "--width", 4097, "--height", 4096, "--out-dir", out]
+        assert run(args) == 1
+        assert "map must have at most 16777216 cells, got 4097x4096" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimateAndTsp:
     def test_estimate_writes_prediction_layout(self, small_world, tmp_path):
@@ -587,6 +594,9 @@ class TestBadInputExitsOne:
         (["gen-map", "--goals", 1], "need m >= 2 goals, got 1"),
         (["score", "--alpha", "1,x"], "--alpha: could not convert string to float: 'x'"),
         (["score", "--alpha", "0,1,1"], "--alpha: all loss weights must be positive"),
+        (["gen-map", "--width", -5], "map must be at least 2x2, got -5x64"),
+        (["gen-map", "--width", 3_000_000, "--height", 3_000_000],
+         "map must have at most 16777216 cells, got 3000000x3000000"),
     ])
     def test_rejected_value(self, tmp_path, capsys, args, message):
         if args[0] == "gen-map":

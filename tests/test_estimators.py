@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from multigoal import (
     GoalSet,
     GridMap,
     GridOracleEstimator,
+    ObstacleSpec,
     Point,
     RegionMask,
     WeightMatrix,
@@ -477,6 +479,7 @@ class TestMatchesReference:
         # search in a hundred here), so this sweeps more maps than hypothesis
         # draws; a change of relaxation order shows in about 15 of them
         rng = np.random.default_rng(5)
+        tally = collections.Counter()
         for _ in range(1500):
             w, h = rng.integers(2, 13, 2)
             cells = rng.random((h, w)) < 0.25
@@ -486,8 +489,25 @@ class TestMatchesReference:
             free = g.free_cells()[rng.integers(0, len(g.free_cells()), 4)]
             start, *targets = [Point(x + 0.5, y + 0.5) for x, y in free]
             assert shortest_paths_from(g, start, targets) == ref.shortest_paths_from(
-                g, start, targets
+                g, start, targets, tally
             )
+        assert tally["ties"] > 0  # pops where the orthogonal/diagonal tie rule decides
+
+    def test_search_on_generated_maps(self):
+        # all pairs of 10 goals on 20 generated 64x64 maps: the maps the
+        # oracle labels. Letting the orthogonal head win equal keys changes
+        # 6 of these 180 searches.
+        spec = ObstacleSpec(density_range=(0.15, 0.30))
+        tally = collections.Counter()
+        for seed in range(20):
+            g = generate_map(seed, 64, 64, spec)
+            goals = list(place_goals(g, 10, seed=seed))
+            for i, start in enumerate(goals[:-1]):
+                targets = goals[i + 1 :]
+                assert shortest_paths_from(g, start, targets) == ref.shortest_paths_from(
+                    g, start, targets, tally
+                )
+        assert tally["ties"] > 0
 
 
 class TestWeightMatrix:

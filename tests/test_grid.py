@@ -15,8 +15,8 @@ from multigoal import (
     save_goals,
     save_map,
 )
-from multigoal.errors import FormatError, OutOfBoundsError
-from multigoal.grid import load_goals, load_map
+from multigoal.errors import FormatError, InvalidArgument, OutOfBoundsError
+from multigoal.grid import MAX_CELLS, check_map_size, load_goals, load_map
 from sampled_reference import segment_free
 
 
@@ -39,6 +39,18 @@ class TestGridMap:
     def test_rejects_all_blocked(self):
         with pytest.raises(ValueError):
             GridMap(np.ones((4, 4), dtype=bool))
+
+    def test_rejects_maps_above_the_cap(self):
+        # a zero-stride view: the shape is checked before the cells are copied
+        cells = np.broadcast_to(np.zeros(1, dtype=bool), (4096, 4097))
+        with pytest.raises(InvalidArgument, match="at most 16777216 cells, got 4097x4096"):
+            GridMap(cells)
+        with pytest.raises(InvalidArgument, match="at most 16777216 cells, got 3000000x3000000"):
+            generate_map(0, 3_000_000, 3_000_000)
+        assert MAX_CELLS == 4096 * 4096
+        check_map_size(4096, 4096)
+        with pytest.raises(InvalidArgument, match="at least 2x2, got -5x10"):
+            check_map_size(-5, 10)
 
     def test_cells_are_immutable(self):
         g = empty_map()

@@ -350,7 +350,7 @@ class TestGoldenPaths:
             "Point(x=13.226030506358782, y=3.2591246016302513)",
             "Point(x=14.906586211372284, y=2.1748125974789674)",
             "Point(x=16.414074600009293, y=3.4891484594733804)",
-            "Point(x=17, y=4)",
+            "Point(x=17.0, y=4.0)",
         ]
 
     def test_tree_points_are_float(self):
@@ -363,6 +363,13 @@ class TestGoldenPaths:
             for p in tree.points:
                 assert type(p.x) is float and type(p.y) is float
         assert repr(trees[0].points[0]) == "Point(x=2.0, y=2.0)"
+
+    def test_leg_ends_are_float(self):
+        # a trivially connected leg holds only the caller's start and goal
+        g, cfg = self.world()
+        poly, samples = plan_leg_rrt(g, Point(2, 2), Point(3, 2), free_mask(g), cfg)
+        assert samples == 0
+        assert [repr(p) for p in poly.points] == ["Point(x=2.0, y=2.0)", "Point(x=3.0, y=2.0)"]
 
     def test_call_counts(self, monkeypatch):
         """Calls to the methods perfbench wraps for its per-layer counters.

@@ -17,10 +17,9 @@ PUBLIC = {
     # tests/test_acceptance.py and perfbench/
     "ALGORITHMS", "EuclideanEstimator", "GridOracleEstimator", "LossWeights", "NoPathFound",
     "ObstacleSpec", "PlacementFailed", "PlannerConfig", "RegionMask", "WeightMatrix",
-    "bce_loss", "build_weight_matrix", "builtin_scenario", "comb_map",
-    "default_dilation_radius", "dice_loss", "dilate_path_to_region", "generate_map",
-    "grid_shortest_path", "held_karp", "local_search_improve", "mse_loss",
-    "narrow_passage_instance", "nearest_neighbor", "place_goals", "plan_leg_rrt",
+    "bce_loss", "build_weight_matrix", "builtin_scenario", "default_dilation_radius",
+    "dice_loss", "dilate_path_to_region", "generate_map", "grid_shortest_path", "held_karp",
+    "local_search_improve", "mse_loss", "nearest_neighbor", "place_goals", "plan_leg_rrt",
     "save_goals", "save_map", "total_loss", "tour_cost",
 }
 
@@ -28,7 +27,7 @@ PUBLIC = {
 def test_exports_exactly_the_used_names():
     public = {n for n in dir(multigoal) if not n.startswith("_")}
     modules = {n for n in public if isinstance(getattr(multigoal, n), types.ModuleType)}
-    assert len(PUBLIC) == 36
+    assert len(PUBLIC) == 34
     assert public - modules == PUBLIC
     assert all(getattr(multigoal, n).__name__ == f"multigoal.{n}" for n in modules)
 

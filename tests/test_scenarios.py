@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from multigoal import comb_map, narrow_passage_instance
+from scenario_families import comb_map, narrow_passage_instance
 
 
 def digest(cells, *points):
