@@ -47,16 +47,15 @@ def generate_dataset(
     if min_separation is None:
         min_separation = max(width, height) / 8.0
 
-    os.makedirs(out_dir, exist_ok=True)
-    for sub in ("maps", "goals", "masks"):
-        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
-
     samples = []
     dist_rows = []
     for i in range(n_maps):
         sample_id = f"sample_{i:05d}"
         grid, goals, path, length = _make_sample(seed, i, width, height, spec, min_separation)
         mask = dilate_path_to_region(grid, path, default_dilation_radius(grid))
+        if i == 0:  # a run that cannot make one sample leaves no tree behind
+            for sub in ("maps", "goals", "masks"):
+                os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
         map_rel = f"maps/{sample_id}.map"
         goals_rel = f"goals/{sample_id}.csv"

@@ -69,6 +69,19 @@ class TestGenDataset:
         assert "map must have at most 16777216 cells, got 4097x4096" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_run_leaves_no_tree(self, tmp_path, capsys):
+        # no 2x2 map has a blocked density in [0.1, 0.3], so sample 0 is never made
+        out, kept = tmp_path / "ds", tmp_path / "kept"
+        (kept / "maps").mkdir(parents=True)
+        (kept / "notes.txt").write_text("mine\n")
+        for target in (out, kept):
+            args = ["gen-dataset", "--n", 1, "--width", 2, "--height", 2, "--out-dir", target]
+            assert run(args) == 1
+            assert "sample 0: no valid map/goal pair" in capsys.readouterr().err
+        assert not out.exists()
+        assert sorted(p.name for p in kept.rglob("*")) == ["maps", "notes.txt"]
+        assert (kept / "notes.txt").read_text() == "mine\n"
+
 
 class TestEstimateAndTsp:
     def test_estimate_writes_prediction_layout(self, small_world, tmp_path):

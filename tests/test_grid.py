@@ -3,6 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from multigoal import (
     GoalSet,
@@ -246,6 +249,70 @@ class TestPlaceGoals:
         labels = g.component_labels()
         comp = {labels[p.cell()[1], p.cell()[0]] for p in goals}
         assert len(comp) == 1
+
+
+def reference_labels(cells):
+    """scipy's 4-connected labels of the free cells: an independent reference."""
+    return ndimage.label(~cells, structure=ndimage.generate_binary_structure(2, 1))[0]
+
+
+@st.composite
+def label_maps(draw):
+    """Maps of 2-40 cells a side, 2xN and Nx2 included, in the shapes that stress
+    a run-based labeling: noise, corner pinches, one-cell runs, serpentines."""
+    thin = draw(st.sampled_from(["none", "rows", "cols"]))
+    h = 2 if thin == "rows" else draw(st.integers(2, 40))
+    w = 2 if thin == "cols" else draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(
+        ["noise", "checkerboard", "one-cell-runs", "all-free", "one-free", "serpentine"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = rng.random((h, w)) < draw(st.floats(0.0, 0.9))
+    ys, xs = np.indices((h, w))
+    if kind == "noise":
+        cells = noise
+    elif kind == "checkerboard":  # every free cell meets the next only at a corner
+        cells = (ys + xs) % 2 == draw(st.integers(0, 1))
+    elif kind == "one-cell-runs":  # free columns one cell wide, some cut by noise
+        cells = (xs % 2 == 1) | (noise & (rng.random((h, w)) < 0.3))
+    elif kind == "all-free":
+        cells = np.zeros((h, w), dtype=bool)
+    elif kind == "one-free":
+        cells = np.ones((h, w), dtype=bool)
+    else:  # walls on odd rows, each open at the end opposite the last one
+        cells = ys % 2 == 1
+        cells[1::4, -1] = False
+        cells[3::4, 0] = False
+    if draw(st.booleans()):
+        cells = cells.T
+    cells = np.array(cells, dtype=bool)
+    if cells.all():
+        cells[rng.integers(cells.shape[0]), rng.integers(cells.shape[1])] = False
+    return cells
+
+
+class TestComponentLabels:
+    @settings(max_examples=120, deadline=None)
+    @given(label_maps())
+    def test_equals_scipy_label(self, cells):
+        labels = GridMap(cells).component_labels()
+        expected = reference_labels(cells)
+        assert labels.dtype == expected.dtype == np.int32
+        assert np.array_equal(labels, expected)
+
+    def test_large_noise_map(self):
+        # tens of thousands of runs: a recursive union step would hit the depth limit
+        cells = np.random.default_rng(512).random((512, 512)) < 0.4
+        labels = GridMap(cells).component_labels()
+        run_starts = np.count_nonzero(~cells[:, 0]) + np.count_nonzero(cells[:, :-1] & ~cells[:, 1:])
+        assert run_starts > 30000
+        assert np.array_equal(labels, reference_labels(cells))
+
+    def test_cached_and_read_only(self):
+        g = generate_map(3, 32, 32)
+        labels = g.component_labels()
+        assert g.component_labels() is labels
+        assert not labels.flags.writeable
 
 
 class TestMapFiles:
