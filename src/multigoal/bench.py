@@ -8,35 +8,48 @@ empty so reruns are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import statistics
 import time
 from dataclasses import dataclass, field
 
 from .errors import InvalidArgument, NoPathFound, Unreachable
+from .grid import write_rows
 from .pipeline import ALGORITHMS, Solution, run_algorithm
 from .planner import PlannerConfig
 
 RESULTS_HEADER = ["scenario", "algorithm", "repeat", "seed", "cost", "time_s", "samples", "order"]
+AGGREGATE_HEADER = ["scenario", "algorithm", "runs", "failures",
+                    "cost_median", "cost_min", "cost_max"]
 
 
 @dataclass
 class BenchmarkRecord:
+    """One run: its Solution, or the name of the error that ended it."""
+
     scenario: str
     algorithm: str
     repeat: int
     seed: int
-    cost: float | None
     wall_time_s: float
-    samples: int | None
-    order: tuple[int, ...] | None
-    error: str | None = None
     solution: Solution | None = field(default=None, repr=False)
+    error: str | None = None
 
     @property
     def failed(self) -> bool:
-        return self.error is not None
+        return self.solution is None
+
+    @property
+    def cost(self) -> float | None:
+        return None if self.failed else self.solution.total_cost
+
+    @property
+    def samples(self) -> int | None:
+        return None if self.failed else self.solution.samples_total
+
+    @property
+    def order(self) -> tuple[int, ...] | None:
+        return None if self.failed else self.solution.tour.order
 
 
 def bench_seed(base: int, scenario_id: str, algorithm: str, repeat: int) -> int:
@@ -67,122 +80,71 @@ def benchmark(
             for repeat in range(repeats):
                 seed = bench_seed(base_seed, scenario.scenario_id, algorithm, repeat)
                 cfg = PlannerConfig.for_map(scenario.grid, seed=seed, **(cfg_overrides or {}))
+                solution = error = None
                 t0 = time.perf_counter()
                 try:
-                    sol = run_algorithm(
+                    solution = run_algorithm(
                         scenario.grid, scenario.goals, algorithm, cfg, estimator=estimator
                     )
-                    records.append(
-                        BenchmarkRecord(
-                            scenario.scenario_id,
-                            algorithm,
-                            repeat,
-                            seed,
-                            sol.total_cost,
-                            time.perf_counter() - t0,
-                            sol.samples_total,
-                            sol.tour.order,
-                            solution=sol,
-                        )
-                    )
                 except (NoPathFound, Unreachable) as exc:
-                    records.append(
-                        BenchmarkRecord(
-                            scenario.scenario_id,
-                            algorithm,
-                            repeat,
-                            seed,
-                            None,
-                            time.perf_counter() - t0,
-                            None,
-                            None,
-                            error=type(exc).__name__,
-                        )
+                    error = type(exc).__name__
+                wall = time.perf_counter() - t0
+                records.append(
+                    BenchmarkRecord(
+                        scenario.scenario_id, algorithm, repeat, seed, wall, solution, error
                     )
+                )
     return records
 
 
 def write_results_csv(path, records) -> None:
     """Deterministic results table; the time_s column is intentionally empty."""
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.scenario,
-                    r.algorithm,
-                    r.repeat,
-                    r.seed,
-                    "" if r.cost is None else repr(r.cost),
-                    "",
-                    "" if r.samples is None else r.samples,
-                    "FAILED" if r.order is None else ",".join(str(v) for v in r.order),
-                ]
-            )
+    rows = [
+        [r.scenario, r.algorithm, r.repeat, r.seed, r.cost, "", r.samples,
+         "FAILED" if r.failed else ",".join(map(str, r.order))]
+        for r in records
+    ]
+    write_rows(path, [RESULTS_HEADER, *rows])
 
 
 def write_timings_csv(path, records) -> None:
     """Wall-time sidecar; machine dependent, excluded from determinism guarantees."""
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["scenario", "algorithm", "repeat", "time_s"])
-        for r in records:
-            writer.writerow([r.scenario, r.algorithm, r.repeat, f"{r.wall_time_s:.6f}"])
+    rows = [[r.scenario, r.algorithm, r.repeat, f"{r.wall_time_s:.6f}"] for r in records]
+    write_rows(path, [["scenario", "algorithm", "repeat", "time_s"], *rows])
 
 
-def aggregate(records) -> list[dict]:
-    """Per (scenario, algorithm): run counts and cost statistics over successes."""
+def _groups(records) -> list[tuple[tuple[str, str], list[BenchmarkRecord]]]:
+    """The records of each (scenario, algorithm), in sorted key order."""
     groups: dict[tuple[str, str], list[BenchmarkRecord]] = {}
     for r in records:
         groups.setdefault((r.scenario, r.algorithm), []).append(r)
+    return sorted(groups.items())
+
+
+def aggregate(records) -> list[dict]:
+    """Per (scenario, algorithm): run counts and cost statistics over successes,
+    keyed by AGGREGATE_HEADER."""
     rows = []
-    for (scenario, algorithm), group in sorted(groups.items()):
-        costs = [r.cost for r in group if r.cost is not None]
-        rows.append(
-            {
-                "scenario": scenario,
-                "algorithm": algorithm,
-                "runs": len(group),
-                "failures": sum(1 for r in group if r.failed),
-                "cost_median": statistics.median(costs) if costs else None,
-                "cost_min": min(costs) if costs else None,
-                "cost_max": max(costs) if costs else None,
-            }
-        )
+    for (scenario, algorithm), group in _groups(records):
+        costs = [r.cost for r in group if not r.failed]
+        stats = [statistics.median(costs), min(costs), max(costs)] if costs else [None] * 3
+        values = [scenario, algorithm, len(group), len(group) - len(costs), *stats]
+        rows.append(dict(zip(AGGREGATE_HEADER, values)))
     return rows
 
 
 def write_aggregate_csv(path, records) -> None:
-    rows = aggregate(records)
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(
-            ["scenario", "algorithm", "runs", "failures", "cost_median", "cost_min", "cost_max"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["scenario"],
-                    row["algorithm"],
-                    row["runs"],
-                    row["failures"],
-                    *("" if row[k] is None else repr(row[k]) for k in ("cost_median", "cost_min", "cost_max")),
-                ]
-            )
+    write_rows(path, [AGGREGATE_HEADER, *(row.values() for row in aggregate(records))])
 
 
 def format_report(records) -> str:
     """Readable summary including median wall times (not part of the CSV artifacts)."""
-    groups: dict[tuple[str, str], list[BenchmarkRecord]] = {}
-    for r in records:
-        groups.setdefault((r.scenario, r.algorithm), []).append(r)
     lines = [
         f"{'scenario':<12} {'algorithm':<20} {'ok':>3} {'fail':>4} "
         f"{'median cost':>12} {'median time':>12}"
     ]
-    for (scenario, algorithm), group in sorted(groups.items()):
-        costs = [r.cost for r in group if r.cost is not None]
+    for (scenario, algorithm), group in _groups(records):
+        costs = [r.cost for r in group if not r.failed]
         times = [r.wall_time_s for r in group]
         cost_s = f"{statistics.median(costs):.2f}" if costs else "-"
         lines.append(

@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import bench as bench_mod
-from .errors import BlockedPoint, FormatError, MultigoalError, OutOfBoundsError
+from .errors import BlockedPoint, DimensionMismatch, FormatError, MultigoalError, OutOfBoundsError
 from .estimators import (
     RegionMask,
     WeightMatrix,
@@ -35,6 +35,8 @@ from .grid import (
     read_rows,
     save_goals,
     save_map,
+    write_lines,
+    write_rows,
 )
 from .dataset import generate_dataset, validate_dataset
 from .losses import LossWeights, score_predictions
@@ -236,6 +238,16 @@ def _load_goals_on(grid: GridMap, path) -> GoalSet:
     return goals
 
 
+def _load_mask_on(grid: GridMap, path) -> RegionMask:
+    """A region mask from a PGM file, checked to match grid's shape."""
+    mask = RegionMask.from_u8(read_pgm(path))
+    try:
+        mask.check_shape(grid)
+    except DimensionMismatch as exc:
+        raise DimensionMismatch(f"{path}: {exc}") from None
+    return mask
+
+
 def _parse_point(text: str) -> Point:
     try:
         x, y = text.split(",")
@@ -301,8 +313,7 @@ def _cmd_tsp(args) -> int:
         sort_keys=True,
     )
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as f:
-            f.write(payload + "\n")
+        write_lines(args.out, [payload])
         print(f"wrote {args.out}")
     else:
         print(payload)
@@ -321,7 +332,7 @@ def _cmd_plan(args) -> int:
         poly, samples = plan_leg_rrt_star(grid, start, goal, cfg)
     else:
         if args.mask:
-            mask = RegionMask.from_u8(read_pgm(args.mask))
+            mask = _load_mask_on(grid, args.mask)
         else:
             mask = RegionMask((~grid.cells).astype(float))
         poly, samples = plan_leg_rrt(grid, start, goal, mask, cfg)
@@ -330,9 +341,7 @@ def _cmd_plan(args) -> int:
     save_path(args.out_path, poly)
     stats = {"length": poly.length, "samples_used": samples, "wall_time_s": wall}
     if args.out_stats:
-        with open(args.out_stats, "w", encoding="ascii", newline="\n") as f:
-            json.dump(stats, f, sort_keys=True)
-            f.write("\n")
+        write_lines(args.out_stats, [json.dumps(stats, sort_keys=True)])
     print(f"path length {poly.length:.3f} with {samples} samples in {wall:.3f}s")
     return 0
 
@@ -362,9 +371,8 @@ def _cmd_pipeline(args) -> int:
         "samples_total": solution.samples_total,
         "legs": leg_files,
     }
-    with open(os.path.join(args.out_dir, "solution.json"), "w", encoding="ascii", newline="\n") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    solution_json = json.dumps(summary, indent=2, sort_keys=True)
+    write_lines(os.path.join(args.out_dir, "solution.json"), [solution_json])
     if args.svg:
         render_svg(grid, goals, legs=solution.legs, out_path=args.svg)
 
@@ -423,10 +431,7 @@ def _cmd_score(args) -> int:
         f"mse {agg['mse']:.6f}  total {agg['total']:.6f}"
     )
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as f:
-            f.write("i,j,bce,dice,squared_error\n")
-            for i, j, l1, l2, err in rows:
-                f.write(f"{i},{j},{l1!r},{l2!r},{err!r}\n")
+        write_rows(args.out, [("i", "j", "bce", "dice", "squared_error"), *rows])
         print(f"wrote {args.out}")
     return 0
 
@@ -434,7 +439,7 @@ def _cmd_score(args) -> int:
 def _cmd_render(args) -> int:
     grid = load_map(args.map_path)
     goals = _load_goals_on(grid, args.goals_path) if args.goals_path else None
-    masks = [RegionMask.from_u8(read_pgm(p)) for p in args.mask] or None
+    masks = [_load_mask_on(grid, p) for p in args.mask] or None
 
     legs = [load_path(p) for p in args.path]
     if args.solution_dir:

@@ -24,6 +24,8 @@ from .grid import (
     read_rows,
     save_goals,
     save_map,
+    write_lines,
+    write_rows,
 )
 from .pgm import read_pgm, write_pgm
 from .pipeline import derive_seed
@@ -63,7 +65,7 @@ def generate_dataset(
         save_map(os.path.join(out_dir, map_rel), grid)
         save_goals(os.path.join(out_dir, goals_rel), goals)
         write_pgm(os.path.join(out_dir, mask_rel), mask.to_u8())
-        dist_rows.append(f"{sample_id},{length!r}")
+        dist_rows.append((sample_id, length))
         samples.append(
             {
                 "id": sample_id,
@@ -75,8 +77,7 @@ def generate_dataset(
             }
         )
 
-    with open(os.path.join(out_dir, "distances.csv"), "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(dist_rows) + "\n")
+    write_rows(os.path.join(out_dir, "distances.csv"), dist_rows)
 
     manifest = {
         "seed": int(seed),
@@ -86,9 +87,9 @@ def generate_dataset(
         "split_ratio": "6:2:2",
         "samples": samples,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii", newline="\n") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_lines(
+        os.path.join(out_dir, "manifest.json"), [json.dumps(manifest, indent=2, sort_keys=True)]
+    )
     return manifest
 
 

@@ -24,7 +24,7 @@ from .errors import (
     MissingPrediction,
     Unreachable,
 )
-from .grid import GoalSet, GridMap, Point, read_rows
+from .grid import GoalSet, GridMap, Point, read_rows, write_rows
 from .pgm import read_pgm, write_pgm
 
 SQRT2 = math.sqrt(2.0)
@@ -130,9 +130,7 @@ class WeightMatrix:
         return isinstance(other, WeightMatrix) and bool(np.array_equal(self.w, other.w))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as f:
-            for row in self.w:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_rows(path, self.w.tolist())
 
     @classmethod
     def from_csv(cls, path) -> "WeightMatrix":
@@ -467,10 +465,11 @@ def export_predictions(directory, grid: GridMap, goals: GoalSet, est: Estimator)
     """
     os.makedirs(directory, exist_ok=True)
     matrix, masks = build_weight_matrix(grid, goals, est)
-    with open(os.path.join(directory, "distances.csv"), "w", encoding="ascii", newline="\n") as f:
-        for (i, j), mask in sorted(masks.items()):
-            write_pgm(os.path.join(directory, pair_mask_filename(i, j)), mask.to_u8())
-            f.write(f"{i},{j},{matrix[i, j]!r}\n")
+    for (i, j), mask in sorted(masks.items()):
+        write_pgm(os.path.join(directory, pair_mask_filename(i, j)), mask.to_u8())
+    write_rows(
+        os.path.join(directory, "distances.csv"), [(i, j, matrix[i, j]) for i, j in sorted(masks)]
+    )
     return matrix, masks
 
 

@@ -13,6 +13,8 @@ Goals files are CSV with one "x,y" pair per line.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -177,12 +179,15 @@ class GridMap:
 
     def largest_component_cells(self) -> np.ndarray:
         """(N, 2) free-cell (x, y) indices of the largest free component."""
-        labels = self.component_labels()
-        counts = np.bincount(labels.ravel())
-        counts[0] = 0
-        best = int(counts.argmax())
-        rows, cols = np.nonzero(labels == best)
-        return np.column_stack([cols, rows]).astype(np.intp)
+        if not hasattr(self, "_largest_cells"):
+            labels = self.component_labels()
+            counts = np.bincount(labels.ravel())
+            counts[0] = 0
+            rows, cols = np.nonzero(labels == counts.argmax())
+            cells = np.column_stack([cols, rows]).astype(np.intp)
+            cells.setflags(write=False)
+            self._largest_cells = cells
+        return self._largest_cells
 
 
 class GoalSet:
@@ -340,7 +345,8 @@ def generate_map(seed: int, width: int, height: int, spec: ObstacleSpec | None =
         if not (dmin <= blocked / total <= dmax) or blocked == total:
             continue
         grid = GridMap(cells)
-        if len(grid.largest_component_cells()) >= 0.5 * (total - blocked):
+        # the largest component's size (blocked < total, so label 1 exists)
+        if np.bincount(grid.component_labels().ravel())[1:].max() >= 0.5 * (total - blocked):
             return grid
 
     raise GenerationFailed(
@@ -358,8 +364,8 @@ def place_goals(grid: GridMap, m: int, seed: int, min_separation: float = 0.0) -
     """
     if m < 2:
         raise InvalidArgument(f"need m >= 2 goals, got {m}")
-    if min_separation < 0:
-        raise InvalidArgument("min_separation must be nonnegative")
+    if not 0 <= min_separation < math.inf:  # also rejects nan
+        raise InvalidArgument(f"min_separation must be finite and >= 0, got {min_separation}")
     rng = np.random.default_rng(_check_seed(seed))
     cells = grid.largest_component_cells()
     if len(cells) < m:
@@ -431,9 +437,7 @@ def _text_map_cells(path) -> np.ndarray:
 
 def save_goals(path, goals: GoalSet) -> None:
     """Write goals as CSV, one "x,y" pair per line."""
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        for p in goals:
-            f.write(f"{p.x!r},{p.y!r}\n")
+    write_rows(path, ((p.x, p.y) for p in goals))
 
 
 def load_goals(path) -> GoalSet:
@@ -481,6 +485,22 @@ def read_rows(path):
         line = line.strip()
         if line:
             yield row, line
+
+
+def write_lines(path, lines) -> None:
+    r"""Write an ASCII text file with "\n" after every line; every text file of
+    the package is written here."""
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.writelines(line + "\n" for line in lines)
+
+
+def write_rows(path, rows) -> None:
+    """Write rows of fields as an ASCII CSV file: each field as str() gives it (a
+    float's shortest round-trip form), None as an empty field, quoted if it holds
+    a comma."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    write_lines(path, text.getvalue().split("\n")[:-1])
 
 
 def read_json_entries(path, key: str, fields: tuple[str, ...]) -> list[dict]:

@@ -27,8 +27,8 @@ class LossWeights:
     alpha: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if not self.alpha or any(a <= 0 for a in self.alpha):
-            raise ValueError(f"all loss weights must be positive, got {self.alpha}")
+        if not self.alpha or not all(0 < a < math.inf for a in self.alpha):  # also rejects nan
+            raise ValueError(f"all loss weights must be positive and finite, got {self.alpha}")
 
 
 def _values(mask) -> np.ndarray:

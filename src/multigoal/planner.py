@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlockedPoint, FormatError, NoPathFound
-from .grid import GridMap, Point, read_rows
+from .grid import GridMap, Point, read_rows, write_rows
 
 _REWIRE_EPS = 1e-12
 # Tree allocates its node arrays for the whole sample budget up front
@@ -165,9 +165,7 @@ def path_cost(p) -> float:
 
 
 def save_path(path, poly: PathPolyline) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        for p in poly.points:
-            f.write(f"{p.x!r},{p.y!r}\n")
+    write_rows(path, ((p.x, p.y) for p in poly.points))
 
 
 def load_path(path) -> PathPolyline:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import write_lines
+
 CELL = 4  # SVG units per map cell
 
 LEG_COLORS = (
@@ -76,8 +78,6 @@ def render_svg(grid, goals=None, masks=None, legs=(), out_path=None) -> str:
             )
 
     parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
     if out_path is not None:
-        with open(out_path, "w", encoding="ascii", newline="\n") as f:
-            f.write(svg)
-    return svg
+        write_lines(out_path, parts)
+    return "\n".join(parts) + "\n"

@@ -1,10 +1,18 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from multigoal import GridMap, GoalSet, Point, benchmark
-from multigoal.bench import aggregate, bench_seed, format_report, write_aggregate_csv, write_results_csv
+from multigoal.bench import (
+    BenchmarkRecord,
+    aggregate,
+    bench_seed,
+    format_report,
+    write_aggregate_csv,
+    write_results_csv,
+)
 from multigoal.dataset import _split_of, generate_dataset, validate_dataset
 from multigoal.errors import FormatError, InvalidArgument
 from multigoal.scenarios import Scenario
@@ -94,6 +102,30 @@ class TestBenchmark:
         header, row = (tmp_path / "r.csv").read_text().splitlines()
         assert header == "scenario,algorithm,repeat,seed,cost,time_s,samples,order"
         assert row.split(",")[5] == ""
+
+    def test_csv_bytes(self, tmp_path):
+        """The order field holds commas, so it is quoted; costs are written in
+        full precision and failed runs leave their fields empty."""
+        tour = SimpleNamespace(order=(0, 1, 2, 4, 3))
+        solution = SimpleNamespace(total_cost=0.1 + 0.2, samples_total=40, tour=tour)
+        records = [
+            BenchmarkRecord("tiny", "guided", 0, 7, 0.5, solution),
+            BenchmarkRecord("tiny", "guided", 1, 8, 0.25, error="NoPathFound"),
+            BenchmarkRecord("tiny", "rrt-star", 0, 9, 0.75, error="Unreachable"),
+        ]
+        write_results_csv(tmp_path / "r.csv", records)
+        write_aggregate_csv(tmp_path / "a.csv", records)
+        assert (tmp_path / "r.csv").read_bytes() == (
+            b"scenario,algorithm,repeat,seed,cost,time_s,samples,order\n"
+            b'tiny,guided,0,7,0.30000000000000004,,40,"0,1,2,4,3"\n'
+            b"tiny,guided,1,8,,,,FAILED\n"
+            b"tiny,rrt-star,0,9,,,,FAILED\n"
+        )
+        assert (tmp_path / "a.csv").read_bytes() == (
+            b"scenario,algorithm,runs,failures,cost_median,cost_min,cost_max\n"
+            b"tiny,guided,2,1,0.30000000000000004,0.30000000000000004,0.30000000000000004\n"
+            b"tiny,rrt-star,1,1,,,\n"
+        )
 
     def test_aggregate_csv_deterministic(self, tmp_path):
         for name in ("a.csv", "b.csv"):

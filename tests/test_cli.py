@@ -488,6 +488,21 @@ class TestBadInputExitsOne:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(missing) in err
 
+    @pytest.mark.parametrize("command", ["render", "plan"])
+    def test_mask_of_another_size(self, small_world, tmp_path, capsys, command):
+        map_path, _ = small_world
+        mask = tmp_path / "m.pgm"
+        write_pgm(mask, np.full((16, 20), 255, dtype=np.uint8))
+        out = tmp_path / "out"
+        args = {
+            "render": ["render", "--map", map_path, "--mask", mask, "--out", out],
+            "plan": ["plan", "--map", map_path, "--start", "2.5,2.5", "--goal", "20.5,3.5",
+                     "--mask", mask, "--out-path", out],
+        }[command]
+        assert run(args) == 1
+        assert capsys.readouterr().err == f"error: {mask}: mask is 20x16, map is 24x24\n"
+        assert not out.exists()
+
     def test_pipeline_missing_goals(self, small_world, tmp_path, capsys):
         map_path, _ = small_world
         missing = tmp_path / "nosuch.csv"
@@ -610,10 +625,18 @@ class TestBadInputExitsOne:
         (["gen-map", "--width", -5], "map must be at least 2x2, got -5x64"),
         (["gen-map", "--width", 3_000_000, "--height", 3_000_000],
          "map must have at most 16777216 cells, got 3000000x3000000"),
+        (["score", "--alpha", "1,nan,1"], "--alpha: all loss weights must be positive and finite"),
+        (["gen-map", "--goals", 5, "--min-sep", "nan"],
+         "min_separation must be finite and >= 0, got nan"),
+        (["gen-map", "--goals", 5, "--min-sep", "inf"],
+         "min_separation must be finite and >= 0, got inf"),
+        (["gen-dataset", "--min-sep", "nan"], "min_separation must be finite and >= 0, got nan"),
     ])
     def test_rejected_value(self, tmp_path, capsys, args, message):
         if args[0] == "gen-map":
             args = args + ["--out", tmp_path / "m.map"]
+        elif args[0] == "gen-dataset":
+            args = args + ["--n", 1, "--out-dir", tmp_path / "ds"]
         else:
             args = args + ["--labels", tmp_path, "--predictions", tmp_path]
         assert run(args) == 1

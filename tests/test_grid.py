@@ -314,6 +314,16 @@ class TestComponentLabels:
         assert g.component_labels() is labels
         assert not labels.flags.writeable
 
+    def test_largest_component_cells_cached_and_read_only(self):
+        g = generate_map(3, 32, 32)
+        cells = g.largest_component_cells()
+        assert g.largest_component_cells() is cells
+        assert not cells.flags.writeable
+        labels = g.component_labels()
+        sizes = np.bincount(labels.ravel())[1:]
+        assert len(cells) == sizes.max()
+        assert set(labels[cells[:, 1], cells[:, 0]].tolist()) == {sizes.argmax() + 1}
+
 
 class TestMapFiles:
     def test_text_round_trip(self, tmp_path):

@@ -168,6 +168,11 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             LossWeights((1.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            LossWeights((1.0, bad, 1.0))
+
     def test_determinism(self):
         vals = [0.123456789, 0.987654321, 1.5]
         w = LossWeights((1.5, 0.25, 2.0))

@@ -2,6 +2,7 @@
 acceptance suite and perfbench use. Anything else comes from its submodule."""
 
 import argparse
+import ast
 import dataclasses
 import os
 import re
@@ -33,6 +34,40 @@ def test_exports_exactly_the_used_names():
     assert len(PUBLIC) == 34
     assert public - modules == PUBLIC
     assert all(getattr(multigoal, n).__name__ == f"multigoal.{n}" for n in modules)
+
+
+def write_opens():
+    """(file, enclosing function, mode) of each open() call under src/multigoal
+    whose mode writes; a mode that is not a string literal reads as "?"."""
+    src = os.path.dirname(multigoal.__file__)
+    sites = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "open"):
+                    continue
+                arg = call.args[1] if len(call.args) > 1 else next(
+                    (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+                mode = arg.value if isinstance(arg, ast.Constant) else "?"
+                if set(mode) & set("wax+?"):
+                    sites.add((name, func.name, mode))
+    return sites
+
+
+def test_text_is_written_in_one_place():
+    """grid.write_lines writes every text file, so the encoding and line ends of
+    every output are decided there; only the two binary writers open files too."""
+    assert write_opens() == {
+        ("grid.py", "write_lines", "w"),
+        ("grid.py", "save_map", "wb"),
+        ("pgm.py", "write_pgm", "wb"),
+    }
 
 
 def run_after_bare_import(code):
