@@ -25,7 +25,7 @@ AGGREGATE_HEADER = ["scenario", "algorithm", "runs", "failures",
 
 @dataclass
 class BenchmarkRecord:
-    """One run: its Solution, or the name of the error that ended it."""
+    """One run: its Solution, or None when the run failed."""
 
     scenario: str
     algorithm: str
@@ -33,7 +33,6 @@ class BenchmarkRecord:
     seed: int
     wall_time_s: float
     solution: Solution | None = field(default=None, repr=False)
-    error: str | None = None
 
     @property
     def failed(self) -> bool:
@@ -80,19 +79,17 @@ def benchmark(
             for repeat in range(repeats):
                 seed = bench_seed(base_seed, scenario.scenario_id, algorithm, repeat)
                 cfg = PlannerConfig.for_map(scenario.grid, seed=seed, **(cfg_overrides or {}))
-                solution = error = None
+                solution = None
                 t0 = time.perf_counter()
                 try:
                     solution = run_algorithm(
                         scenario.grid, scenario.goals, algorithm, cfg, estimator=estimator
                     )
-                except (NoPathFound, Unreachable) as exc:
-                    error = type(exc).__name__
+                except (NoPathFound, Unreachable):
+                    pass
                 wall = time.perf_counter() - t0
                 records.append(
-                    BenchmarkRecord(
-                        scenario.scenario_id, algorithm, repeat, seed, wall, solution, error
-                    )
+                    BenchmarkRecord(scenario.scenario_id, algorithm, repeat, seed, wall, solution)
                 )
     return records
 

@@ -265,7 +265,7 @@ def _cmd_gen_map(args) -> int:
     )
     grid = generate_map(seed, args.width, args.height, spec)
     goals = None
-    if args.goals:  # placed before anything is written, so a failure leaves no file behind
+    if args.goals is not None:  # placed before saving, so a failure leaves no file
         goals = place_goals(grid, args.goals, derive_seed(seed, 1), args.min_sep)
     save_map(args.out, grid)
     print(f"wrote {args.out}: {grid.width}x{grid.height}, density {grid.density():.3f}")

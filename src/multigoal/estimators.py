@@ -359,19 +359,7 @@ def _pair_unreachable(i: int, j: int, exc: Unreachable) -> Unreachable:
     return Unreachable(f"goal pair ({i}, {j}) is unreachable: {exc}", pair=(i, j))
 
 
-class Estimator:
-    """Strategy interface: deterministic goal pairs -> (distance, region) estimates."""
-
-    def estimate_all(self, grid: GridMap, goals: GoalSet) -> dict:
-        """{(i, j): PairEstimate} for every unordered goal pair i < j, in (i, j) order.
-
-        An unreachable pair raises Unreachable naming the first failing
-        (i, j) in that order, with ``pair`` set to it.
-        """
-        raise NotImplementedError
-
-
-class EuclideanEstimator(Estimator):
+class EuclideanEstimator:
     """Straight-line distance; carries no region information (all free cells promising)."""
 
     def estimate_all(self, grid, goals):
@@ -384,7 +372,7 @@ class EuclideanEstimator(Estimator):
         }
 
 
-class GridOracleEstimator(Estimator):
+class GridOracleEstimator:
     """Exact grid shortest-path length with the optimal path dilated into a region."""
 
     def __init__(self, dilation_radius: float | None = None):
@@ -411,7 +399,7 @@ class GridOracleEstimator(Estimator):
         return out
 
 
-class ExternalEstimator(Estimator):
+class ExternalEstimator:
     """Estimates read back from a prediction directory (see load_external_predictions)."""
 
     def __init__(self, distances: dict, masks: dict, source: str = ""):
@@ -434,11 +422,12 @@ class ExternalEstimator(Estimator):
         return out
 
 
-def build_weight_matrix(
-    grid: GridMap, goals: GoalSet, est: Estimator
-) -> tuple[WeightMatrix, dict]:
+def build_weight_matrix(grid: GridMap, goals: GoalSet, est) -> tuple[WeightMatrix, dict]:
     """Estimate all M*(M-1)/2 unordered goal pairs and assemble the symmetric matrix.
 
+    est is any object with ``estimate_all(grid, goals)``, which returns
+    {(i, j): PairEstimate} for every goal pair i < j in (i, j) order, and
+    raises Unreachable with ``pair`` set to the first unreachable (i, j).
     Returns (matrix, masks) where masks maps each (i, j) with i < j to that
     pair's region. An unreachable pair aborts construction: a partial graph
     cannot guarantee the visiting order.
@@ -457,14 +446,15 @@ def pair_mask_filename(i: int, j: int) -> str:
     return f"pair_{min(i, j)}_{max(i, j)}.pgm"
 
 
-def export_predictions(directory, grid: GridMap, goals: GoalSet, est: Estimator):
+def export_predictions(directory, grid: GridMap, goals: GoalSet, est):
     """Write per-pair masks and distances in the external-prediction layout.
 
     Produces pair_i_j.pgm (mask scaled to 0..255) and distances.csv with rows
-    "i,j,distance". Returns the (matrix, masks) pair that was exported.
+    "i,j,distance"; a failed estimate creates no directory. Returns the
+    (matrix, masks) pair that was exported.
     """
-    os.makedirs(directory, exist_ok=True)
     matrix, masks = build_weight_matrix(grid, goals, est)
+    os.makedirs(directory, exist_ok=True)
     for (i, j), mask in sorted(masks.items()):
         write_pgm(os.path.join(directory, pair_mask_filename(i, j)), mask.to_u8())
     write_rows(
@@ -507,7 +497,7 @@ def load_external_predictions(directory) -> ExternalEstimator:
     return ExternalEstimator(distances, masks, source=root)
 
 
-def make_estimator(kind: str, dilation_radius: float | None = None) -> Estimator:
+def make_estimator(kind: str, dilation_radius: float | None = None):
     """Build an estimator from a CLI-style spec: euclidean | oracle | external:<dir>."""
     if kind == "euclidean":
         return EuclideanEstimator()

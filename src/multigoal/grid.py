@@ -90,12 +90,9 @@ class GridMap:
         """Fraction of blocked cells."""
         return float(self.cells.sum()) / (self.width * self.height)
 
-    def in_bounds(self, p: Point) -> bool:
-        return 0.0 <= p.x < self.width and 0.0 <= p.y < self.height
-
     def is_free(self, p: Point) -> bool:
         """True iff the cell containing p is not an obstacle."""
-        if not self.in_bounds(p):
+        if not (0.0 <= p.x < self.width and 0.0 <= p.y < self.height):
             raise OutOfBoundsError(f"point ({p.x}, {p.y}) outside {self.width}x{self.height} map")
         cx, cy = p.cell()
         return not self.cells[cy, cx]
@@ -320,7 +317,7 @@ def generate_map(seed: int, width: int, height: int, spec: ObstacleSpec | None =
     """
     check_map_size(width, height)
     spec = spec or ObstacleSpec()
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(check_seed(seed))
     total = width * height
     cmin, cmax = spec.count_range
     dmin, dmax = spec.density_range
@@ -366,7 +363,7 @@ def place_goals(grid: GridMap, m: int, seed: int, min_separation: float = 0.0) -
         raise InvalidArgument(f"need m >= 2 goals, got {m}")
     if not 0 <= min_separation < math.inf:  # also rejects nan
         raise InvalidArgument(f"min_separation must be finite and >= 0, got {min_separation}")
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(check_seed(seed))
     cells = grid.largest_component_cells()
     if len(cells) < m:
         raise PlacementFailed(f"component has {len(cells)} cells, cannot host {m} goals")
@@ -526,7 +523,8 @@ def _is_pgm(path) -> bool:
     return os.fspath(path).lower().endswith(".pgm")
 
 
-def _check_seed(seed: int) -> int:
+def check_seed(seed: int) -> int:
+    """seed as an int, or InvalidArgument unless it lies in [0, 2**64)."""
     seed = int(seed)
     if not (0 <= seed < 2**64):
         raise InvalidArgument(f"seed must be an unsigned 64-bit integer, got {seed}")

@@ -22,12 +22,16 @@ EPS = 1e-12
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Importance weight per component loss (BCE, Dice, MSE)."""
+    """Importance weight per component loss: exactly three, for BCE, Dice and MSE."""
 
     alpha: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if not self.alpha or not all(0 < a < math.inf for a in self.alpha):  # also rejects nan
+        if len(self.alpha) != 3:
+            raise ValueError(
+                f"need 3 loss weights (BCE, Dice, MSE), got {len(self.alpha)}: {self.alpha}"
+            )
+        if not all(0 < a < math.inf for a in self.alpha):  # also rejects nan
             raise ValueError(f"all loss weights must be positive and finite, got {self.alpha}")
 
 

@@ -15,14 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoPathFound
-from .estimators import (
-    Estimator,
-    EuclideanEstimator,
-    WeightMatrix,
-    build_weight_matrix,
-    make_estimator,
-)
-from .grid import GoalSet, GridMap
+from .estimators import WeightMatrix, build_weight_matrix, make_estimator
+from .grid import GoalSet, GridMap, check_seed
 from .planner import PathPolyline, PlannerConfig, plan_leg_rrt, plan_leg_rrt_star
 from .tsp import Tour, TspConfig, solve_tsp
 
@@ -35,8 +29,8 @@ _CHAIN_TOL = 1e-9
 
 
 def derive_seed(master: int, *parts: int) -> int:
-    """Deterministic 64-bit child seed from a master seed and an index path."""
-    state = np.random.SeedSequence([int(master), *[int(p) for p in parts]]).generate_state(2)
+    """Deterministic 64-bit child seed from a master seed in [0, 2**64) and an index path."""
+    state = np.random.SeedSequence([check_seed(master), *[int(p) for p in parts]]).generate_state(2)
     return (int(state[0]) << 32) | int(state[1])
 
 
@@ -52,7 +46,6 @@ class Solution:
     algorithm: str
     tsp_method: str
     samples_total: int
-    plans_made: int
 
     def __post_init__(self):
         if len(self.legs) != self.tour.m:
@@ -72,15 +65,16 @@ def run_algorithm(
     algorithm: str,
     cfg: PlannerConfig,
     tsp_config: TspConfig | None = None,
-    estimator: Estimator | str = "oracle",
+    estimator: str = "oracle",
 ) -> Solution:
     """Weights, then the TSP, then one planned leg per tour edge.
 
-    guided weighs pairs with the given estimator and plans region-guided RRT
-    legs; euclidean-rrt-star weighs by straight-line distance and plans RRT*
-    legs; rrt-star weighs every pair by a full RRT* plan and reuses those paths
-    as legs. A tour edge is planned at most once, so a two-goal tour plans one
-    leg and drives it back in reverse.
+    guided weighs pairs with the estimator that the make_estimator spec
+    estimator names and plans region-guided RRT legs; euclidean-rrt-star
+    weighs by straight-line distance and plans RRT* legs; rrt-star weighs every
+    pair by a full RRT* plan and reuses those paths as legs. A tour edge is
+    planned at most once, so a two-goal tour plans one leg and drives it back
+    in reverse.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
@@ -104,11 +98,8 @@ def run_algorithm(
                 samples_total += samples
         matrix = WeightMatrix(w)
     else:
-        if algorithm == EUCLIDEAN_RRT_STAR:
-            estimator = EuclideanEstimator()
-        elif isinstance(estimator, str):
-            estimator = make_estimator(estimator)
-        matrix, masks = build_weight_matrix(grid, goals, estimator)
+        est = make_estimator("euclidean" if algorithm == EUCLIDEAN_RRT_STAR else estimator)
+        matrix, masks = build_weight_matrix(grid, goals, est)
     t1 = time.perf_counter()
     result = solve_tsp(matrix, tsp_config)
     t2 = time.perf_counter()
@@ -143,7 +134,6 @@ def run_algorithm(
         algorithm=algorithm,
         tsp_method=result.method,
         samples_total=samples_total,
-        plans_made=len(paths),
     )
 
 

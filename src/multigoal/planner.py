@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlockedPoint, FormatError, NoPathFound
-from .grid import GridMap, Point, read_rows, write_rows
+from .grid import GridMap, Point, check_seed, read_rows, write_rows
 
 _REWIRE_EPS = 1e-12
 # Tree allocates its node arrays for the whole sample budget up front
@@ -48,6 +48,7 @@ class PlannerConfig:
             raise ValueError("rewire_radius must be positive")
         if not 0.0 <= self.mask_threshold <= 1.0:
             raise ValueError("mask_threshold must lie in [0, 1]")
+        check_seed(self.seed)
 
     @classmethod
     def for_map(cls, grid: GridMap, seed: int = 0, **overrides) -> "PlannerConfig":
@@ -143,7 +144,7 @@ class PathPolyline:
         if len(pts) < 2:
             raise ValueError("polyline needs at least 2 points")
         self.points = pts
-        self.length = path_cost(self)
+        self.length = path_cost(pts)
 
     def __eq__(self, other):
         return isinstance(other, PathPolyline) and self.points == other.points
@@ -155,9 +156,9 @@ class PathPolyline:
         return PathPolyline(self.points[::-1])
 
 
-def path_cost(p) -> float:
-    """Polyline length: sum of Euclidean segment lengths."""
-    pts = p.points if isinstance(p, PathPolyline) else tuple(p)
+def path_cost(pts) -> float:
+    """Length of the polyline through a sequence of points: the sum of its
+    Euclidean segment lengths."""
     total = 0.0
     for a, b in zip(pts, pts[1:]):
         total += math.hypot(b.x - a.x, b.y - a.y)

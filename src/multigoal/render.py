@@ -21,8 +21,8 @@ LEG_COLORS = (
 
 
 def render_svg(grid, goals=None, masks=None, legs=(), out_path=None) -> str:
-    """Compose an SVG: obstacles black, masks translucent red, goals numbered,
-    legs colored polylines. Writes to out_path when given; returns the markup."""
+    """Compose an SVG: obstacles black, a list of masks translucent red, goals
+    numbered, legs colored polylines. Writes to out_path when given; returns the markup."""
     w, h = grid.width * CELL, grid.height * CELL
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -48,9 +48,8 @@ def render_svg(grid, goals=None, masks=None, legs=(), out_path=None) -> str:
     parts.append("</g>")
 
     if masks is not None:
-        mask_list = masks if isinstance(masks, (list, tuple)) else [masks]
         combined = np.zeros((grid.height, grid.width))
-        for m in mask_list:
+        for m in masks:
             combined = np.maximum(combined, m.values)
         parts.append('<g fill="#d62728">')
         for y, x in zip(*np.nonzero(combined > 0)):

@@ -3,7 +3,8 @@
 Small instances are solved exactly by Held-Karp dynamic programming over
 vertex subsets; larger ones by nearest-neighbor construction followed by
 2-opt and Or-opt local search. Tours are undirected closed cycles stored in
-canonical form: vertex 0 first, second vertex smaller than the last.
+canonical form: vertex 0 first, second vertex smaller than the last. Every
+solver takes its weights as an estimators.WeightMatrix.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTour, TooLarge
-from .estimators import WeightMatrix
 
 EXACT_LIMIT = 16  # Held-Karp memory bound: 2^16 x 16 float table
 IMPROVE_EPS = 1e-12
@@ -72,14 +72,9 @@ class TspResult:
     method: str  # "EXACT" or "HEURISTIC"
 
 
-def _as_matrix(w) -> WeightMatrix:
-    return w if isinstance(w, WeightMatrix) else WeightMatrix(w)
-
-
-def tour_cost(w, t) -> float:
+def tour_cost(w, t: Tour) -> float:
     """Sum of edge weights around the closed cycle (M=2 counts its edge twice)."""
-    w = _as_matrix(w)
-    order = t.order if isinstance(t, Tour) else Tour(t).order
+    order = t.order
     if len(order) != w.m:
         raise InvalidTour(f"tour over {len(order)} vertices, matrix has {w.m}")
     total = 0.0
@@ -118,7 +113,6 @@ def held_karp(w) -> tuple[Tour, float]:
     Ties are broken toward the lexicographically smallest canonical order.
     Raises TooLarge beyond 16 vertices.
     """
-    w = _as_matrix(w)
     m = w.m
     if m > EXACT_LIMIT:
         raise TooLarge(f"Held-Karp limited to {EXACT_LIMIT} vertices, got {m}")
@@ -156,7 +150,6 @@ def held_karp(w) -> tuple[Tour, float]:
 
 def nearest_neighbor(w, start: int = 0) -> Tour:
     """Greedy construction from a start vertex; ties go to the smaller index."""
-    w = _as_matrix(w)
     if not 0 <= start < w.m:
         raise ValueError(f"start vertex {start} out of range for m={w.m}")
     wl = w.w.tolist()
@@ -178,7 +171,6 @@ def local_search_improve(w, t: Tour) -> Tour:
     move; stops at a local optimum of both neighborhoods. The result never
     costs more than the input.
     """
-    w = _as_matrix(w)
     order = list(t.order)
     wl = w.w.tolist()
     while _apply_first_2opt(wl, order) or _apply_first_oropt(wl, order):
@@ -227,7 +219,6 @@ def _apply_first_oropt(wl, order) -> bool:
 
 def solve_tsp(w, config: TspConfig | None = None) -> TspResult:
     """Visiting order for a weight matrix: exact below the size threshold, else heuristic."""
-    w = _as_matrix(w)
     config = config or TspConfig()
     if w.m == 2:
         t = Tour((0, 1))

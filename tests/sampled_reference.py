@@ -15,10 +15,9 @@ def segment_free(grid, a, b, resolution):
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    if not grid.in_bounds(a):
-        raise OutOfBoundsError(f"segment endpoint ({a.x}, {a.y}) out of bounds")
-    if not grid.in_bounds(b):
-        raise OutOfBoundsError(f"segment endpoint ({b.x}, {b.y}) out of bounds")
+    for p in (a, b):
+        if not (0.0 <= p.x < grid.width and 0.0 <= p.y < grid.height):
+            raise OutOfBoundsError(f"segment endpoint ({p.x}, {p.y}) out of bounds")
     if (b.x, b.y) < (a.x, a.y):
         a, b = b, a
     dist = a.distance_to(b)

@@ -110,8 +110,8 @@ class TestBenchmark:
         solution = SimpleNamespace(total_cost=0.1 + 0.2, samples_total=40, tour=tour)
         records = [
             BenchmarkRecord("tiny", "guided", 0, 7, 0.5, solution),
-            BenchmarkRecord("tiny", "guided", 1, 8, 0.25, error="NoPathFound"),
-            BenchmarkRecord("tiny", "rrt-star", 0, 9, 0.75, error="Unreachable"),
+            BenchmarkRecord("tiny", "guided", 1, 8, 0.25),
+            BenchmarkRecord("tiny", "rrt-star", 0, 9, 0.75),
         ]
         write_results_csv(tmp_path / "r.csv", records)
         write_aggregate_csv(tmp_path / "a.csv", records)

@@ -1,17 +1,25 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multigoal
 from multigoal import ALGORITHMS, GridMap, save_goals, save_map, GoalSet, Point
 from multigoal.cli import main
-from multigoal.grid import load_map
+from multigoal.grid import MAX_CELLS, load_map
 from multigoal.pgm import read_pgm, write_pgm
 from multigoal.planner import MAX_SAMPLES
+from multigoal.tsp import EXACT_LIMIT
+from test_public_api import SUBCOMMAND_OPTIONS
 
 
 def run(args):
@@ -534,6 +542,23 @@ class TestBadInputExitsOne:
         assert err == f"error: dilation radius must be >= 0, got {shown}\n"
         assert not out_dir.exists()
 
+    def test_failed_estimate_leaves_no_directory(self, tmp_path, capsys):
+        cells = np.zeros((16, 16), dtype=bool)
+        cells[:, 8] = True
+        map_path, goals_path = tmp_path / "wall.map", tmp_path / "goals.csv"
+        save_map(map_path, GridMap(cells))
+        save_goals(goals_path, GoalSet([Point(2.5, 2.5), Point(13.5, 13.5)]))
+        out, kept = tmp_path / "est", tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine\n")
+        for target in (out, kept):
+            args = ["estimate", "--map", map_path, "--goals", goals_path, "--out-dir", target]
+            assert run(args) == 1
+            assert "goal pair (0, 1) is unreachable" in capsys.readouterr().err
+        assert not out.exists()
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+        assert (kept / "notes.txt").read_text() == "mine\n"
+
     def test_estimate_infinite_dilation_radius(self, small_world, tmp_path):
         map_path, goals_path = small_world
         out_dir = tmp_path / "est"
@@ -631,14 +656,155 @@ class TestBadInputExitsOne:
         (["gen-map", "--goals", 5, "--min-sep", "inf"],
          "min_separation must be finite and >= 0, got inf"),
         (["gen-dataset", "--min-sep", "nan"], "min_separation must be finite and >= 0, got nan"),
+        (["plan", "--seed", -1], "seed must be an unsigned 64-bit integer, got -1"),
+        (["plan", "--seed", 2**64], f"seed must be an unsigned 64-bit integer, got {2**64}"),
+        (["pipeline", "--seed", -1], "seed must be an unsigned 64-bit integer, got -1"),
+        (["pipeline", "--seed", 2**64], f"seed must be an unsigned 64-bit integer, got {2**64}"),
+        (["pipeline", "--config", "seed=-1"], "seed must be an unsigned 64-bit integer, got -1"),
+        (["gen-dataset", "--seed", -1], "seed must be an unsigned 64-bit integer, got -1"),
+        (["gen-dataset", "--seed", 2**64],
+         f"seed must be an unsigned 64-bit integer, got {2**64}"),
+        (["score", "--alpha", "1,1"], "--alpha: need 3 loss weights (BCE, Dice, MSE), got 2"),
+        (["gen-map", "--goals", 0], "need m >= 2 goals, got 0"),
     ])
-    def test_rejected_value(self, tmp_path, capsys, args, message):
+    def test_rejected_value(self, small_world, tmp_path, capsys, args, message):
+        map_path, goals_path = small_world
+        out = tmp_path / "out"
+        if "--config" in args:  # the value after --config is the file's text
+            k = args.index("--config") + 1
+            config = tmp_path / "run.cfg"
+            config.write_text(args[k] + "\n")
+            args = [*args[:k], config, *args[k + 1:]]
         if args[0] == "gen-map":
-            args = args + ["--out", tmp_path / "m.map"]
+            args = args + ["--out", out]
         elif args[0] == "gen-dataset":
-            args = args + ["--n", 1, "--out-dir", tmp_path / "ds"]
-        else:
-            args = args + ["--labels", tmp_path, "--predictions", tmp_path]
+            args = args + ["--n", 1, "--out-dir", out]
+        elif args[0] == "plan":
+            args = args + ["--map", map_path, "--start", "2.5,2.5", "--goal", "20.5,20.5",
+                           "--out-path", out]
+        elif args[0] == "pipeline":
+            args = args + ["--map", map_path, "--goals", goals_path, "--out-dir", out]
+        else:  # score: a labels directory that is not there is never read
+            args = args + ["--labels", tmp_path / "missing", "--predictions", tmp_path]
         assert run(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_world(tmp_path_factory):
+    """Tiny inputs for every subcommand: a 12x12 map with 3 goals, its estimate
+    directory, a pipeline solution on it, a 2-sample dataset and config files."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cells = np.zeros((12, 12), dtype=bool)
+    cells[2:9, 6] = True
+    save_map(root / "world.map", GridMap(cells))
+    save_goals(root / "goals.csv", GoalSet([Point(1.5, 1.5), Point(10.5, 2.5), Point(3.5, 10.5)]))
+    world = ["--map", root / "world.map", "--goals", root / "goals.csv"]
+    assert run(["estimate", *world, "--out-dir", root / "est"]) == 0
+    assert run(["pipeline", *world, "--seed", 1, "--out-dir", root / "sol"]) == 0
+    assert run(["gen-dataset", "--n", 2, "--width", 12, "--height", 12, "--seed", 1,
+                "--out-dir", root / "ds"]) == 0
+    for name, text in [("neg", "seed=-1\n"), ("big", f"seed={2**64}\n"),
+                       ("zero", "max_samples=0\n"), ("ok", "seed=2\nmax_samples=50\n")]:
+        (root / f"{name}.cfg").write_text(text)
+    return root
+
+
+def fuzz_options(root, out):
+    """Per subcommand: the arguments every run gets, and the values each option
+    may take. The values sit at or just past each limit (0, -1, nan, inf,
+    MAX_SAMPLES, EXACT_LIMIT, MAX_CELLS, seeds outside [0, 2**64)), or are
+    small; no value makes a run that is accepted and large."""
+    seeded = {
+        "--seed": [-1, 0, 3, 2**64 - 1, 2**64],
+        "--config": [root / f"{name}.cfg" for name in ("neg", "big", "zero", "ok")],
+    }
+    planner = {
+        **seeded,
+        "--step": ["0", "-1", "nan", "inf", "0.5"],
+        "--max-samples": ["0", "-1", "nan", "1", "50", MAX_SAMPLES + 1],
+        "--k": ["-1", "2", "nan", "0", "1"],
+        "--goal-tol": ["-1", "nan", "inf", "0", "1"],
+        "--rewire-radius": ["0", "-1", "nan", "1"],
+        "--mask-threshold": ["-1", "2", "nan", "0", "1"],
+    }
+    side = ["0", "-1", "2", "12", MAX_CELLS + 1]
+    estimators = ["oracle", "euclidean", f"external:{root / 'est'}",
+                  f"external:{root / 'missing'}", "nosuch"]
+    thresholds = ["-1", "0", "2", EXACT_LIMIT, EXACT_LIMIT + 1]
+    masks = [root / "est" / "pair_0_1.pgm", root / "ds" / "masks" / "sample_00000.pgm",
+             root / "missing.pgm"]
+    world = {"--map": root / "world.map", "--goals": root / "goals.csv"}
+    return {
+        "gen-map": ({"--out": out / "m.map"}, {
+            **seeded, "--width": side, "--height": side,
+            "--count-min": ["-1", "0", "3"], "--count-max": ["-1", "0", "3"],
+            "--size-min": ["-1", "0", "1", "3"], "--size-max": ["-1", "0", "1", "3"],
+            "--density-min": ["-1", "0", "0.3", "2", "nan"],
+            "--density-max": ["-1", "0", "0.3", "2", "nan"],
+            "--goals": ["-1", "0", "1", "2", "3"], "--min-sep": ["-1", "0", "1", "nan", "inf"],
+        }),
+        "gen-dataset": ({"--n": 1, "--out-dir": out / "ds"}, {
+            **seeded, "--n": ["-1", "0", "2"], "--width": side, "--height": side,
+            "--min-sep": ["-1", "0", "2", "nan", "inf"], "--validate": [True],
+        }),
+        "estimate": ({**world, "--out-dir": out / "est"}, {
+            "--estimator": estimators, "--dilation-radius": ["-1", "0", "1", "nan", "inf"],
+        }),
+        "tsp": ({"--weights": root / "est" / "weights.csv"}, {
+            "--weights": [root / "ds" / "distances.csv", root / "missing.csv"],
+            "--exact-threshold": thresholds, "--out": [out / "tour.json"],
+        }),
+        "plan": ({"--map": root / "world.map", "--start": "1.5,1.5", "--goal": "10.5,2.5",
+                  "--out-path": out / "p.csv"}, {
+            **planner, "--algorithm": ["rrt", "rrt-star"], "--mask": masks,
+            "--start": ["1.5,1.5", "6.5,5.5", "-1,1", "nan,1"], "--out-stats": [out / "s.json"],
+        }),
+        "pipeline": ({**world, "--out-dir": out / "sol"}, {
+            **planner, "--algorithm": list(ALGORITHMS), "--estimator": estimators,
+            "--exact-threshold": thresholds, "--svg": [out / "sol.svg"],
+        }),
+        "bench": ({"--scenarios": "simple", "--algorithms": "guided", "--repeats": 1,
+                   "--out-dir": out / "bench"}, {
+            **planner, "--repeats": ["-1", "0", "1"], "--estimator": estimators,
+            "--algorithms": ["guided", "astar"], "--times-out": [out / "times.csv"],
+        }),
+        "score": ({"--labels": root / "est", "--predictions": root / "est"}, {
+            "--labels": [root / "ds", root / "missing"],
+            "--alpha": ["1,1,1", "1,1", "1,1,1,1", "0,1,1", "nan,1,1", "inf,1,1", "x"],
+            "--out": [out / "scores.csv"],
+        }),
+        "render": ({"--map": root / "world.map", "--out": out / "r.svg"}, {
+            "--goals": [root / "goals.csv", root / "ds" / "distances.csv"], "--mask": masks,
+            "--path": [root / "sol" / "leg_00.csv", root / "goals.csv"],
+            "--solution-dir": [root / "sol", root / "est"],
+        }),
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_subcommand_exits_cleanly(fuzz_world, data):
+    """Any mix of edge values on any subcommand ends in exit 0, 1 or argparse's
+    2, never in a traceback."""
+    out = Path(tempfile.mkdtemp(dir=fuzz_world))
+    table = fuzz_options(fuzz_world, out)
+    command = data.draw(st.sampled_from(sorted(table)), label="command")
+    base, choices = table[command]
+    assert set(base) | set(choices) <= set(SUBCOMMAND_OPTIONS[command])
+    drawn = data.draw(st.fixed_dictionaries(
+        {}, optional={flag: st.sampled_from(values) for flag, values in choices.items()}
+    ), label="options")
+    argv = [command]
+    for flag, value in {**base, **drawn}.items():
+        argv += [flag] if value is True else [flag, str(value)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -184,7 +184,7 @@ class TestSegmentClear:
     )
     def test_endpoint_outside_map_raises(self, a, b):
         g = empty_map()
-        bad = a if not g.in_bounds(a) else b
+        bad = a if not (0 <= a.x < g.width and 0 <= a.y < g.height) else b
         message = f"segment endpoint ({bad.x}, {bad.y}) out of bounds"
         with pytest.raises(OutOfBoundsError, match=re.escape(message)):
             g.segment_clear(a, b)

@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,30 @@ def spread_goals():
     )
 
 
+def _recording(planner, samples):
+    def plan(*args):
+        poly, used = planner(*args)
+        samples.append(used)
+        return poly, used
+
+    return plan
+
+
+@contextlib.contextmanager
+def recorded_plans():
+    """The samples of each planner call run_algorithm makes, one entry per plan:
+    the skeleton looks both planners up as globals of multigoal.pipeline."""
+    samples = []
+    with mock.patch.object(
+        multigoal.pipeline, "plan_leg_rrt", _recording(multigoal.pipeline.plan_leg_rrt, samples)
+    ), mock.patch.object(
+        multigoal.pipeline,
+        "plan_leg_rrt_star",
+        _recording(multigoal.pipeline.plan_leg_rrt_star, samples),
+    ):
+        yield samples
+
+
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(42, 1, 3) == derive_seed(42, 1, 3)
@@ -52,10 +77,11 @@ class TestRunPipeline:
         g = empty_map()
         goals = GoalSet([Point(5.5, 5.5), Point(30.5, 30.5)])
         cfg = PlannerConfig.for_map(g, seed=3)
-        sol = run_algorithm(g, goals, GUIDED, cfg, estimator="oracle")
+        with recorded_plans() as samples:
+            sol = run_algorithm(g, goals, GUIDED, cfg, estimator="oracle")
         assert sol.tour.order == (0, 1)
         assert len(sol.legs) == 2
-        assert sol.plans_made == 1
+        assert len(samples) == 1
         assert sol.legs[1].points == sol.legs[0].points[::-1]
         assert sol.total_cost >= 2 * goals[0].distance_to(goals[1]) - 1e-9
         verify_solution(g, goals, sol, cfg)
@@ -123,8 +149,9 @@ class TestBaselines:
         g = empty_map()
         goals = spread_goals()
         cfg = PlannerConfig.for_map(g, seed=2, max_samples=600)
-        sol = run_algorithm(g, goals, EUCLIDEAN_RRT_STAR, cfg)
-        assert sol.plans_made == len(goals)
+        with recorded_plans() as samples:
+            sol = run_algorithm(g, goals, EUCLIDEAN_RRT_STAR, cfg)
+        assert len(samples) == len(goals)
         assert sol.algorithm == EUCLIDEAN_RRT_STAR
         verify_solution(g, goals, sol, cfg)
 
@@ -133,9 +160,10 @@ class TestBaselines:
         goals = spread_goals()
         m = len(goals)
         cfg = PlannerConfig.for_map(g, seed=2, max_samples=400)
-        sol = run_algorithm(g, goals, RRT_STAR, cfg)
-        assert sol.plans_made == m * (m - 1) // 2
-        assert sol.samples_total == sol.plans_made * cfg.max_samples
+        with recorded_plans() as samples:
+            sol = run_algorithm(g, goals, RRT_STAR, cfg)
+        assert len(samples) == m * (m - 1) // 2
+        assert sol.samples_total == len(samples) * cfg.max_samples
         verify_solution(g, goals, sol, cfg)
 
     def test_all_algorithms_agree_on_empty_map(self):
@@ -153,24 +181,16 @@ class TestBaselines:
         goals = GoalSet([Point(5.5, 5.5), Point(30.5, 30.5)])
         for alg in (RRT_STAR, EUCLIDEAN_RRT_STAR):
             cfg = PlannerConfig.for_map(g, seed=6, max_samples=600)
-            sol = run_algorithm(g, goals, alg, cfg)
+            with recorded_plans() as samples:
+                sol = run_algorithm(g, goals, alg, cfg)
             assert len(sol.legs) == 2
-            assert sol.plans_made == 1
+            assert len(samples) == 1
             verify_solution(g, goals, sol, cfg)
 
     def test_unknown_algorithm(self):
         g = empty_map()
         with pytest.raises(ValueError):
             run_algorithm(g, spread_goals(), "dijkstra", PlannerConfig())
-
-
-def _recording(planner, samples):
-    def plan(*args):
-        poly, used = planner(*args)
-        samples.append(used)
-        return poly, used
-
-    return plan
 
 
 class TestSkeletonProperties:
@@ -192,24 +212,16 @@ class TestSkeletonProperties:
             step_size=1.5, goal_tolerance=1.0, rewire_radius=3.0, max_samples=200, seed=seed
         )
 
-        samples = []
-        with mock.patch.object(
-            multigoal.pipeline, "plan_leg_rrt", _recording(multigoal.pipeline.plan_leg_rrt, samples)
-        ), mock.patch.object(
-            multigoal.pipeline,
-            "plan_leg_rrt_star",
-            _recording(multigoal.pipeline.plan_leg_rrt_star, samples),
-        ):
+        with recorded_plans() as samples:
             try:
                 sol = run_algorithm(g, goals, algorithm, cfg, estimator="oracle")
             except (NoPathFound, Unreachable):
                 return
         verify_solution(g, goals, sol, cfg)
         if algorithm == RRT_STAR:
-            assert sol.plans_made == m * (m - 1) // 2
+            assert len(samples) == m * (m - 1) // 2
         else:
-            assert sol.plans_made == (1 if m == 2 else m)
-        assert sol.plans_made == len(samples)
+            assert len(samples) == (1 if m == 2 else m)
         assert sol.samples_total == sum(samples)
 
 
@@ -254,7 +266,7 @@ class TestRenderSvg:
         g = GridMap(np.zeros((6, 6), dtype=bool))
         values = np.zeros((6, 6))
         values[2, 3] = 1.0
-        with_mask = render_svg(g, masks=RegionMask(values))
+        with_mask = render_svg(g, masks=[RegionMask(values)])
         without = render_svg(g)
         assert "fill-opacity" in with_mask
         assert "fill-opacity" not in without

@@ -172,18 +172,18 @@ class TestNearestAndSteer:
 
 class TestPathCost:
     def test_two_point(self):
-        assert path_cost(PathPolyline([Point(0, 0), Point(3, 4)])) == 5.0
+        assert path_cost([Point(0, 0), Point(3, 4)]) == 5.0
 
     def test_elbow(self):
-        assert path_cost(PathPolyline([Point(0, 0), Point(1, 0), Point(1, 1)])) == 2.0
+        assert path_cost([Point(0, 0), Point(1, 0), Point(1, 1)]) == 2.0
 
     def test_closed_square(self):
         square = [Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10), Point(0, 0)]
-        assert path_cost(PathPolyline(square)) == 40.0
+        assert path_cost(square) == 40.0
 
     def test_length_field_matches(self):
         poly = PathPolyline([Point(0.3, 0.7), Point(4.2, 1.1), Point(2.0, 8.5)])
-        assert poly.length == path_cost(poly)
+        assert poly.length == path_cost(poly.points)
 
     def test_csv_round_trip(self, tmp_path):
         poly = PathPolyline([Point(0.123, 4.5), Point(2.25, 8.0625), Point(30.5, 30.5)])

@@ -4,6 +4,7 @@ acceptance suite and perfbench use. Anything else comes from its submodule."""
 import argparse
 import ast
 import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -14,6 +15,8 @@ import pytest
 
 import multigoal
 from multigoal import PlannerConfig, cli
+from multigoal.bench import BenchmarkRecord
+from multigoal.pipeline import Solution
 
 PUBLIC = {
     # README
@@ -151,4 +154,87 @@ def test_settable_surface():
     assert [f.name for f in dataclasses.fields(PlannerConfig)] == [
         "step_size", "max_samples", "k", "goal_tolerance", "rewire_radius", "mask_threshold",
         "seed",
+    ]
+
+
+# The parameter names of every exported callable and of the public methods of
+# every exported class (without self/cls), and the fields of the two records a
+# run returns. A new parameter, method or field shows up here as a diff, so
+# each one is a deliberate choice. None marks an exception that keeps
+# Exception's own constructor.
+SIGNATURES = {
+    "EuclideanEstimator": [], "EuclideanEstimator.estimate_all": ["grid", "goals"],
+    "GoalSet": ["goals"], "GoalSet.validate_on": ["grid"],
+    "GridMap": ["cells"], "GridMap.density": [], "GridMap.is_free": ["p"],
+    "GridMap.segment_clear": ["a", "b"], "GridMap.free_cells": [],
+    "GridMap.component_labels": [], "GridMap.largest_component_cells": [],
+    "GridOracleEstimator": ["dilation_radius"],
+    "GridOracleEstimator.estimate_all": ["grid", "goals"],
+    "LossWeights": ["alpha"],
+    "NoPathFound": ["message", "leg"],
+    "ObstacleSpec": ["count_range", "size_range", "density_range"],
+    "PlacementFailed": None,
+    "PlannerConfig": ["step_size", "max_samples", "k", "goal_tolerance", "rewire_radius",
+                      "mask_threshold", "seed"],
+    "PlannerConfig.for_map": ["grid", "seed", "overrides"],
+    "Point": ["x", "y"], "Point.cell": [], "Point.distance_to": ["other"],
+    "RegionMask": ["values"], "RegionMask.check_shape": ["grid"],
+    "RegionMask.cells_at_least": ["threshold"], "RegionMask.to_u8": [],
+    "RegionMask.from_u8": ["raster"],
+    "Tour": ["order"], "Tour.edges": [],
+    "WeightMatrix": ["w"], "WeightMatrix.to_csv": ["path"], "WeightMatrix.from_csv": ["path"],
+    "bce_loss": ["y", "yhat"],
+    "benchmark": ["scenarios", "algorithms", "repeats", "base_seed", "cfg_overrides",
+                  "estimator"],
+    "build_weight_matrix": ["grid", "goals", "est"],
+    "builtin_scenario": ["name"],
+    "default_dilation_radius": ["grid"],
+    "dice_loss": ["y", "yhat"],
+    "dilate_path_to_region": ["grid", "path", "radius"],
+    "generate_map": ["seed", "width", "height", "spec"],
+    "grid_shortest_path": ["grid", "a", "b"],
+    "held_karp": ["w"],
+    "local_search_improve": ["w", "t"],
+    "mse_loss": ["c", "chat"],
+    "nearest_neighbor": ["w", "start"],
+    "place_goals": ["grid", "m", "seed", "min_separation"],
+    "plan_leg_rrt": ["grid", "start", "goal", "mask", "cfg"],
+    "save_goals": ["path", "goals"],
+    "save_map": ["path", "grid"],
+    "total_loss": ["losses", "weights"],
+    "tour_cost": ["w", "t"],
+    "verify_solution": ["grid", "goals", "solution", "cfg"],
+}
+
+
+def parameter_names(obj):
+    if isinstance(obj, type) and issubclass(obj, Exception) and "__init__" not in vars(obj):
+        return None
+    return list(inspect.signature(obj).parameters)
+
+
+def test_signatures():
+    found = {}
+    for name in sorted(PUBLIC):
+        obj = getattr(multigoal, name)
+        if not callable(obj):
+            continue
+        found[name] = parameter_names(obj)
+        if not isinstance(obj, type):
+            continue
+        for attr, value in vars(obj).items():
+            if attr.startswith("_"):
+                continue
+            value = getattr(value, "__func__", value)  # a classmethod's function
+            if inspect.isfunction(value):
+                found[f"{name}.{attr}"] = parameter_names(value)[1:]
+            elif isinstance(value, property):
+                found[f"{name}.{attr}"] = []
+    assert found == SIGNATURES
+    assert [f.name for f in dataclasses.fields(Solution)] == [
+        "tour", "legs", "total_cost", "timings", "seed", "algorithm", "tsp_method",
+        "samples_total",
+    ]
+    assert [f.name for f in dataclasses.fields(BenchmarkRecord)] == [
+        "scenario", "algorithm", "repeat", "seed", "wall_time_s", "solution",
     ]
