@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import bench as bench_mod
-from .errors import BlockedPoint, DimensionMismatch, FormatError, MultigoalError, OutOfBoundsError
+from .errors import FormatError, InvalidArgument, MultigoalError
 from .estimators import (
     RegionMask,
     WeightMatrix,
@@ -51,7 +51,7 @@ from .planner import (
 )
 from .render import render_svg
 from .scenarios import builtin_scenario
-from .tsp import TspConfig, solve_tsp
+from .tsp import solve_tsp
 
 
 _PLANNER_FLAGS = [
@@ -121,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _sub(sub, "tsp", "Solve the visiting order for a weight-matrix CSV.", [])
     p.add_argument("--weights", required=True)
-    p.add_argument("--exact-threshold", type=int, default=13)
     p.add_argument("--out", help="tour JSON (default: stdout)")
     p.set_defaults(func=_cmd_tsp)
 
@@ -140,7 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goals", required=True, dest="goals_path")
     p.add_argument("--estimator", default="oracle", help="euclidean | oracle | external:<dir>")
     p.add_argument("--algorithm", choices=list(ALGORITHMS), default=GUIDED)
-    p.add_argument("--exact-threshold", type=int, default=13)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--svg", help="also render the solution to this SVG file")
     p.set_defaults(func=_cmd_pipeline)
@@ -221,20 +219,13 @@ def _planner_config(config, grid: GridMap) -> PlannerConfig:
     return PlannerConfig.for_map(grid, seed=config["seed"], **_planner_overrides(config))
 
 
-def _tsp_config(args) -> TspConfig:
-    try:
-        return TspConfig(exact_threshold=args.exact_threshold)
-    except ValueError as exc:
-        raise FormatError(f"--exact-threshold: {exc}") from None
-
-
 def _load_goals_on(grid: GridMap, path) -> GoalSet:
     """Goals from a file, each checked to lie in a free cell of grid."""
     goals = load_goals(path)
     try:
         goals.validate_on(grid)
-    except (BlockedPoint, OutOfBoundsError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    except InvalidArgument as exc:
+        raise InvalidArgument(f"{path}: {exc}") from None
     return goals
 
 
@@ -243,8 +234,8 @@ def _load_mask_on(grid: GridMap, path) -> RegionMask:
     mask = RegionMask.from_u8(read_pgm(path))
     try:
         mask.check_shape(grid)
-    except DimensionMismatch as exc:
-        raise DimensionMismatch(f"{path}: {exc}") from None
+    except InvalidArgument as exc:
+        raise InvalidArgument(f"{path}: {exc}") from None
     return mask
 
 
@@ -307,7 +298,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_tsp(args) -> int:
     matrix = WeightMatrix.from_csv(args.weights)
-    result = solve_tsp(matrix, _tsp_config(args))
+    result = solve_tsp(matrix)
     payload = json.dumps(
         {"order": list(result.tour.order), "cost": result.cost, "method": result.method},
         sort_keys=True,
@@ -321,6 +312,8 @@ def _cmd_tsp(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    if args.mask and args.algorithm == "rrt-star":
+        raise InvalidArgument("--mask guides only --algorithm rrt, not rrt-star")
     config = _config_of(args)
     grid = load_map(args.map_path)
     start = _parse_point(args.start)
@@ -351,9 +344,8 @@ def _cmd_pipeline(args) -> int:
     grid = load_map(args.map_path)
     goals = _load_goals_on(grid, args.goals_path)
     cfg = _planner_config(config, grid)
-    tsp_config = _tsp_config(args)
 
-    solution = run_algorithm(grid, goals, args.algorithm, cfg, tsp_config, args.estimator)
+    solution = run_algorithm(grid, goals, args.algorithm, cfg, args.estimator)
 
     os.makedirs(args.out_dir, exist_ok=True)
     leg_files = []

@@ -16,14 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    FormatError,
-    InvalidArgument,
-    InvalidMatrix,
-    MissingPrediction,
-    Unreachable,
-)
+from .errors import FormatError, InvalidArgument, Unreachable
 from .grid import GoalSet, GridMap, Point, read_rows, write_rows
 from .pgm import read_pgm, write_pgm
 
@@ -71,7 +64,7 @@ class RegionMask:
 
     def check_shape(self, grid: GridMap) -> None:
         if (self.height, self.width) != (grid.height, grid.width):
-            raise DimensionMismatch(
+            raise InvalidArgument(
                 f"mask is {self.width}x{self.height}, map is {grid.width}x{grid.height}"
             )
 
@@ -106,19 +99,19 @@ class WeightMatrix:
     def __init__(self, w: np.ndarray):
         arr = np.array(w, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidMatrix(f"weight matrix must be square, got shape {arr.shape}")
+            raise InvalidArgument(f"weight matrix must be square, got shape {arr.shape}")
         m = arr.shape[0]
         if m < 2:
-            raise InvalidMatrix(f"weight matrix needs at least 2 vertices, got {m}")
+            raise InvalidArgument(f"weight matrix needs at least 2 vertices, got {m}")
         if not np.isfinite(arr).all():
-            raise InvalidMatrix("weight matrix has non-finite entries")
+            raise InvalidArgument("weight matrix has non-finite entries")
         if (np.diag(arr) != 0.0).any():
-            raise InvalidMatrix("weight matrix diagonal must be exactly zero")
+            raise InvalidArgument("weight matrix diagonal must be exactly zero")
         if not (arr == arr.T).all():
-            raise InvalidMatrix("weight matrix must be exactly symmetric")
+            raise InvalidArgument("weight matrix must be exactly symmetric")
         off = arr[~np.eye(m, dtype=bool)]
         if (off <= 0.0).any():
-            raise InvalidMatrix("off-diagonal weights must be strictly positive")
+            raise InvalidArgument("off-diagonal weights must be strictly positive")
         arr.setflags(write=False)
         self.w = arr
         self.m = m
@@ -149,7 +142,7 @@ class WeightMatrix:
             raise FormatError(f"{path}: empty weight matrix")
         try:
             return cls(np.array(rows, dtype=np.float64))
-        except InvalidMatrix as exc:
+        except InvalidArgument as exc:
             raise FormatError(f"{path}: {exc}") from None
 
 
@@ -356,7 +349,7 @@ def dilate_path_to_region(grid: GridMap, path, radius: float) -> RegionMask:
 
 
 def _pair_unreachable(i: int, j: int, exc: Unreachable) -> Unreachable:
-    return Unreachable(f"goal pair ({i}, {j}) is unreachable: {exc}", pair=(i, j))
+    return Unreachable(f"goal pair ({i}, {j}) is unreachable: {exc}")
 
 
 class EuclideanEstimator:
@@ -413,11 +406,15 @@ class ExternalEstimator:
         for i in range(m):
             for j in range(i + 1, m):
                 if (i, j) not in self.distances or (i, j) not in self.masks:
-                    raise MissingPrediction(
+                    raise FormatError(
                         f"no stored prediction for pair {(i, j)} in {self.source!r}"
                     )
                 mask = self.masks[(i, j)]
-                mask.check_shape(grid)
+                try:
+                    mask.check_shape(grid)
+                except InvalidArgument as exc:
+                    mask_path = os.path.join(self.source, pair_mask_filename(i, j))
+                    raise InvalidArgument(f"{mask_path}: {exc}") from None
                 out[(i, j)] = PairEstimate(self.distances[(i, j)], mask)
         return out
 
@@ -427,7 +424,7 @@ def build_weight_matrix(grid: GridMap, goals: GoalSet, est) -> tuple[WeightMatri
 
     est is any object with ``estimate_all(grid, goals)``, which returns
     {(i, j): PairEstimate} for every goal pair i < j in (i, j) order, and
-    raises Unreachable with ``pair`` set to the first unreachable (i, j).
+    raises Unreachable naming the first unreachable pair (i, j).
     Returns (matrix, masks) where masks maps each (i, j) with i < j to that
     pair's region. An unreachable pair aborts construction: a partial graph
     cannot guarantee the visiting order.
@@ -472,8 +469,9 @@ def load_external_predictions(directory) -> ExternalEstimator:
     root = os.fspath(directory)
     dist_path = os.path.join(root, "distances.csv")
     if not os.path.exists(dist_path):
-        raise MissingPrediction(f"{root}: no distances.csv")
+        raise FormatError(f"{root}: no distances.csv")
     distances: dict[tuple[int, int], float] = {}
+    masks: dict[tuple[int, int], RegionMask] = {}
     for row, line in read_rows(dist_path):
         parts = line.split(",")
         if len(parts) != 3:
@@ -488,12 +486,12 @@ def load_external_predictions(directory) -> ExternalEstimator:
         if i == j or pair[0] < 0 or not (math.isfinite(d) and d >= 0):
             raise FormatError(f"{dist_path} row {row}: bad entry {line!r}")
         distances[pair] = d
-    masks: dict[tuple[int, int], RegionMask] = {}
-    for i, j in distances:
         mask_path = os.path.join(root, pair_mask_filename(i, j))
         if not os.path.exists(mask_path):
-            raise MissingPrediction(f"missing mask file for pair ({i}, {j}): {mask_path}")
-        masks[(i, j)] = RegionMask.from_u8(read_pgm(mask_path))
+            raise FormatError(
+                f"{dist_path} row {row}: missing mask file for pair {pair}: {mask_path}"
+            )
+        masks[pair] = RegionMask.from_u8(read_pgm(mask_path))
     return ExternalEstimator(distances, masks, source=root)
 
 

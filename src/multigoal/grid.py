@@ -22,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BlockedPoint,
-    FormatError,
-    GenerationFailed,
-    InvalidArgument,
-    OutOfBoundsError,
-    PlacementFailed,
-)
+from .errors import FormatError, GenerationFailed, InvalidArgument, PlacementFailed
 from .pgm import read_pgm, write_pgm
 
 _RETRY_BUDGET = 100
@@ -93,7 +86,7 @@ class GridMap:
     def is_free(self, p: Point) -> bool:
         """True iff the cell containing p is not an obstacle."""
         if not (0.0 <= p.x < self.width and 0.0 <= p.y < self.height):
-            raise OutOfBoundsError(f"point ({p.x}, {p.y}) outside {self.width}x{self.height} map")
+            raise InvalidArgument(f"point ({p.x}, {p.y}) outside {self.width}x{self.height} map")
         cx, cy = p.cell()
         return not self.cells[cy, cx]
 
@@ -108,9 +101,9 @@ class GridMap:
         ax, ay, bx, by = a.x, a.y, b.x, b.y
         width, height = self.width, self.height
         if not (0.0 <= ax < width and 0.0 <= ay < height):
-            raise OutOfBoundsError(f"segment endpoint ({ax}, {ay}) out of bounds")
+            raise InvalidArgument(f"segment endpoint ({ax}, {ay}) out of bounds")
         if not (0.0 <= bx < width and 0.0 <= by < height):
-            raise OutOfBoundsError(f"segment endpoint ({bx}, {by}) out of bounds")
+            raise InvalidArgument(f"segment endpoint ({bx}, {by}) out of bounds")
         # nested lists: reading one Python bool is cheaper than a numpy scalar
         if not hasattr(self, "_rows"):
             self._rows = self.cells.tolist()
@@ -221,7 +214,7 @@ class GoalSet:
         """Raise if any goal lies in a blocked cell."""
         for i, p in enumerate(self.goals):
             if not grid.is_free(p):
-                raise BlockedPoint(f"goal {i} at ({p.x}, {p.y}) is inside an obstacle")
+                raise InvalidArgument(f"goal {i} at ({p.x}, {p.y}) is inside an obstacle")
 
 
 @dataclass(frozen=True)
@@ -357,12 +350,20 @@ def place_goals(grid: GridMap, m: int, seed: int, min_separation: float = 0.0) -
 
     Goals occupy pairwise-distinct cells and keep pairwise Euclidean distance
     >= min_separation. Deterministic per seed; raises PlacementFailed when the
-    rejection-sampling budget runs out.
+    rejection-sampling budget runs out, or before any draw when the goals
+    provably cannot fit: m disjoint disks of radius s/2 lie inside the map
+    grown by s/2 on every side, so m*pi*s^2/4 <= (W+s)*(H+s).
     """
     if m < 2:
         raise InvalidArgument(f"need m >= 2 goals, got {m}")
     if not 0 <= min_separation < math.inf:  # also rejects nan
         raise InvalidArgument(f"min_separation must be finite and >= 0, got {min_separation}")
+    s = min_separation
+    if m * math.pi * s * s / 4 > (grid.width + s) * (grid.height + s):
+        raise PlacementFailed(
+            f"{m} goals with separation {s} cannot fit a {grid.width}x{grid.height} map: "
+            f"m*pi*s^2/4 > (W+s)*(H+s)"
+        )
     rng = np.random.default_rng(check_seed(seed))
     cells = grid.largest_component_cells()
     if len(cells) < m:

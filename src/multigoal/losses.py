@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptyInput, FormatError, LengthMismatch, ShapeMismatch
+from .errors import FormatError, InvalidArgument
 from .estimators import pair_mask_filename
 
 EPS = 1e-12
@@ -42,7 +42,7 @@ def _values(mask) -> np.ndarray:
 def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
     a, b = _values(y), _values(yhat)
     if a.shape != b.shape:
-        raise ShapeMismatch(f"mask shapes differ: {a.shape} vs {b.shape}")
+        raise InvalidArgument(f"mask shapes differ: {a.shape} vs {b.shape}")
     return a, b
 
 
@@ -62,7 +62,7 @@ def dice_loss(y, yhat) -> float:
     intersection = float((a * b).sum())
     denom = float((a * a).sum() + (b * b).sum())
     if denom == 0.0:
-        raise DegenerateInput("both masks are all-zero; Dice denominator vanishes")
+        raise InvalidArgument("both masks are all-zero; Dice denominator vanishes")
     return 1.0 - 2.0 * intersection / denom
 
 
@@ -71,9 +71,9 @@ def mse_loss(c, chat) -> float:
     a = np.asarray(c, dtype=np.float64)
     b = np.asarray(chat, dtype=np.float64)
     if a.shape != b.shape:
-        raise LengthMismatch(f"distance sequences differ in length: {a.shape} vs {b.shape}")
+        raise InvalidArgument(f"distance sequences differ in length: {a.shape} vs {b.shape}")
     if a.size == 0:
-        raise EmptyInput("distance sequences must be nonempty")
+        raise InvalidArgument("distance sequences must be nonempty")
     return float(np.mean((a - b) ** 2))
 
 
@@ -82,7 +82,7 @@ def total_loss(losses, weights: LossWeights | None = None) -> float:
     weights = weights or LossWeights()
     vals = tuple(float(v) for v in losses)
     if len(vals) != len(weights.alpha):
-        raise LengthMismatch(
+        raise InvalidArgument(
             f"{len(vals)} component losses but {len(weights.alpha)} weights"
         )
     return float(sum(a * math.log(max(v, EPS)) for a, v in zip(weights.alpha, vals)))
@@ -95,17 +95,17 @@ def score_predictions(labels, predictions, weights: LossWeights | None = None):
     and ``masks`` dicts keyed by (i, j). Every label mask must be binary; a
     mask that is not raises FormatError naming its pair_i_j.pgm file under
     the labels' ``source`` directory. A label and prediction of different
-    shapes, or both all-zero, raise ShapeMismatch or DegenerateInput naming
-    the pair's file under both ``source`` directories. Returns (rows,
-    aggregate): one (i, j, bce, dice, squared_error) row per pair, and an
-    aggregate dict with mean BCE, mean Dice, the MSE over all pair distances,
-    and the combined log-weighted total of those three.
+    shapes, or both all-zero, raise InvalidArgument naming the pair's file
+    under both ``source`` directories. Returns (rows, aggregate): one (i, j,
+    bce, dice, squared_error) row per pair, and an aggregate dict with mean
+    BCE, mean Dice, the MSE over all pair distances, and the combined
+    log-weighted total of those three.
     """
     weights = weights or LossWeights()
     keys = sorted(labels.distances.keys())
     missing = [k for k in keys if k not in predictions.distances]
     if missing:
-        raise LengthMismatch(f"predictions lack labeled pairs {missing}")
+        raise InvalidArgument(f"predictions lack labeled pairs {missing}")
     rows = []
     c_true, c_est = [], []
     for i, j in keys:
@@ -116,9 +116,9 @@ def score_predictions(labels, predictions, weights: LossWeights | None = None):
         try:
             l1 = bce_loss(mask, predictions.masks[(i, j)])
             l2 = dice_loss(mask, predictions.masks[(i, j)])
-        except (ShapeMismatch, DegenerateInput) as exc:
+        except InvalidArgument as exc:
             prediction_path = os.path.join(predictions.source, pair_mask_filename(i, j))
-            raise type(exc)(f"{label_path} vs {prediction_path}: {exc}") from None
+            raise InvalidArgument(f"{label_path} vs {prediction_path}: {exc}") from None
         err = (distance - predictions.distances[(i, j)]) ** 2
         rows.append((i, j, l1, l2, err))
         c_true.append(distance)

@@ -18,7 +18,7 @@ from .errors import NoPathFound
 from .estimators import WeightMatrix, build_weight_matrix, make_estimator
 from .grid import GoalSet, GridMap, check_seed
 from .planner import PathPolyline, PlannerConfig, plan_leg_rrt, plan_leg_rrt_star
-from .tsp import Tour, TspConfig, solve_tsp
+from .tsp import Tour, solve_tsp
 
 GUIDED = "guided"
 RRT_STAR = "rrt-star"
@@ -64,7 +64,6 @@ def run_algorithm(
     goals: GoalSet,
     algorithm: str,
     cfg: PlannerConfig,
-    tsp_config: TspConfig | None = None,
     estimator: str = "oracle",
 ) -> Solution:
     """Weights, then the TSP, then one planned leg per tour edge.
@@ -72,7 +71,8 @@ def run_algorithm(
     guided weighs pairs with the estimator that the make_estimator spec
     estimator names and plans region-guided RRT legs; euclidean-rrt-star
     weighs by straight-line distance and plans RRT* legs; rrt-star weighs every
-    pair by a full RRT* plan and reuses those paths as legs. A tour edge is
+    pair by a full RRT* plan and reuses those paths as legs. The spec is
+    checked for every algorithm, although only guided uses it. A tour edge is
     planned at most once, so a two-goal tour plans one leg and drives it back
     in reverse.
     """
@@ -83,6 +83,7 @@ def run_algorithm(
     samples_total = 0
 
     t0 = time.perf_counter()
+    est = make_estimator(estimator)
     if algorithm == RRT_STAR:
         goals.validate_on(grid)
         m = len(goals)
@@ -98,10 +99,11 @@ def run_algorithm(
                 samples_total += samples
         matrix = WeightMatrix(w)
     else:
-        est = make_estimator("euclidean" if algorithm == EUCLIDEAN_RRT_STAR else estimator)
+        if algorithm == EUCLIDEAN_RRT_STAR:
+            est = make_estimator("euclidean")
         matrix, masks = build_weight_matrix(grid, goals, est)
     t1 = time.perf_counter()
-    result = solve_tsp(matrix, tsp_config)
+    result = solve_tsp(matrix)
     t2 = time.perf_counter()
 
     legs = []
@@ -142,7 +144,7 @@ def _named_plan(what, i, j, planner, *args):
     try:
         return planner(*args)
     except NoPathFound as exc:
-        raise NoPathFound(f"{what} ({i}, {j}): {exc}", leg=(i, j)) from exc
+        raise NoPathFound(f"{what} ({i}, {j}): {exc}") from exc
 
 
 def verify_solution(grid: GridMap, goals: GoalSet, solution: Solution, cfg: PlannerConfig) -> None:

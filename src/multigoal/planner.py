@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BlockedPoint, FormatError, NoPathFound
+from .errors import FormatError, InvalidArgument, NoPathFound
 from .grid import GridMap, Point, check_seed, read_rows, write_rows
 
 _REWIRE_EPS = 1e-12
@@ -328,9 +328,9 @@ def _rrt_star(grid, start, goal, cfg):
 
 def _check_endpoints(grid, start, goal):
     if not grid.is_free(start):
-        raise BlockedPoint(f"start ({start.x}, {start.y}) is not free")
+        raise InvalidArgument(f"start ({start.x}, {start.y}) is not free")
     if not grid.is_free(goal):
-        raise BlockedPoint(f"goal ({goal.x}, {goal.y}) is not free")
+        raise InvalidArgument(f"goal ({goal.x}, {goal.y}) is not free")
 
 
 def _finish(points: list[Point], goal: Point) -> PathPolyline:

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTour, TooLarge
+from .errors import InvalidArgument
 
 EXACT_LIMIT = 16  # Held-Karp memory bound: 2^16 x 16 float table
+EXACT_THRESHOLD = 13  # solve_tsp runs Held-Karp up to this many vertices
 IMPROVE_EPS = 1e-12
 
 
@@ -27,7 +28,7 @@ class Tour:
         seq = [int(v) for v in order]
         m = len(seq)
         if m < 2 or sorted(seq) != list(range(m)):
-            raise InvalidTour(f"order {seq} is not a permutation of 0..{max(m - 1, 0)}")
+            raise InvalidArgument(f"order {seq} is not a permutation of 0..{max(m - 1, 0)}")
         self.order = _canonical(seq)
         self.m = m
 
@@ -55,17 +56,6 @@ def _canonical(seq: list[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class TspConfig:
-    exact_threshold: int = 13
-
-    def __post_init__(self):
-        if self.exact_threshold > EXACT_LIMIT:
-            raise ValueError(
-                f"exact_threshold must be at most {EXACT_LIMIT}, got {self.exact_threshold}"
-            )
-
-
-@dataclass(frozen=True)
 class TspResult:
     tour: Tour
     cost: float
@@ -76,7 +66,7 @@ def tour_cost(w, t: Tour) -> float:
     """Sum of edge weights around the closed cycle (M=2 counts its edge twice)."""
     order = t.order
     if len(order) != w.m:
-        raise InvalidTour(f"tour over {len(order)} vertices, matrix has {w.m}")
+        raise InvalidArgument(f"tour over {len(order)} vertices, matrix has {w.m}")
     total = 0.0
     for k in range(len(order)):
         total += w[order[k], order[(k + 1) % len(order)]]
@@ -111,11 +101,11 @@ def held_karp(w) -> tuple[Tour, float]:
     """Exact minimum-cost tour by dynamic programming over vertex subsets.
 
     Ties are broken toward the lexicographically smallest canonical order.
-    Raises TooLarge beyond 16 vertices.
+    Raises InvalidArgument beyond 16 vertices.
     """
     m = w.m
     if m > EXACT_LIMIT:
-        raise TooLarge(f"Held-Karp limited to {EXACT_LIMIT} vertices, got {m}")
+        raise InvalidArgument(f"Held-Karp limited to {EXACT_LIMIT} vertices, got {m}")
 
     wt = w.w
     dp = _held_karp_table(wt)
@@ -217,13 +207,12 @@ def _apply_first_oropt(wl, order) -> bool:
     return False
 
 
-def solve_tsp(w, config: TspConfig | None = None) -> TspResult:
-    """Visiting order for a weight matrix: exact below the size threshold, else heuristic."""
-    config = config or TspConfig()
+def solve_tsp(w) -> TspResult:
+    """Visiting order for a weight matrix: exact up to EXACT_THRESHOLD vertices, else heuristic."""
     if w.m == 2:
         t = Tour((0, 1))
         return TspResult(t, tour_cost(w, t), "EXACT")
-    if w.m <= config.exact_threshold:
+    if w.m <= EXACT_THRESHOLD:
         t, cost = held_karp(w)
         return TspResult(t, cost, "EXACT")
     t = local_search_improve(w, nearest_neighbor(w))

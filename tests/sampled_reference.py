@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from multigoal.errors import OutOfBoundsError
+from multigoal.errors import InvalidArgument
 
 
 def segment_free(grid, a, b, resolution):
@@ -17,7 +17,7 @@ def segment_free(grid, a, b, resolution):
         raise ValueError("resolution must be positive")
     for p in (a, b):
         if not (0.0 <= p.x < grid.width and 0.0 <= p.y < grid.height):
-            raise OutOfBoundsError(f"segment endpoint ({p.x}, {p.y}) out of bounds")
+            raise InvalidArgument(f"segment endpoint ({p.x}, {p.y}) out of bounds")
     if (b.x, b.y) < (a.x, a.y):
         a, b = b, a
     dist = a.distance_to(b)

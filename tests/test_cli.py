@@ -18,7 +18,6 @@ from multigoal.cli import main
 from multigoal.grid import MAX_CELLS, load_map
 from multigoal.pgm import read_pgm, write_pgm
 from multigoal.planner import MAX_SAMPLES
-from multigoal.tsp import EXACT_LIMIT
 from test_public_api import SUBCOMMAND_OPTIONS
 
 
@@ -101,14 +100,6 @@ class TestEstimateAndTsp:
         assert (out / "distances.csv").exists()
         assert (out / "pair_0_1.pgm").exists()
         assert (out / "pair_2_3.pgm").exists()
-
-    def test_exact_threshold_above_limit(self, small_world, tmp_path, capsys):
-        map_path, goals_path = small_world
-        est = tmp_path / "est"
-        run(["estimate", "--map", map_path, "--goals", goals_path, "--out-dir", est])
-        code = run(["tsp", "--weights", est / "weights.csv", "--exact-threshold", 17])
-        assert code == 1
-        assert "exact_threshold" in capsys.readouterr().err
 
     def test_tsp_json(self, small_world, tmp_path, capsys):
         map_path, goals_path = small_world
@@ -511,6 +502,23 @@ class TestBadInputExitsOne:
         assert capsys.readouterr().err == f"error: {mask}: mask is 20x16, map is 24x24\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pipeline", "estimate"])
+    def test_external_mask_of_another_size(self, small_world, tmp_path, capsys, command):
+        map_path, goals_path = small_world
+        small_map, small_goals, preds = tmp_path / "s.map", tmp_path / "s.csv", tmp_path / "p"
+        save_map(small_map, GridMap(np.zeros((16, 20), dtype=bool)))
+        save_goals(small_goals, GoalSet([Point(2.5, 2.5), Point(15.5, 3.5), Point(15.5, 12.5),
+                                         Point(3.5, 12.5)]))
+        assert run(["estimate", "--map", small_map, "--goals", small_goals,
+                    "--out-dir", preds]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run([command, "--map", map_path, "--goals", goals_path,
+                    "--estimator", f"external:{preds}", "--out-dir", out]) == 1
+        mask = preds / "pair_0_1.pgm"
+        assert capsys.readouterr().err == f"error: {mask}: mask is 20x16, map is 24x24\n"
+        assert not out.exists()
+
     def test_pipeline_missing_goals(self, small_world, tmp_path, capsys):
         map_path, _ = small_world
         missing = tmp_path / "nosuch.csv"
@@ -666,6 +674,15 @@ class TestBadInputExitsOne:
          f"seed must be an unsigned 64-bit integer, got {2**64}"),
         (["score", "--alpha", "1,1"], "--alpha: need 3 loss weights (BCE, Dice, MSE), got 2"),
         (["gen-map", "--goals", 0], "need m >= 2 goals, got 0"),
+        # the mask is never opened: it guides only rrt
+        (["plan", "--algorithm", "rrt-star", "--mask", "nosuch.pgm"],
+         "--mask guides only --algorithm rrt, not rrt-star"),
+        # the estimator spec is checked for every algorithm, though only guided uses it
+        *((["pipeline", "--algorithm", algorithm, "--estimator", spec, "--max-samples", 300],
+           message)
+          for algorithm in ("rrt-star", "euclidean-rrt-star")
+          for spec, message in [("nosuch", "unknown estimator 'nosuch'"),
+                                ("external:nosuch-dir", "nosuch-dir: no distances.csv")]),
     ])
     def test_rejected_value(self, small_world, tmp_path, capsys, args, message):
         map_path, goals_path = small_world
@@ -715,7 +732,7 @@ def fuzz_world(tmp_path_factory):
 def fuzz_options(root, out):
     """Per subcommand: the arguments every run gets, and the values each option
     may take. The values sit at or just past each limit (0, -1, nan, inf,
-    MAX_SAMPLES, EXACT_LIMIT, MAX_CELLS, seeds outside [0, 2**64)), or are
+    MAX_SAMPLES, MAX_CELLS, seeds outside [0, 2**64)), or are
     small; no value makes a run that is accepted and large."""
     seeded = {
         "--seed": [-1, 0, 3, 2**64 - 1, 2**64],
@@ -733,7 +750,6 @@ def fuzz_options(root, out):
     side = ["0", "-1", "2", "12", MAX_CELLS + 1]
     estimators = ["oracle", "euclidean", f"external:{root / 'est'}",
                   f"external:{root / 'missing'}", "nosuch"]
-    thresholds = ["-1", "0", "2", EXACT_LIMIT, EXACT_LIMIT + 1]
     masks = [root / "est" / "pair_0_1.pgm", root / "ds" / "masks" / "sample_00000.pgm",
              root / "missing.pgm"]
     world = {"--map": root / "world.map", "--goals": root / "goals.csv"}
@@ -755,7 +771,7 @@ def fuzz_options(root, out):
         }),
         "tsp": ({"--weights": root / "est" / "weights.csv"}, {
             "--weights": [root / "ds" / "distances.csv", root / "missing.csv"],
-            "--exact-threshold": thresholds, "--out": [out / "tour.json"],
+            "--out": [out / "tour.json"],
         }),
         "plan": ({"--map": root / "world.map", "--start": "1.5,1.5", "--goal": "10.5,2.5",
                   "--out-path": out / "p.csv"}, {
@@ -764,7 +780,7 @@ def fuzz_options(root, out):
         }),
         "pipeline": ({**world, "--out-dir": out / "sol"}, {
             **planner, "--algorithm": list(ALGORITHMS), "--estimator": estimators,
-            "--exact-threshold": thresholds, "--svg": [out / "sol.svg"],
+            "--svg": [out / "sol.svg"],
         }),
         "bench": ({"--scenarios": "simple", "--algorithms": "guided", "--repeats": 1,
                    "--out-dir": out / "bench"}, {

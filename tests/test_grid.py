@@ -18,7 +18,7 @@ from multigoal import (
     save_goals,
     save_map,
 )
-from multigoal.errors import FormatError, InvalidArgument, OutOfBoundsError
+from multigoal.errors import FormatError, InvalidArgument
 from multigoal.grid import MAX_CELLS, check_map_size, load_goals, load_map
 from sampled_reference import segment_free
 
@@ -71,9 +71,9 @@ class TestIsFree:
 
     def test_out_of_bounds(self):
         g = map_with_blocked([(2, 2)], w=4, h=4)
-        with pytest.raises(OutOfBoundsError):
+        with pytest.raises(InvalidArgument, match=re.escape("point (-1, 0) outside 4x4 map")):
             g.is_free(Point(-1, 0))
-        with pytest.raises(OutOfBoundsError):
+        with pytest.raises(InvalidArgument, match=re.escape("point (0, 4.0) outside 4x4 map")):
             g.is_free(Point(0, 4.0))
 
     def test_matches_cell_table(self):
@@ -128,7 +128,7 @@ class TestSegmentFree:
 
     def test_out_of_bounds_endpoint(self):
         g = empty_map()
-        with pytest.raises(OutOfBoundsError):
+        with pytest.raises(InvalidArgument, match=re.escape("endpoint (4.5, 1.0) out of bounds")):
             segment_free(g, Point(0.5, 0.5), Point(4.5, 1.0), 0.25)
 
 
@@ -186,7 +186,7 @@ class TestSegmentClear:
         g = empty_map()
         bad = a if not (0 <= a.x < g.width and 0 <= a.y < g.height) else b
         message = f"segment endpoint ({bad.x}, {bad.y}) out of bounds"
-        with pytest.raises(OutOfBoundsError, match=re.escape(message)):
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
             g.segment_clear(a, b)
 
     def test_negative_zero_endpoint_lies_in_cell_zero(self):
@@ -235,6 +235,17 @@ class TestPlaceGoals:
         g = empty_map(2, 2)
         with pytest.raises(PlacementFailed):
             place_goals(g, 2, 5, min_separation=10)
+
+    def test_refuses_past_the_packing_bound_before_any_draw(self):
+        # two disks of radius s/2 inside the 4x4 map grown by s/2: 2*pi*s^2/4 <= (4+s)^2,
+        # which holds up to s = 15.79; just past it no seed is tried, even an invalid one
+        g = empty_map(4, 4)
+        with pytest.raises(PlacementFailed, match=re.escape(
+            "2 goals with separation 16 cannot fit a 4x4 map: m*pi*s^2/4 > (W+s)*(H+s)"
+        )):
+            place_goals(g, 2, -1, min_separation=16)
+        with pytest.raises(PlacementFailed, match="after 100 restarts"):
+            place_goals(g, 2, 5, min_separation=15.7)
 
     def test_deterministic(self):
         g = generate_map(4, 32, 32)

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multigoal import LossWeights, bce_loss, dice_loss, mse_loss, total_loss
-from multigoal.errors import (
-    DegenerateInput,
-    EmptyInput,
-    FormatError,
-    LengthMismatch,
-    ShapeMismatch,
-)
+from multigoal.errors import FormatError, InvalidArgument
 from multigoal.estimators import ExternalEstimator, RegionMask
 from multigoal.losses import score_predictions
 
@@ -38,7 +32,7 @@ class TestBce:
         assert bce_loss(arr([[1.0]]), arr([[0.0]])) == pytest.approx(-math.log(1e-12), rel=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument, match=re.escape("shapes differ: (1, 2) vs (2, 1)")):
             bce_loss(arr([[1, 0]]), arr([[1], [0]]))
 
     def test_nonnegative_and_pixel_monotone(self):
@@ -71,11 +65,11 @@ class TestDice:
         assert dice_loss(arr([[1, 0]]), arr([[0.5, 0.5]])) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_both_zero_degenerate(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument, match="all-zero; Dice denominator vanishes"):
             dice_loss(arr([[0, 0]]), arr([[0, 0]]))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument, match=re.escape("shapes differ: (1, 1) vs (1, 2)")):
             dice_loss(arr([[1]]), arr([[1, 0]]))
 
     @settings(max_examples=200, deadline=None)
@@ -85,9 +79,10 @@ class TestDice:
         yhat = arr([[v for _, v in pixels]])
         try:
             loss = dice_loss(y, yhat)
-        except DegenerateInput:
+        except InvalidArgument as exc:
             # all-zero label with subnormal predictions can underflow the
             # squared-magnitude denominator; rejecting is the contract
+            assert "Dice denominator vanishes" in str(exc)
             assert (y == 0).all()
             return
         assert 0.0 <= loss <= 1.0
@@ -117,11 +112,11 @@ class TestMse:
         assert mse_loss([1, 2, 3], [2, 2, 5]) == pytest.approx(5 / 3, abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvalidArgument, match=re.escape("differ in length: (1,) vs (2,)")):
             mse_loss([1.0], [1.0, 2.0])
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidArgument, match="distance sequences must be nonempty"):
             mse_loss([], [])
 
     def test_permutation_invariance(self):
@@ -147,7 +142,7 @@ class TestTotalLoss:
         assert total_loss([0.5, 1 / 3, 5 / 3]) == pytest.approx(expect, abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvalidArgument, match="2 component losses but 3 weights"):
             total_loss([1.0, 2.0], LossWeights((1.0, 1.0, 1.0)))
 
     def test_clamps_zero_components(self):

@@ -14,7 +14,7 @@ import types
 import pytest
 
 import multigoal
-from multigoal import PlannerConfig, cli
+from multigoal import PlannerConfig, cli, errors
 from multigoal.bench import BenchmarkRecord
 from multigoal.pipeline import Solution
 
@@ -127,11 +127,11 @@ SUBCOMMAND_OPTIONS = {
     "gen-dataset": _SEEDED + ["--n", "--out-dir", "--width", "--height", "--min-sep",
                               "--validate"],
     "estimate": ["--map", "--goals", "--estimator", "--dilation-radius", "--out-dir"],
-    "tsp": ["--weights", "--exact-threshold", "--out"],
+    "tsp": ["--weights", "--out"],
     "plan": _PLANNER + ["--map", "--start", "--goal", "--mask", "--algorithm", "--out-path",
                         "--out-stats"],
-    "pipeline": _PLANNER + ["--map", "--goals", "--estimator", "--algorithm",
-                            "--exact-threshold", "--out-dir", "--svg"],
+    "pipeline": _PLANNER + ["--map", "--goals", "--estimator", "--algorithm", "--out-dir",
+                            "--svg"],
     "bench": _PLANNER + ["--scenarios", "--algorithms", "--repeats", "--estimator", "--out-dir",
                          "--times-out"],
     "score": ["--labels", "--predictions", "--alpha", "--out"],
@@ -147,7 +147,7 @@ def test_settable_surface():
         for name, p in sub.choices.items()
     }
     assert options == SUBCOMMAND_OPTIONS
-    assert sum(map(len, options.values())) == 84
+    assert sum(map(len, options.values())) == 82
     assert sorted(cli._CONFIG_KEYS) == [
         "goal_tol", "k", "mask_threshold", "max_samples", "rewire_radius", "seed", "step",
     ]
@@ -171,7 +171,7 @@ SIGNATURES = {
     "GridOracleEstimator": ["dilation_radius"],
     "GridOracleEstimator.estimate_all": ["grid", "goals"],
     "LossWeights": ["alpha"],
-    "NoPathFound": ["message", "leg"],
+    "NoPathFound": None,
     "ObstacleSpec": ["count_range", "size_range", "density_range"],
     "PlacementFailed": None,
     "PlannerConfig": ["step_size", "max_samples", "k", "goal_tolerance", "rewire_radius",
@@ -238,3 +238,25 @@ def test_signatures():
     assert [f.name for f in dataclasses.fields(BenchmarkRecord)] == [
         "scenario", "algorithm", "repeat", "seed", "wall_time_s", "solution",
     ]
+
+
+def test_error_vocabulary():
+    """One exception class per decision a caller makes: fix the input
+    (InvalidArgument, FormatError), retry with another seed or budget
+    (GenerationFailed, PlacementFailed, NoPathFound) or change the goals
+    (Unreachable)."""
+    classes = {
+        name: [base.__name__ for base in value.__bases__]
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    }
+    assert classes == {
+        "MultigoalError": ["Exception"],
+        "InvalidArgument": ["MultigoalError", "ValueError"],
+        "FormatError": ["MultigoalError"],
+        "GenerationFailed": ["MultigoalError"],
+        "PlacementFailed": ["MultigoalError"],
+        "Unreachable": ["MultigoalError"],
+        "NoPathFound": ["MultigoalError"],
+    }
+    assert all("__init__" not in vars(getattr(errors, name)) for name in classes)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from multigoal import (
     nearest_neighbor,
     tour_cost,
 )
-from multigoal.errors import InvalidTour, TooLarge
-from multigoal.tsp import TspConfig, _held_karp_table, solve_tsp
+from multigoal.errors import InvalidArgument
+from multigoal.tsp import EXACT_THRESHOLD, _held_karp_table, solve_tsp
 import oracle_reference as ref
 
 SQRT2 = math.sqrt(2.0)
@@ -54,11 +55,11 @@ class TestTour:
         assert Tour((0, 3, 2, 1)).order == (0, 1, 2, 3)
 
     def test_rejects_duplicates(self):
-        with pytest.raises(InvalidTour):
+        with pytest.raises(InvalidArgument, match=re.escape("[0, 1, 1, 3] is not a permutation")):
             Tour((0, 1, 1, 3))
 
     def test_rejects_missing_vertex(self):
-        with pytest.raises(InvalidTour):
+        with pytest.raises(InvalidArgument, match=re.escape("[0, 2, 3, 4] is not a permutation")):
             Tour((0, 2, 3, 4))
 
 
@@ -134,7 +135,7 @@ class TestHeldKarp:
     def test_too_large(self):
         w = np.ones((17, 17))
         np.fill_diagonal(w, 0)
-        with pytest.raises(TooLarge):
+        with pytest.raises(InvalidArgument, match="Held-Karp limited to 16 vertices, got 17"):
             held_karp(WeightMatrix(w))
 
     def test_scaling_invariance(self):
@@ -233,14 +234,13 @@ class TestLocalSearch:
             assert tour_cost(w, improved) <= tour_cost(w, nn) + 1e-12
 
 
-class TestTspConfig:
-    def test_rejects_exact_threshold_above_limit(self):
-        with pytest.raises(ValueError, match="exact_threshold"):
-            TspConfig(exact_threshold=17)
-        assert TspConfig(exact_threshold=16).exact_threshold == 16
-
-
 class TestSolveTsp:
+    def test_exact_up_to_the_threshold(self):
+        rng = np.random.default_rng(13)
+        assert EXACT_THRESHOLD == 13
+        assert solve_tsp(random_matrix(rng, EXACT_THRESHOLD)).method == "EXACT"
+        assert solve_tsp(random_matrix(rng, EXACT_THRESHOLD + 1)).method == "HEURISTIC"
+
     def test_m2(self):
         w = WeightMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
         res = solve_tsp(w)
@@ -267,10 +267,8 @@ class TestSolveTsp:
         ratios = []
         for _ in range(20):
             w = random_matrix(rng, 12)
-            heur = solve_tsp(w, TspConfig(exact_threshold=2))
-            exact_cost = held_karp(w)[1]
-            assert heur.method == "HEURISTIC"
-            ratios.append(heur.cost / exact_cost)
+            heur = local_search_improve(w, nearest_neighbor(w))  # solve_tsp above the threshold
+            ratios.append(tour_cost(w, heur) / held_karp(w)[1])
         ratios.sort()
         assert ratios[len(ratios) // 2] <= 1.05
 
