@@ -69,9 +69,17 @@ class RegionMask:
             )
 
     def cells_at_least(self, threshold: float) -> np.ndarray:
-        """(N, 2) (x, y) indices of cells with value >= threshold, row-major."""
-        rows, cols = np.nonzero(self.values >= threshold)
-        return np.column_stack([cols, rows]).astype(np.intp)
+        """(N, 2) (x, y) indices of cells with value >= threshold, row-major.
+
+        The array is read-only and cached per threshold: the values never change.
+        """
+        cache = self.__dict__.setdefault("_cells_at_least", {})
+        if threshold not in cache:
+            rows, cols = np.nonzero(self.values >= threshold)
+            cells = np.column_stack([cols, rows]).astype(np.intp)
+            cells.setflags(write=False)
+            cache[threshold] = cells
+        return cache[threshold]
 
     def to_u8(self) -> np.ndarray:
         return np.round(self.values * 255.0).astype(np.uint8)
@@ -406,9 +414,8 @@ class ExternalEstimator:
         for i in range(m):
             for j in range(i + 1, m):
                 if (i, j) not in self.distances or (i, j) not in self.masks:
-                    raise FormatError(
-                        f"no stored prediction for pair {(i, j)} in {self.source!r}"
-                    )
+                    dist_path = os.path.join(self.source, "distances.csv")
+                    raise FormatError(f"{dist_path}: no stored prediction for pair {(i, j)}")
                 mask = self.masks[(i, j)]
                 try:
                     mask.check_shape(grid)

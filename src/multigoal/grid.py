@@ -370,18 +370,20 @@ def place_goals(grid: GridMap, m: int, seed: int, min_separation: float = 0.0) -
         raise PlacementFailed(f"component has {len(cells)} cells, cannot host {m} goals")
 
     for _ in range(_RETRY_BUDGET):
-        chosen: list[tuple[int, int]] = []
-        points: list[Point] = []
+        chosen: set[tuple[int, int]] = set()
+        placed: list[tuple[float, float]] = []
         for _ in range(_RETRY_BUDGET * m):
-            cx, cy = (int(v) for v in cells[int(rng.integers(len(cells)))])
+            i = int(rng.integers(len(cells)))
+            cx, cy = cells.item(i, 0), cells.item(i, 1)
             if (cx, cy) in chosen:
                 continue
-            p = Point(cx + 0.5, cy + 0.5)
-            if all(p.distance_to(q) >= min_separation for q in points):
-                chosen.append((cx, cy))
-                points.append(p)
-                if len(points) == m:
-                    return GoalSet(points)
+            px, py = cx + 0.5, cy + 0.5
+            # the same arithmetic as Point.distance_to, on plain floats
+            if all(math.hypot(px - qx, py - qy) >= min_separation for qx, qy in placed):
+                chosen.add((cx, cy))
+                placed.append((px, py))
+                if len(placed) == m:
+                    return GoalSet([Point(x, y) for x, y in placed])
     raise PlacementFailed(
         f"could not place {m} goals with separation {min_separation} "
         f"after {_RETRY_BUDGET} restarts"

@@ -68,7 +68,8 @@ class Tree:
     """An exploring tree rooted at the start point, holding at most capacity nodes.
 
     Node coordinates sit in two float arrays for the nearest and near
-    queries; points holds each node's Point for collision checks and chains.
+    queries, and again in the xs and ys float lists for scalar reads; points
+    holds each node's Point for collision checks and chains.
     """
 
     def __init__(self, root: Point, capacity: int):
@@ -76,6 +77,10 @@ class Tree:
         self._y = np.empty(capacity, dtype=np.float64)
         self._x[0] = root.x
         self._y[0] = root.y
+        self.xs = [float(root.x)]
+        self.ys = [float(root.y)]
+        # (x, y, size, squared distances) of the last nearest query, for near
+        self._last = None
         self.points = [Point(float(root.x), float(root.y))]
         self.size = 1
         self.parents = [-1]
@@ -87,6 +92,8 @@ class Tree:
         idx = self.size
         self._x[idx] = p.x
         self._y[idx] = p.y
+        self.xs.append(p.x)
+        self.ys.append(p.y)
         self.points.append(p)
         self.size += 1
         self.parents.append(parent)
@@ -97,11 +104,22 @@ class Tree:
 
     def nearest(self, x: float, y: float) -> int:
         """Index of the node closest to (x, y); ties go to the lower index."""
-        return int(self._dist2(x, y).argmin())
+        d2 = self._dist2(x, y)
+        self._last = (x, y, self.size, d2)
+        return int(d2.argmin())
 
     def near(self, x: float, y: float, radius: float) -> np.ndarray:
-        """Indices of the nodes within radius of (x, y), ascending."""
-        return (self._dist2(x, y) <= radius * radius).nonzero()[0]
+        """Indices of the nodes within radius of (x, y), ascending.
+
+        Reuses the distances of the last nearest query when it asked about
+        the same point on a tree of the same size.
+        """
+        last = self._last
+        if last is not None and last[0] == x and last[1] == y and last[2] == self.size:
+            d2 = last[3]
+        else:
+            d2 = self._dist2(x, y)
+        return (d2 <= radius * radius).nonzero()[0]
 
     def _dist2(self, x: float, y: float) -> np.ndarray:
         """Squared distance of every node to (x, y), computed in place: the
@@ -272,7 +290,7 @@ def _rrt_star(grid, start, goal, cfg):
     rng = np.random.default_rng(cfg.seed)
     cells = grid.free_cells()
     tree = Tree(start, cfg.max_samples + 1)
-    points, costs = tree.points, tree.costs
+    points, costs, xs, ys = tree.points, tree.costs, tree.xs, tree.ys
     candidates: dict[int, float] = {}
     first_length = None
 
@@ -284,24 +302,29 @@ def _rrt_star(grid, start, goal, cfg):
     for _ in range(cfg.max_samples):
         tx, ty = _draw(cells, goal_xy, cfg.k, rng)
         near_idx = tree.nearest(tx, ty)
-        near_pt = points[near_idx]
-        nx, ny, d = _steer(near_pt.x, near_pt.y, tx, ty, cfg.step_size)
+        nx, ny, d = _steer(xs[near_idx], ys[near_idx], tx, ty, cfg.step_size)
         if d == 0.0:
             continue
         new_pt = Point(nx, ny)
         if not grid.is_free(new_pt):
             continue
 
+        # an unmoved sample asks near about nearest's point: the tree reuses its distances
         neighbors = tree.near(nx, ny, cfg.rewire_radius).tolist()
         if near_idx not in neighbors:
             neighbors.append(near_idx)
         # one distance per neighbour, shared by choose-parent and rewiring
-        dists = [math.hypot(points[i].x - nx, points[i].y - ny) for i in neighbors]
-        parent = -1
-        for new_cost, i in sorted((costs[i] + d, i) for i, d in zip(neighbors, dists)):
-            if grid.segment_clear(points[i], new_pt):
-                parent = i
-                break
+        dists = [math.hypot(xs[i] - nx, ys[i] - ny) for i in neighbors]
+        # the cheapest parent first; (cost, index) pairs are unique, so the
+        # sorted fallback checks the same segments in the same order
+        options = [(costs[i] + d, i) for i, d in zip(neighbors, dists)]
+        new_cost, parent = min(options)
+        if not grid.segment_clear(points[parent], new_pt):
+            parent = -1
+            for new_cost, i in sorted(options)[1:]:
+                if grid.segment_clear(points[i], new_pt):
+                    parent = i
+                    break
         if parent < 0:
             continue
         idx = tree.add(new_pt, parent, new_cost)

@@ -1,10 +1,12 @@
-"""Sampled collision check, the reference that GridMap.segment_clear is tested against."""
+"""References the grid module is tested against: a sampled collision check
+for GridMap.segment_clear, and the list-of-Points goal placement for place_goals."""
 
 import math
 
 import numpy as np
 
-from multigoal.errors import InvalidArgument
+from multigoal.errors import InvalidArgument, PlacementFailed
+from multigoal.grid import _RETRY_BUDGET, GoalSet, Point, check_seed
 
 
 def segment_free(grid, a, b, resolution):
@@ -28,3 +30,39 @@ def segment_free(grid, a, b, resolution):
     cols = np.floor(xs).astype(np.intp)
     rows = np.floor(ys).astype(np.intp)
     return not grid.cells[rows, cols].any()
+
+
+def place_goals(grid, m, seed, min_separation=0.0):
+    """place_goals as a list of chosen cells and Points: the same rng calls,
+    comparisons and messages, each separation test a Point.distance_to."""
+    if m < 2:
+        raise InvalidArgument(f"need m >= 2 goals, got {m}")
+    if not 0 <= min_separation < math.inf:
+        raise InvalidArgument(f"min_separation must be finite and >= 0, got {min_separation}")
+    s = min_separation
+    if m * math.pi * s * s / 4 > (grid.width + s) * (grid.height + s):
+        raise PlacementFailed(
+            f"{m} goals with separation {s} cannot fit a {grid.width}x{grid.height} map: "
+            f"m*pi*s^2/4 > (W+s)*(H+s)"
+        )
+    rng = np.random.default_rng(check_seed(seed))
+    cells = grid.largest_component_cells()
+    if len(cells) < m:
+        raise PlacementFailed(f"component has {len(cells)} cells, cannot host {m} goals")
+    for _ in range(_RETRY_BUDGET):
+        chosen = []
+        points = []
+        for _ in range(_RETRY_BUDGET * m):
+            cx, cy = (int(v) for v in cells[int(rng.integers(len(cells)))])
+            if (cx, cy) in chosen:
+                continue
+            p = Point(cx + 0.5, cy + 0.5)
+            if all(p.distance_to(q) >= min_separation for q in points):
+                chosen.append((cx, cy))
+                points.append(p)
+                if len(points) == m:
+                    return GoalSet(points)
+    raise PlacementFailed(
+        f"could not place {m} goals with separation {min_separation} "
+        f"after {_RETRY_BUDGET} restarts"
+    )

@@ -579,7 +579,8 @@ class TestExternalPredictions:
         g, goals, *_ = self.setup_exported(tmp_path)
         est = load_external_predictions(tmp_path)
         more = place_goals(g, 10, 8, 0)  # predictions cover goals 0-3 only
-        with pytest.raises(FormatError, match=r"no stored prediction for pair \(0, 4\)"):
+        message = re.escape(f"{tmp_path / 'distances.csv'}: no stored prediction for pair (0, 4)")
+        with pytest.raises(FormatError, match=message):
             est.estimate_all(g, more)
 
     def test_dimension_mismatch(self, tmp_path):
@@ -608,3 +609,14 @@ class TestRegionMask:
         m = RegionMask(values)
         back = RegionMask.from_u8(m.to_u8())
         assert np.abs(back.values - values).max() <= 0.5 / 255 + 1e-12
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_cells_at_least_is_cached_and_read_only(self, fresh):
+        values = np.array([[0.0, 0.5, 1.0], [0.25, 0.75, 0.5]])
+        mask = RegionMask._of_fresh(values.copy()) if fresh else RegionMask(values)
+        cells = mask.cells_at_least(0.5)
+        assert cells.tolist() == [[1, 0], [2, 0], [1, 1], [2, 1]]
+        assert mask.cells_at_least(0.5) is cells and not cells.flags.writeable
+        assert mask.cells_at_least(0.8).tolist() == [[2, 0]]
+        with pytest.raises(ValueError):
+            cells[0, 0] = 9

@@ -20,6 +20,7 @@ from multigoal import (
 )
 from multigoal.errors import FormatError, InvalidArgument
 from multigoal.grid import MAX_CELLS, check_map_size, load_goals, load_map
+import sampled_reference
 from sampled_reference import segment_free
 
 
@@ -260,6 +261,31 @@ class TestPlaceGoals:
         labels = g.component_labels()
         comp = {labels[p.cell()[1], p.cell()[0]] for p in goals}
         assert len(comp) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        w=st.integers(3, 20),
+        h=st.integers(3, 20),
+        density=st.sampled_from([0.0, 0.2, 0.4]),
+        map_seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 8),
+        seed=st.integers(0, 2**64 - 1),
+        separation=st.sampled_from([0.0, 1.0, 1.5, 2.5, 4.0, 7.0]),
+    )
+    def test_matches_list_reference(self, w, h, density, map_seed, m, seed, separation):
+        # the same goals, or the same failure, as the list-of-Points loop
+        cells = np.random.default_rng(map_seed).random((h, w)) < density
+        if cells.all():
+            cells[0, 0] = False
+        g = GridMap(cells)
+
+        def outcome(place):
+            try:
+                return [repr(p) for p in place(g, m, seed, separation)]
+            except PlacementFailed as exc:
+                return str(exc)
+
+        assert outcome(place_goals) == outcome(sampled_reference.place_goals)
 
 
 def reference_labels(cells):

@@ -1,4 +1,6 @@
+import math
 import statistics
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,6 +158,22 @@ class TestNearestAndSteer:
         t.add(Point(1.0, 0.0), 0, 1.0)
         assert t.near(0.0, 0.0, 5.0).tolist() == [0, 1, 2]
         assert t.near(0.0, 0.0, 4.9).tolist() == [0, 2]
+
+    def test_near_after_nearest_and_add_sees_the_new_node(self):
+        t = Tree(Point(0, 0), 4)
+        t.add(Point(5.0, 0.0), 0, 5.0)
+        assert t.nearest(1.0, 1.0) == 0
+        t.add(Point(1.0, 1.0), 0, math.sqrt(2.0))
+        assert t.near(1.0, 1.0, 2.0).tolist() == [0, 2]
+
+    def test_near_at_another_point_is_computed_afresh(self):
+        t = Tree(Point(0, 0), 4)
+        t.add(Point(5.0, 0.0), 0, 5.0)
+        t.add(Point(1.0, 1.0), 0, math.sqrt(2.0))
+        assert t.nearest(1.0, 1.0) == 2
+        # nearest's distances from (1, 1) would give [0, 2]
+        assert t.near(4.0, 0.0, 3.5).tolist() == [1, 2]
+        assert t.near(1.0, 1.0, 3.5).tolist() == [0, 2]
 
     def test_steer_short(self):
         assert _steer(0.0, 0.0, 0.0, 0.5, 1.0) == (0.0, 0.5, 0.5)
@@ -389,14 +407,18 @@ class TestGoldenPaths:
             monkeypatch.setattr(cls, name, wrapper)
 
         counting(GridMap, "segment_clear")
-        for name in ("nearest", "near", "add"):
+        # _dist2 is not wrapped by perfbench: its count pins near's reuse of
+        # nearest's distances for every sample that the step did not move
+        for name in ("nearest", "near", "add", "_dist2"):
             counting(Tree, name)
         g, cfg = self.world()
         plan_leg_rrt_star(g, Point(2, 2), Point(17, 4), cfg)
-        assert counts == {"nearest": 300, "near": 264, "add": 261, "segment_clear": 583}
+        assert counts == {
+            "nearest": 300, "near": 264, "add": 261, "segment_clear": 583, "_dist2": 345
+        }
         counts.clear()
         plan_leg_rrt(g, Point(2, 2), Point(17, 4), free_mask(g), cfg)
-        assert counts == {"nearest": 83, "add": 62, "segment_clear": 84}
+        assert counts == {"nearest": 83, "add": 62, "segment_clear": 84, "_dist2": 83}
 
 
 @st.composite
@@ -435,11 +457,21 @@ def planner_instances(draw):
 
 
 def _outcome(plan, *args):
-    """What a planner run leaves behind, with points compared by repr."""
-    try:
-        out = plan(*args)
-    except NoPathFound as exc:
-        return ("NoPathFound", str(exc))
+    """What a planner run leaves behind, with points compared by repr, and
+    every segment it checked, in order (by value: the Point-based loop may
+    check a segment to the caller's int goal where the float loop has a node)."""
+    checked = []
+    segment_clear = GridMap.segment_clear
+
+    def recording(grid, a, b):
+        checked.append((a.x, a.y, b.x, b.y))
+        return segment_clear(grid, a, b)
+
+    with mock.patch.object(GridMap, "segment_clear", recording):
+        try:
+            out = plan(*args)
+        except NoPathFound as exc:
+            return ("NoPathFound", str(exc), checked)
     poly, tree = out[0], out[-1]
     return (
         [repr(p) for p in poly.points],
@@ -447,6 +479,7 @@ def _outcome(plan, *args):
         [repr(p) for p in tree.points],
         tree.parents,
         tree.costs,
+        checked,
     )
 
 
