@@ -1,9 +1,8 @@
 """Seeded benchmark harness comparing planning algorithms across scenarios.
 
 The results CSV is a pure function of (scenarios, algorithms, repeats, base
-seed): per-run wall times are kept in memory for the printed report and the
-optional timing sidecar, but the time_s column of the results file is left
-empty so reruns are byte-identical.
+seed), so reruns are byte-identical. Per-run wall times are kept in memory
+for the printed report only.
 """
 
 from __future__ import annotations
@@ -15,10 +14,10 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidArgument, NoPathFound, Unreachable
 from .grid import write_rows
-from .pipeline import ALGORITHMS, Solution, run_algorithm
+from .pipeline import ALGORITHMS, Solution, check_algorithm, run_algorithm
 from .planner import PlannerConfig
 
-RESULTS_HEADER = ["scenario", "algorithm", "repeat", "seed", "cost", "time_s", "samples", "order"]
+RESULTS_HEADER = ["scenario", "algorithm", "repeat", "seed", "cost", "samples", "order"]
 AGGREGATE_HEADER = ["scenario", "algorithm", "runs", "failures",
                     "cost_median", "cost_min", "cost_max"]
 
@@ -69,10 +68,12 @@ def benchmark(
 
     Each successful record carries its Solution. Individual failures (no
     path, unreachable pair) become failed records rather than aborting the
-    sweep.
+    sweep. Every algorithm name is checked before the first run.
     """
     if repeats < 1:
         raise InvalidArgument("repeats must be at least 1")
+    for algorithm in algorithms:
+        check_algorithm(algorithm)
     records = []
     for scenario in scenarios:
         for algorithm in algorithms:
@@ -95,19 +96,13 @@ def benchmark(
 
 
 def write_results_csv(path, records) -> None:
-    """Deterministic results table; the time_s column is intentionally empty."""
+    """Deterministic results table: one row per run, FAILED in place of a failed run's order."""
     rows = [
-        [r.scenario, r.algorithm, r.repeat, r.seed, r.cost, "", r.samples,
+        [r.scenario, r.algorithm, r.repeat, r.seed, r.cost, r.samples,
          "FAILED" if r.failed else ",".join(map(str, r.order))]
         for r in records
     ]
     write_rows(path, [RESULTS_HEADER, *rows])
-
-
-def write_timings_csv(path, records) -> None:
-    """Wall-time sidecar; machine dependent, excluded from determinism guarantees."""
-    rows = [[r.scenario, r.algorithm, r.repeat, f"{r.wall_time_s:.6f}"] for r in records]
-    write_rows(path, [["scenario", "algorithm", "repeat", "time_s"], *rows])
 
 
 def _groups(records) -> list[tuple[tuple[str, str], list[BenchmarkRecord]]]:
@@ -135,7 +130,7 @@ def write_aggregate_csv(path, records) -> None:
 
 
 def format_report(records) -> str:
-    """Readable summary including median wall times (not part of the CSV artifacts)."""
+    """Readable summary including median wall times, which no CSV holds."""
     lines = [
         f"{'scenario':<12} {'algorithm':<20} {'ok':>3} {'fail':>4} "
         f"{'median cost':>12} {'median time':>12}"

@@ -35,12 +35,8 @@ class LossWeights:
             raise ValueError(f"all loss weights must be positive and finite, got {self.alpha}")
 
 
-def _values(mask) -> np.ndarray:
-    return np.asarray(getattr(mask, "values", mask), dtype=np.float64)
-
-
 def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
-    a, b = _values(y), _values(yhat)
+    a, b = np.asarray(y, dtype=np.float64), np.asarray(yhat, dtype=np.float64)
     if a.shape != b.shape:
         raise InvalidArgument(f"mask shapes differ: {a.shape} vs {b.shape}")
     return a, b
@@ -109,13 +105,14 @@ def score_predictions(labels, predictions, weights: LossWeights | None = None):
     rows = []
     c_true, c_est = [], []
     for i, j in keys:
-        mask, distance = labels.masks[(i, j)], labels.distances[(i, j)]
+        mask, distance = labels.masks[(i, j)].values, labels.distances[(i, j)]
         label_path = os.path.join(labels.source, pair_mask_filename(i, j))
-        if not np.isin(_values(mask), (0.0, 1.0)).all():
+        if not np.isin(mask, (0.0, 1.0)).all():
             raise FormatError(f"{label_path}: a label mask may hold only 0 and 255")
         try:
-            l1 = bce_loss(mask, predictions.masks[(i, j)])
-            l2 = dice_loss(mask, predictions.masks[(i, j)])
+            prediction = predictions.masks[(i, j)].values
+            l1 = bce_loss(mask, prediction)
+            l2 = dice_loss(mask, prediction)
         except InvalidArgument as exc:
             prediction_path = os.path.join(predictions.source, pair_mask_filename(i, j))
             raise InvalidArgument(f"{label_path} vs {prediction_path}: {exc}") from None

@@ -9,12 +9,11 @@ straight-line weights with RRT* legs planned only along the chosen order.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoPathFound
+from .errors import InvalidArgument, NoPathFound
 from .estimators import WeightMatrix, build_weight_matrix, make_estimator
 from .grid import GoalSet, GridMap, check_seed
 from .planner import PathPolyline, PlannerConfig, plan_leg_rrt, plan_leg_rrt_star
@@ -41,7 +40,6 @@ class Solution:
     tour: Tour
     legs: tuple[PathPolyline, ...]
     total_cost: float
-    timings: dict
     seed: int
     algorithm: str
     tsp_method: str
@@ -57,6 +55,12 @@ class Solution:
         total = sum(leg.length for leg in self.legs)
         if abs(total - self.total_cost) > 1e-6:
             raise ValueError(f"total_cost {self.total_cost} != sum of leg lengths {total}")
+
+
+def check_algorithm(algorithm: str) -> None:
+    """Raise InvalidArgument unless algorithm is one of ALGORITHMS."""
+    if algorithm not in ALGORITHMS:
+        raise InvalidArgument(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
 
 
 def run_algorithm(
@@ -76,13 +80,11 @@ def run_algorithm(
     planned at most once, so a two-goal tour plans one leg and drives it back
     in reverse.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    check_algorithm(algorithm)
     # (i, j) with i < j -> a path from goal i to goal j
     paths: dict[tuple[int, int], PathPolyline] = {}
     samples_total = 0
 
-    t0 = time.perf_counter()
     est = make_estimator(estimator)
     if algorithm == RRT_STAR:
         goals.validate_on(grid)
@@ -102,9 +104,7 @@ def run_algorithm(
         if algorithm == EUCLIDEAN_RRT_STAR:
             est = make_estimator("euclidean")
         matrix, masks = build_weight_matrix(grid, goals, est)
-    t1 = time.perf_counter()
     result = solve_tsp(matrix)
-    t2 = time.perf_counter()
 
     legs = []
     for k, (i, j) in enumerate(result.tour.edges()):
@@ -125,13 +125,11 @@ def run_algorithm(
             samples_total += samples
             paths[key] = leg if i < j else leg.reverse()
         legs.append(leg)
-    t3 = time.perf_counter()
 
     return Solution(
         tour=result.tour,
         legs=tuple(legs),
         total_cost=sum(leg.length for leg in legs),
-        timings={"estimation": t1 - t0, "tsp": t2 - t1, "planning": t3 - t2},
         seed=cfg.seed,
         algorithm=algorithm,
         tsp_method=result.method,

@@ -1,9 +1,11 @@
 import re
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import multigoal.bench
 from multigoal import GridMap, GoalSet, Point, benchmark
 from multigoal.bench import (
     BenchmarkRecord,
@@ -40,6 +42,12 @@ class TestBenchmark:
         assert {(r.scenario, r.algorithm, r.repeat) for r in records} == {
             ("open", a, r) for a in ("guided", "euclidean-rrt-star") for r in range(3)
         }
+
+    def test_unknown_algorithm_is_refused_before_any_run(self):
+        with mock.patch.object(multigoal.bench, "run_algorithm") as run_algorithm:
+            with pytest.raises(InvalidArgument, match=r"^unknown algorithm 'astar'; choose from "):
+                benchmark(tiny_scenarios()[:1], ("guided", "astar"), repeats=2)
+        assert run_algorithm.call_count == 0
 
     def test_rerun_identical_csv(self, tmp_path):
         for name in ("a.csv", "b.csv"):
@@ -100,8 +108,8 @@ class TestBenchmark:
         assert records[0].wall_time_s > 0
         write_results_csv(tmp_path / "r.csv", records)
         header, row = (tmp_path / "r.csv").read_text().splitlines()
-        assert header == "scenario,algorithm,repeat,seed,cost,time_s,samples,order"
-        assert row.split(",")[5] == ""
+        assert header == "scenario,algorithm,repeat,seed,cost,samples,order"
+        assert row.split(",")[5] == str(records[0].samples)
 
     def test_csv_bytes(self, tmp_path):
         """The order field holds commas, so it is quoted; costs are written in
@@ -116,10 +124,10 @@ class TestBenchmark:
         write_results_csv(tmp_path / "r.csv", records)
         write_aggregate_csv(tmp_path / "a.csv", records)
         assert (tmp_path / "r.csv").read_bytes() == (
-            b"scenario,algorithm,repeat,seed,cost,time_s,samples,order\n"
-            b'tiny,guided,0,7,0.30000000000000004,,40,"0,1,2,4,3"\n'
-            b"tiny,guided,1,8,,,,FAILED\n"
-            b"tiny,rrt-star,0,9,,,,FAILED\n"
+            b"scenario,algorithm,repeat,seed,cost,samples,order\n"
+            b'tiny,guided,0,7,0.30000000000000004,40,"0,1,2,4,3"\n'
+            b"tiny,guided,1,8,,,FAILED\n"
+            b"tiny,rrt-star,0,9,,,FAILED\n"
         )
         assert (tmp_path / "a.csv").read_bytes() == (
             b"scenario,algorithm,runs,failures,cost_median,cost_min,cost_max\n"

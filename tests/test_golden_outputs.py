@@ -3,9 +3,9 @@
 The README promises byte-identical outputs for fixed seeds; this test holds the
 package to that promise across changes. The script covers every subcommand
 but ``score``, whose losses go through ``np.log`` and may round differently on
-another CPU. It writes no wall-time file (``plan --out-stats``,
-``bench --times-out``). A change that alters an output on purpose re-records
-the pins below and says why.
+another CPU. No output holds a wall time: the CLI only prints the seconds it
+measured. A change that alters an output on purpose re-records the pins below
+and says why.
 """
 
 import hashlib
@@ -23,9 +23,10 @@ SCRIPT = [
      "--out-dir", "est_euclidean"],
     ["tsp", "--weights", "est_oracle/weights.csv", "--out", "tour.json"],
     ["plan", "--map", "world.map", "--start", "0.5,4.5", "--goal", "13.5,7.5", "--seed", 5,
-     "--out-path", "plan_rrt.csv"],
+     "--out-path", "plan_rrt.csv", "--out-stats", "plan_rrt.json"],
     ["plan", "--map", "world.map", "--start", "0.5,4.5", "--goal", "13.5,7.5", "--seed", 5,
-     "--algorithm", "rrt-star", "--max-samples", 300, "--out-path", "plan_rrt_star.csv"],
+     "--algorithm", "rrt-star", "--max-samples", 300, "--out-path", "plan_rrt_star.csv",
+     "--out-stats", "plan_rrt_star.json"],
     *(
         ["pipeline", "--map", "world.map", "--goals", GOALS, "--algorithm", algorithm,
          "--seed", 11, "--max-samples", 1000, "--out-dir", f"pipeline_{algorithm}",
@@ -44,7 +45,7 @@ SCRIPT = [
 
 SHA256 = {
     "bench/aggregate.csv": "e1b4854b8b66edb4c531f8428cebda553371d45d24c3ec453ab22477e887c14c",
-    "bench/results.csv": "c8eabe80e85c1171540a9ff5cf1c00f35d20bc81d2e4aebd011617fe26f72f06",
+    "bench/results.csv": "fe5c92d37d5226e6f29376b41ea931294d8f1c1ca9270d446585f37adff2fd60",
     "dataset/distances.csv": "24c87488130e6fc69bd0e9537eba2cc26ec38784a9cbc85a9a65c81f1d65169d",
     "dataset/goals/sample_00000.csv": "6d6b093f252ecea782c8e4c2e297187e50109be0d9b83442d41c07c9b7e95cf3",
     "dataset/goals/sample_00001.csv": "6cd5c01fdaedb3786e24286397ecce7022c0bccdd2999226f403c9006a88fbe1",
@@ -109,7 +110,9 @@ SHA256 = {
     "pipeline_rrt-star/solution.json": "53ffe44a720e14488e50f9f1fb60967c6cbb521f7c6d9364f8f841026f62572e",
     "pipeline_rrt-star.svg": "f1849581dc1fb3b98a7c27dd936f6d0f20e303231ece441148e58049f5514039",
     "plan_rrt.csv": "54cfed56eb10b678e0bc7183e65977cf45934031ee5af3a7800c72f5c009a68d",
+    "plan_rrt.json": "29c58a731d9a7b21b70be68cb7e24e532d130ecaf6ec1064ce099e5c7f57d9ee",
     "plan_rrt_star.csv": "82c3b1a7b07e31e8b9e63d925a07e1823b33d03280e10a4a94e341be137cfc20",
+    "plan_rrt_star.json": "02dcdd14f4754e338e456911e84e33b08f7bc718457adde2e9ddaa3dfccf12a7",
     "render.svg": "c877c17007c17d63fbafcdcc068e44f6a6151a5e2131a3a5491c8f236c20aa21",
     "tour.json": "934017d2e80158905fdb06f585d4d5f3efc1ce59c7e4486b2ed041d580857951",
     "world.goals.csv": "8a04910e590353609a19fcd722462f8eb7a9810664aa39d751a07b5b9551b408",

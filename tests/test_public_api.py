@@ -39,16 +39,20 @@ def test_exports_exactly_the_used_names():
     assert all(getattr(multigoal, n).__name__ == f"multigoal.{n}" for n in modules)
 
 
+def source_trees():
+    """(file name, parsed module) of each .py file under src/multigoal."""
+    src = os.path.dirname(multigoal.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                yield name, ast.parse(f.read())
+
+
 def write_opens():
     """(file, enclosing function, mode) of each open() call under src/multigoal
     whose mode writes; a mode that is not a string literal reads as "?"."""
-    src = os.path.dirname(multigoal.__file__)
     sites = set()
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name), encoding="utf-8") as f:
-            tree = ast.parse(f.read())
+    for name, tree in source_trees():
         for func in ast.walk(tree):
             if not isinstance(func, ast.FunctionDef):
                 continue
@@ -71,6 +75,23 @@ def test_text_is_written_in_one_place():
         ("grid.py", "save_map", "wb"),
         ("pgm.py", "write_pgm", "wb"),
     }
+
+
+def test_only_the_harness_and_the_cli_read_the_clock():
+    """A run's result holds no wall time, so two equal runs compare equal:
+    bench times each run for its report, the CLI times what it prints."""
+    importers = set()
+    for name, tree in source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if any(m and m.split(".")[0] == "time" for m in modules):
+                importers.add(name)
+    assert importers == {"bench.py", "cli.py"}
 
 
 def run_after_bare_import(code):
@@ -132,8 +153,7 @@ SUBCOMMAND_OPTIONS = {
                         "--out-stats"],
     "pipeline": _PLANNER + ["--map", "--goals", "--estimator", "--algorithm", "--out-dir",
                             "--svg"],
-    "bench": _PLANNER + ["--scenarios", "--algorithms", "--repeats", "--estimator", "--out-dir",
-                         "--times-out"],
+    "bench": _PLANNER + ["--scenarios", "--algorithms", "--repeats", "--estimator", "--out-dir"],
     "score": ["--labels", "--predictions", "--alpha", "--out"],
     "render": ["--map", "--goals", "--mask", "--path", "--solution-dir", "--out"],
 }
@@ -147,7 +167,7 @@ def test_settable_surface():
         for name, p in sub.choices.items()
     }
     assert options == SUBCOMMAND_OPTIONS
-    assert sum(map(len, options.values())) == 82
+    assert sum(map(len, options.values())) == 81
     assert sorted(cli._CONFIG_KEYS) == [
         "goal_tol", "k", "mask_threshold", "max_samples", "rewire_radius", "seed", "step",
     ]
@@ -232,8 +252,7 @@ def test_signatures():
                 found[f"{name}.{attr}"] = []
     assert found == SIGNATURES
     assert [f.name for f in dataclasses.fields(Solution)] == [
-        "tour", "legs", "total_cost", "timings", "seed", "algorithm", "tsp_method",
-        "samples_total",
+        "tour", "legs", "total_cost", "seed", "algorithm", "tsp_method", "samples_total",
     ]
     assert [f.name for f in dataclasses.fields(BenchmarkRecord)] == [
         "scenario", "algorithm", "repeat", "seed", "wall_time_s", "solution",
