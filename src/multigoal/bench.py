@@ -72,6 +72,8 @@ def benchmark(
     """
     if repeats < 1:
         raise InvalidArgument("repeats must be at least 1")
+    if not (scenarios and algorithms):  # no run would check the planner settings
+        raise InvalidArgument("benchmark needs at least one scenario and one algorithm")
     for algorithm in algorithms:
         check_algorithm(algorithm)
     records = []

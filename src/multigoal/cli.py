@@ -206,12 +206,7 @@ def _config_of(args) -> dict:
 
 
 def _planner_overrides(config) -> dict:
-    overrides = {attr: config[flag] for flag, attr, _, _ in _PLANNER_FLAGS if flag in config}
-    try:
-        PlannerConfig(**overrides)  # each check covers one field, so this rejects what for_map would
-    except ValueError as exc:
-        raise FormatError(f"planner settings: {exc}") from None
-    return overrides
+    return {attr: config[flag] for flag, attr, _, _ in _PLANNER_FLAGS if flag in config}
 
 
 def _planner_config(config, grid: GridMap) -> PlannerConfig:

@@ -121,8 +121,8 @@ def _split_of(index: int, n: int) -> str:
 def validate_dataset(out_dir) -> int:
     """Re-check every sample: mask covers the optimal path, distance matches the oracle.
 
-    Returns the number of validated samples; raises ValueError on the first
-    violation.
+    Returns the number of validated samples; raises InvalidArgument, still a
+    ValueError, on the first violation, and FormatError on a malformed file.
     """
     samples = read_json_entries(
         os.path.join(out_dir, "manifest.json"), "samples", ("id", "map", "goals", "mask")
@@ -145,9 +145,9 @@ def validate_dataset(out_dir) -> int:
         path, length = grid_shortest_path(grid, goals[0], goals[1])
         for x, y in path:
             if raster[y, x] != 255:
-                raise ValueError(f"{entry['id']}: mask misses optimal path cell ({x}, {y})")
+                raise InvalidArgument(f"{entry['id']}: mask misses optimal path cell ({x}, {y})")
         if distances[entry["id"]] != length:
-            raise ValueError(
+            raise InvalidArgument(
                 f"{entry['id']}: stored distance {distances[entry['id']]} != oracle {length}"
             )
     return len(samples)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormatError, InvalidArgument, Unreachable
-from .grid import GoalSet, GridMap, Point, read_rows, write_rows
+from .grid import GoalSet, GridMap, Point, cells_where, check_endpoints, read_rows, write_rows
 from .pgm import read_pgm, write_pgm
 
 SQRT2 = math.sqrt(2.0)
@@ -42,22 +42,12 @@ class RegionMask:
     def __init__(self, values: np.ndarray):
         arr = np.array(values, dtype=np.float64)
         if arr.ndim != 2:
-            raise ValueError("mask values must be 2D")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError("mask values must lie in [0, 1]")
+            raise InvalidArgument("mask values must be 2D")
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # also rejects nan
+            raise InvalidArgument("mask values must lie in [0, 1]")
         arr.setflags(write=False)
         self.values = arr
         self.height, self.width = arr.shape
-
-    @classmethod
-    def _of_fresh(cls, values: np.ndarray) -> "RegionMask":
-        """Take over a fresh 2D float64 table of 0s and 1s built in this module,
-        without the copy and range scan that masks from files or callers get."""
-        mask = cls.__new__(cls)
-        values.setflags(write=False)
-        mask.values = values
-        mask.height, mask.width = values.shape
-        return mask
 
     def __eq__(self, other):
         return isinstance(other, RegionMask) and bool(np.array_equal(self.values, other.values))
@@ -75,10 +65,7 @@ class RegionMask:
         """
         cache = self.__dict__.setdefault("_cells_at_least", {})
         if threshold not in cache:
-            rows, cols = np.nonzero(self.values >= threshold)
-            cells = np.column_stack([cols, rows]).astype(np.intp)
-            cells.setflags(write=False)
-            cache[threshold] = cells
+            cache[threshold] = cells_where(self.values >= threshold)
         return cache[threshold]
 
     def to_u8(self) -> np.ndarray:
@@ -95,10 +82,6 @@ class PairEstimate:
 
     distance: float
     mask: RegionMask
-
-    def __post_init__(self):
-        if not math.isfinite(self.distance) or self.distance < 0:
-            raise ValueError(f"estimated distance must be finite and >= 0, got {self.distance}")
 
 
 class WeightMatrix:
@@ -210,11 +193,8 @@ def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
     one-cell blocked border; each cell's legal moves come from its move code
     (see _move_codes), so the inner loop tests neither bounds nor obstacles.
     """
-    if not grid.is_free(a):
-        raise ValueError(f"start ({a.x}, {a.y}) is not in a free cell")
     for b in targets:
-        if not grid.is_free(b):
-            raise ValueError(f"goal ({b.x}, {b.y}) is not in a free cell")
+        check_endpoints(grid, a, b)
     pw = grid.width + 2
     code = _move_codes(grid)
     table = _move_table(pw)
@@ -353,7 +333,7 @@ def dilate_path_to_region(grid: GridMap, path, radius: float) -> RegionMask:
     size = h * (w + 1)
     edges = np.bincount(rows + lo, minlength=size) - np.bincount(rows + hi, minlength=size)
     covered = edges.reshape(h, w + 1).cumsum(axis=1)[:, :w] > 0
-    return RegionMask._of_fresh((covered & ~grid.cells).astype(np.float64))
+    return RegionMask((covered & ~grid.cells).astype(np.float64))
 
 
 def _pair_unreachable(i: int, j: int, exc: Unreachable) -> Unreachable:
@@ -364,7 +344,7 @@ class EuclideanEstimator:
     """Straight-line distance; carries no region information (all free cells promising)."""
 
     def estimate_all(self, grid, goals):
-        mask = RegionMask._of_fresh((~grid.cells).astype(np.float64))  # read-only: pairs share it
+        mask = RegionMask((~grid.cells).astype(np.float64))  # read-only: pairs share it
         m = len(goals)
         return {
             (i, j): PairEstimate(goals[i].distance_to(goals[j]), mask)
@@ -509,7 +489,12 @@ def make_estimator(kind: str, dilation_radius: float | None = None):
     if kind == "oracle":
         return GridOracleEstimator(dilation_radius)
     if kind.startswith("external:"):
-        return load_external_predictions(kind.split(":", 1)[1])
+        directory = kind.split(":", 1)[1]
+        if not directory:
+            raise InvalidArgument(
+                f"estimator {kind!r} names no directory (expected external:<dir>)"
+            )
+        return load_external_predictions(directory)
     raise InvalidArgument(
         f"unknown estimator {kind!r} (expected euclidean, oracle, or external:<dir>)"
     )

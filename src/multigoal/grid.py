@@ -41,7 +41,7 @@ class Point:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+            raise InvalidArgument(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
     def cell(self) -> tuple[int, int]:
         """(column, row) of the containing cell."""
@@ -57,7 +57,7 @@ class GridMap:
     def __init__(self, cells: np.ndarray):
         shape = np.shape(cells)
         if len(shape) != 2:
-            raise ValueError("cells must be a 2D table")
+            raise InvalidArgument("cells must be a 2D table")
         height, width = shape
         check_map_size(width, height)
         arr = np.array(cells, dtype=bool)
@@ -150,10 +150,7 @@ class GridMap:
     def free_cells(self) -> np.ndarray:
         """(N, 2) int array of free-cell (x, y) indices in row-major order."""
         if not hasattr(self, "_free_cells"):
-            rows, cols = np.nonzero(~self.cells)
-            cells = np.column_stack([cols, rows]).astype(np.intp)
-            cells.setflags(write=False)
-            self._free_cells = cells
+            self._free_cells = cells_where(~self.cells)
         return self._free_cells
 
     def component_labels(self) -> np.ndarray:
@@ -173,11 +170,25 @@ class GridMap:
             labels = self.component_labels()
             counts = np.bincount(labels.ravel())
             counts[0] = 0
-            rows, cols = np.nonzero(labels == counts.argmax())
-            cells = np.column_stack([cols, rows]).astype(np.intp)
-            cells.setflags(write=False)
-            self._largest_cells = cells
+            self._largest_cells = cells_where(labels == counts.argmax())
         return self._largest_cells
+
+
+def cells_where(table: np.ndarray) -> np.ndarray:
+    """(N, 2) read-only int array of the (x, y) indices of the True cells of a
+    2D bool table, in row-major order."""
+    rows, cols = np.nonzero(table)
+    cells = np.column_stack([cols, rows]).astype(np.intp)
+    cells.setflags(write=False)
+    return cells
+
+
+def check_endpoints(grid: GridMap, start: Point, goal: Point) -> None:
+    """Raise InvalidArgument unless both ends of a path lie in free cells of grid."""
+    if not grid.is_free(start):
+        raise InvalidArgument(f"start ({start.x}, {start.y}) is not free")
+    if not grid.is_free(goal):
+        raise InvalidArgument(f"goal ({goal.x}, {goal.y}) is not free")
 
 
 class GoalSet:
@@ -186,12 +197,12 @@ class GoalSet:
     def __init__(self, goals):
         pts = tuple(goals)
         if len(pts) < 2:
-            raise ValueError(f"need at least 2 goals, got {len(pts)}")
+            raise InvalidArgument(f"need at least 2 goals, got {len(pts)}")
         seen = set()
         for p in pts:
             key = (p.x, p.y)
             if key in seen:
-                raise ValueError(f"duplicate goal at ({p.x}, {p.y})")
+                raise InvalidArgument(f"duplicate goal at ({p.x}, {p.y})")
             seen.add(key)
         self.goals = pts
 

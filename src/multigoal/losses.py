@@ -28,11 +28,11 @@ class LossWeights:
 
     def __post_init__(self):
         if len(self.alpha) != 3:
-            raise ValueError(
+            raise InvalidArgument(
                 f"need 3 loss weights (BCE, Dice, MSE), got {len(self.alpha)}: {self.alpha}"
             )
         if not all(0 < a < math.inf for a in self.alpha):  # also rejects nan
-            raise ValueError(f"all loss weights must be positive and finite, got {self.alpha}")
+            raise InvalidArgument(f"all loss weights must be positive and finite, got {self.alpha}")
 
 
 def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:

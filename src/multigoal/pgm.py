@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidArgument
 
 
 def write_pgm(path, values: np.ndarray) -> None:
     """Write a 2D uint8 array as a binary PGM (P5) file, row 0 first."""
     arr = np.asarray(values, dtype=np.uint8)
     if arr.ndim != 2:
-        raise ValueError("PGM data must be 2D")
+        raise InvalidArgument("PGM data must be 2D")
     height, width = arr.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

@@ -47,14 +47,16 @@ class Solution:
 
     def __post_init__(self):
         if len(self.legs) != self.tour.m:
-            raise ValueError(f"{self.tour.m}-goal tour needs {self.tour.m} legs, got {len(self.legs)}")
+            raise InvalidArgument(
+                f"{self.tour.m}-goal tour needs {self.tour.m} legs, got {len(self.legs)}"
+            )
         for k, leg in enumerate(self.legs):
             nxt = self.legs[(k + 1) % len(self.legs)]
             if leg.points[-1].distance_to(nxt.points[0]) > _CHAIN_TOL:
-                raise ValueError(f"leg {k} does not chain into leg {(k + 1) % len(self.legs)}")
+                raise InvalidArgument(f"leg {k} does not chain into leg {(k + 1) % len(self.legs)}")
         total = sum(leg.length for leg in self.legs)
         if abs(total - self.total_cost) > 1e-6:
-            raise ValueError(f"total_cost {self.total_cost} != sum of leg lengths {total}")
+            raise InvalidArgument(f"total_cost {self.total_cost} != sum of leg lengths {total}")
 
 
 def check_algorithm(algorithm: str) -> None:
@@ -150,21 +152,22 @@ def verify_solution(grid: GridMap, goals: GoalSet, solution: Solution, cfg: Plan
 
     Verifies tour validity, leg-to-goal chaining within the goal tolerance,
     re-checks every segment with the exact GridMap.segment_clear, and
-    confirms the cost bookkeeping. Raises ValueError on any violation.
+    confirms the cost bookkeeping. Raises InvalidArgument, still a ValueError,
+    on the first violation.
     """
     order = solution.tour.order
     if sorted(order) != list(range(len(goals))):
-        raise ValueError(f"tour {order} does not visit every goal exactly once")
+        raise InvalidArgument(f"tour {order} does not visit every goal exactly once")
     m = len(order)
     for k, leg in enumerate(solution.legs):
         i, j = order[k % m], order[(k + 1) % m]
         if leg.points[0].distance_to(goals[i]) > cfg.goal_tolerance + _CHAIN_TOL:
-            raise ValueError(f"leg {k} starts {leg.points[0]} away from goal {i}")
+            raise InvalidArgument(f"leg {k} starts {leg.points[0]} away from goal {i}")
         if leg.points[-1].distance_to(goals[j]) > cfg.goal_tolerance + _CHAIN_TOL:
-            raise ValueError(f"leg {k} ends away from goal {j}")
+            raise InvalidArgument(f"leg {k} ends away from goal {j}")
         for a, b in zip(leg.points, leg.points[1:]):
             if not grid.segment_clear(a, b):
-                raise ValueError(f"leg {k} segment {a}->{b} crosses a blocked cell")
+                raise InvalidArgument(f"leg {k} segment {a}->{b} crosses a blocked cell")
     total = sum(leg.length for leg in solution.legs)
     if abs(total - solution.total_cost) > 1e-6:
-        raise ValueError("total_cost does not match the sum of leg lengths")
+        raise InvalidArgument("total_cost does not match the sum of leg lengths")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError, InvalidArgument, NoPathFound
-from .grid import GridMap, Point, check_seed, read_rows, write_rows
+from .grid import GridMap, Point, check_endpoints, check_seed, read_rows, write_rows
 
 _REWIRE_EPS = 1e-12
 # Tree allocates its node arrays for the whole sample budget up front
@@ -35,19 +35,21 @@ class PlannerConfig:
 
     def __post_init__(self):
         if not self.step_size > 0:  # also rejects nan
-            raise ValueError("step_size must be positive")
+            raise InvalidArgument("step_size must be positive")
         if self.max_samples < 1:
-            raise ValueError("max_samples must be at least 1")
+            raise InvalidArgument("max_samples must be at least 1")
         if self.max_samples > MAX_SAMPLES:
-            raise ValueError(f"max_samples must be at most {MAX_SAMPLES}, got {self.max_samples}")
+            raise InvalidArgument(
+                f"max_samples must be at most {MAX_SAMPLES}, got {self.max_samples}"
+            )
         if not 0.0 <= self.k <= 1.0:
-            raise ValueError("k must lie in [0, 1]")
+            raise InvalidArgument("k must lie in [0, 1]")
         if not self.goal_tolerance >= 0:
-            raise ValueError("goal_tolerance must be nonnegative")
+            raise InvalidArgument("goal_tolerance must be nonnegative")
         if not self.rewire_radius > 0:
-            raise ValueError("rewire_radius must be positive")
+            raise InvalidArgument("rewire_radius must be positive")
         if not 0.0 <= self.mask_threshold <= 1.0:
-            raise ValueError("mask_threshold must lie in [0, 1]")
+            raise InvalidArgument("mask_threshold must lie in [0, 1]")
         check_seed(self.seed)
 
     @classmethod
@@ -160,7 +162,7 @@ class PathPolyline:
     def __init__(self, points):
         pts = tuple(points)
         if len(pts) < 2:
-            raise ValueError("polyline needs at least 2 points")
+            raise InvalidArgument("polyline needs at least 2 points")
         self.points = pts
         self.length = path_cost(pts)
 
@@ -245,7 +247,7 @@ def plan_leg_rrt(
 
 
 def _rrt(grid, start, goal, mask, cfg):
-    _check_endpoints(grid, start, goal)
+    check_endpoints(grid, start, goal)
     mask.check_shape(grid)
     rng = np.random.default_rng(cfg.seed)
     cells = _region_cells(mask, cfg, grid.free_cells())
@@ -286,7 +288,7 @@ def plan_leg_rrt_star(
 
 
 def _rrt_star(grid, start, goal, cfg):
-    _check_endpoints(grid, start, goal)
+    check_endpoints(grid, start, goal)
     rng = np.random.default_rng(cfg.seed)
     cells = grid.free_cells()
     tree = Tree(start, cfg.max_samples + 1)
@@ -347,13 +349,6 @@ def _rrt_star(grid, start, goal, cfg):
         raise NoPathFound(f"no path within {cfg.max_samples} samples")
     best = min(candidates, key=lambda i: (tree.costs[i] + candidates[i], i))
     return _finish(tree.chain(best), goal), cfg.max_samples, first_length, tree
-
-
-def _check_endpoints(grid, start, goal):
-    if not grid.is_free(start):
-        raise InvalidArgument(f"start ({start.x}, {start.y}) is not free")
-    if not grid.is_free(goal):
-        raise InvalidArgument(f"goal ({goal.x}, {goal.y}) is not free")
 
 
 def _finish(points: list[Point], goal: Point) -> PathPolyline:

@@ -141,7 +141,7 @@ def held_karp(w) -> tuple[Tour, float]:
 def nearest_neighbor(w, start: int = 0) -> Tour:
     """Greedy construction from a start vertex; ties go to the smaller index."""
     if not 0 <= start < w.m:
-        raise ValueError(f"start vertex {start} out of range for m={w.m}")
+        raise InvalidArgument(f"start vertex {start} out of range for m={w.m}")
     wl = w.w.tolist()
     order = [start]
     remaining = [v for v in range(w.m) if v != start]

@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 from multigoal.errors import NoPathFound
-from multigoal.grid import Point
-from multigoal.planner import _REWIRE_EPS, _check_endpoints, _finish, _region_cells
+from multigoal.grid import Point, check_endpoints
+from multigoal.planner import _REWIRE_EPS, _finish, _region_cells
 
 
 class Tree:
@@ -91,7 +91,7 @@ def hybrid_draw(cells, goal, cfg, rng):
 
 def rrt(grid, start, goal, mask, cfg):
     """(polyline, samples used, tree) of the guided RRT."""
-    _check_endpoints(grid, start, goal)
+    check_endpoints(grid, start, goal)
     mask.check_shape(grid)
     rng = np.random.default_rng(cfg.seed)
     cells = _region_cells(mask, cfg, grid.free_cells())
@@ -118,7 +118,7 @@ def rrt(grid, start, goal, mask, cfg):
 
 def rrt_star(grid, start, goal, cfg):
     """(polyline, samples used, first solution length, tree) of RRT*."""
-    _check_endpoints(grid, start, goal)
+    check_endpoints(grid, start, goal)
     rng = np.random.default_rng(cfg.seed)
     cells = grid.free_cells()
     tree = Tree(start, cfg.max_samples + 1)

@@ -335,6 +335,14 @@ class TestBenchCommand:
         assert code == 1
         assert "rewire_radius must be positive" in capsys.readouterr().err
 
+    def test_bad_planner_flag_runs_nothing(self, tmp_path, capsys):
+        with mock.patch.object(multigoal.bench, "run_algorithm") as run_algorithm:
+            code = run(["bench", "--scenarios", "simple", "--k", 2, "--out-dir", tmp_path / "b"])
+        assert code == 1
+        assert run_algorithm.call_count == 0
+        assert capsys.readouterr().err == "error: k must lie in [0, 1]\n"
+        assert not (tmp_path / "b").exists()
+
     def test_unknown_algorithm(self, tmp_path, capsys):
         code = run(["bench", "--scenarios", "simple", "--algorithms", "astar",
                     "--out-dir", tmp_path / "b"])
@@ -355,6 +363,15 @@ class TestBenchCommand:
         code = run(["bench", "--scenarios", "nosuch", "--out-dir", tmp_path / "b"])
         assert code == 1
         assert "unknown scenario 'nosuch'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--scenarios", "--algorithms"])
+    def test_nothing_to_run(self, tmp_path, capsys, flag):
+        code = run(["bench", flag, ",", "--k", 2, "--out-dir", tmp_path / "b"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: benchmark needs at least one scenario and one algorithm\n"
+        )
+        assert not (tmp_path / "b").exists()
 
     def test_zero_repeats(self, tmp_path, capsys):
         code = run(["bench", "--scenarios", "simple", "--repeats", 0, "--out-dir", tmp_path / "b"])
@@ -635,7 +652,7 @@ class TestBadInputExitsOne:
 
     @pytest.mark.parametrize("text, expected", [
         ("seed=3\nstpe=3\n", "error: {config} line 2: unknown key 'stpe'\n"),
-        ("step=nan\n", "error: planner settings: step_size must be positive\n"),
+        ("step=nan\n", "error: step_size must be positive\n"),
     ])
     def test_config_rejects_typos(self, small_world, tmp_path, capsys, text, expected):
         map_path, goals_path = small_world
@@ -694,6 +711,9 @@ class TestBadInputExitsOne:
           for algorithm in ("rrt-star", "euclidean-rrt-star")
           for spec, message in [("nosuch", "unknown estimator 'nosuch'"),
                                 ("external:nosuch-dir", "nosuch-dir: no distances.csv")]),
+        # an empty directory would read distances.csv from the working directory
+        (["pipeline", "--estimator", "external:"],
+         "estimator 'external:' names no directory (expected external:<dir>)"),
     ])
     def test_rejected_value(self, small_world, tmp_path, capsys, args, message):
         map_path, goals_path = small_world

@@ -597,6 +597,13 @@ class TestRegionMask:
         with pytest.raises(ValueError):
             RegionMask(np.array([[0.5, 1.2]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        values = np.full((4, 4), 0.5)
+        values[2, 1] = bad
+        with pytest.raises(InvalidArgument, match=re.escape("mask values must lie in [0, 1]")):
+            RegionMask(values)
+
     def test_caller_values_are_copied(self):
         values = np.array([[0.0, 0.5], [1.0, 0.25]])
         mask = RegionMask(values)
@@ -610,10 +617,8 @@ class TestRegionMask:
         back = RegionMask.from_u8(m.to_u8())
         assert np.abs(back.values - values).max() <= 0.5 / 255 + 1e-12
 
-    @pytest.mark.parametrize("fresh", [False, True])
-    def test_cells_at_least_is_cached_and_read_only(self, fresh):
-        values = np.array([[0.0, 0.5, 1.0], [0.25, 0.75, 0.5]])
-        mask = RegionMask._of_fresh(values.copy()) if fresh else RegionMask(values)
+    def test_cells_at_least_is_cached_and_read_only(self):
+        mask = RegionMask(np.array([[0.0, 0.5, 1.0], [0.25, 0.75, 0.5]]))
         cells = mask.cells_at_least(0.5)
         assert cells.tolist() == [[1, 0], [2, 0], [1, 1], [2, 1]]
         assert mask.cells_at_least(0.5) is cells and not cells.flags.writeable

@@ -3,20 +3,28 @@ acceptance suite and perfbench use. Anything else comes from its submodule."""
 
 import argparse
 import ast
+import builtins
 import dataclasses
 import inspect
+import math
 import os
 import re
 import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import multigoal
-from multigoal import PlannerConfig, cli, errors
+from multigoal import (
+    GoalSet, GridMap, LossWeights, PlannerConfig, Point, RegionMask, WeightMatrix, cli, errors,
+    grid_shortest_path, nearest_neighbor,
+)
 from multigoal.bench import BenchmarkRecord
+from multigoal.errors import InvalidArgument
 from multigoal.pipeline import Solution
+from multigoal.planner import PathPolyline
 
 PUBLIC = {
     # README
@@ -279,3 +287,41 @@ def test_error_vocabulary():
         "NoPathFound": ["MultigoalError"],
     }
     assert all("__init__" not in vars(getattr(errors, name)) for name in classes)
+
+
+def test_no_builtin_exception_is_raised():
+    """Every refusal is a MultigoalError: no raise under src/multigoal names a
+    builtin exception such as ValueError."""
+    raised = [
+        (name, node.lineno, exc.id)
+        for name, tree in source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for exc in [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+        if isinstance(exc, ast.Name) and hasattr(builtins, exc.id)
+    ]
+    assert raised == []
+
+
+def _blocked_start():
+    cells = np.zeros((4, 4), dtype=bool)
+    cells[1, 1] = True
+    return grid_shortest_path(GridMap(cells), Point(1.5, 1.5), Point(3.5, 3.5))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Point(math.nan, 0), "point coordinates must be finite"),
+    (lambda: GoalSet([Point(1, 1)]), "need at least 2 goals, got 1"),
+    (lambda: PlannerConfig(k=2), "k must lie in [0, 1]"),
+    (lambda: PathPolyline([Point(1, 1)]), "polyline needs at least 2 points"),
+    (lambda: LossWeights((1, 1)), "need 3 loss weights (BCE, Dice, MSE), got 2"),
+    (lambda: RegionMask(np.full((4, 4), np.nan)), "mask values must lie in [0, 1]"),
+    (lambda: nearest_neighbor(WeightMatrix([[0, 1], [1, 0]]), 9),
+     "start vertex 9 out of range for m=2"),
+    # the oracle search refuses a blocked end as the planners do
+    (_blocked_start, "start (1.5, 1.5) is not free"),
+], ids=["Point", "GoalSet", "PlannerConfig", "PathPolyline", "LossWeights", "RegionMask",
+        "nearest_neighbor", "grid_shortest_path"])
+def test_a_bad_value_raises_invalid_argument(call, message):
+    with pytest.raises(InvalidArgument, match=re.escape(message)):
+        call()
