@@ -17,7 +17,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormatError, InvalidArgument, Unreachable
-from .grid import GoalSet, GridMap, Point, cells_where, check_endpoints, read_rows, write_rows
+from .grid import (
+    GoalSet,
+    GridMap,
+    Point,
+    cells_where,
+    check_endpoints,
+    is_2d,
+    read_rows,
+    write_rows,
+)
 from .pgm import read_pgm, write_pgm
 
 SQRT2 = math.sqrt(2.0)
@@ -40,9 +49,9 @@ class RegionMask:
     """Per-cell promise values in [0, 1] over a map-sized table."""
 
     def __init__(self, values: np.ndarray):
-        arr = np.array(values, dtype=np.float64)
-        if arr.ndim != 2:
+        if not is_2d(values):
             raise InvalidArgument("mask values must be 2D")
+        arr = np.array(values, dtype=np.float64)
         if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # also rejects nan
             raise InvalidArgument("mask values must lie in [0, 1]")
         arr.setflags(write=False)
@@ -195,6 +204,16 @@ def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
     """
     for b in targets:
         check_endpoints(grid, a, b)
+    return _search(grid, a, targets)
+
+
+def _search(grid: GridMap, a: Point, targets, dist: list | None = None) -> list:
+    """The search of shortest_paths_from, endpoints unchecked.
+
+    dist holds each padded cell id's starting distance (all inf when None):
+    a push into a cell is kept only below it, so a finite entry drops every
+    push at or above it (see grid_shortest_path). dist is consumed.
+    """
     pw = grid.width + 2
     code = _move_codes(grid)
     table = _move_table(pw)
@@ -207,7 +226,8 @@ def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
     pending: dict[int, float | None] = {cell_id(b): None for b in targets}
     left = len(pending)
     n = len(code)
-    dist = [math.inf] * n
+    if dist is None:
+        dist = [math.inf] * n
     dist[start] = 0.0
     parent = [-1] * n
     # The heap of a plain Dijkstra, as two FIFO queues of (key, cell): every
@@ -273,13 +293,48 @@ def _no_grid_path(a: Point, b: Point) -> Unreachable:
     return Unreachable(f"no grid path from cell {a.cell()} to cell {b.cell()}")
 
 
+# Multiples f of the octile distance h(a) that grid_shortest_path tries as its
+# bound on the path length before it searches without one.
+_BOUND_FACTORS = (1.15, 1.5, 3.0)
+
+
+def _octile_to(grid: GridMap, b: Point) -> np.ndarray:
+    """Octile distance from every cell of the padded map to the cell of b,
+    indexed [y + 1, x + 1]: a lower bound on the 8-connected path length."""
+    bx, by = b.cell()
+    dx = np.abs(np.arange(-1, grid.width + 1) - bx)
+    dy = np.abs(np.arange(-1, grid.height + 1) - by)[:, None]
+    return (SQRT2 - 1.0) * np.minimum(dx, dy) + np.maximum(dx, dy)
+
+
 def grid_shortest_path(grid: GridMap, a: Point, b: Point) -> tuple[list[tuple[int, int]], float]:
     """Shortest 8-connected cell-center path between the cells of a and b.
 
     Returns (cell path, length); raises Unreachable when no path exists. See
-    shortest_paths_from for the step costs and tie-breaking.
+    shortest_paths_from for the step costs and tie-breaking; the path and
+    length are the ones it returns.
+
+    The search is bounded: with h the octile distance to b, a lower bound on
+    the rest of any path, a push into cell n at distance d is dropped when
+    d + h(n) >= U + 1e-6 * (1 + U), for U = f * h(a) with f from
+    _BOUND_FACTORS in turn, and then unbounded. A dropped push can lie on no
+    path shorter than U, and whether a push is kept depends on its value
+    alone, so the kept pushes keep their order and the cells of the optimal
+    path get the parents of the full search. The first bound that reaches b
+    returns the full search's path; an unreachable pair fails every bound
+    and the full search.
     """
-    (found,) = shortest_paths_from(grid, a, [b])
+    check_endpoints(grid, a, b)
+    h = _octile_to(grid, b)
+    ax, ay = a.cell()
+    h_a = float(h[ay + 1, ax + 1])
+    h = h.ravel()
+    for f in _BOUND_FACTORS:
+        bound = f * h_a
+        (found,) = _search(grid, a, [b], (bound + 1e-6 * (1.0 + bound) - h).tolist())
+        if found is not None:
+            return found
+    (found,) = _search(grid, a, [b])
     if found is None:
         raise _no_grid_path(a, b)
     return found

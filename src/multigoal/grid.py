@@ -55,10 +55,9 @@ class GridMap:
     """Immutable 2D occupancy grid; True cells are obstacles."""
 
     def __init__(self, cells: np.ndarray):
-        shape = np.shape(cells)
-        if len(shape) != 2:
+        if not is_2d(cells):
             raise InvalidArgument("cells must be a 2D table")
-        height, width = shape
+        height, width = np.shape(cells)
         check_map_size(width, height)
         arr = np.array(cells, dtype=bool)
         if arr.all():
@@ -172,6 +171,14 @@ class GridMap:
             counts[0] = 0
             self._largest_cells = cells_where(labels == counts.argmax())
         return self._largest_cells
+
+
+def is_2d(table) -> bool:
+    """True iff table is a rectangular 2D table; ragged rows are not."""
+    try:
+        return np.ndim(table) == 2
+    except ValueError:  # numpy refuses ragged rows
+        return False
 
 
 def cells_where(table: np.ndarray) -> np.ndarray:

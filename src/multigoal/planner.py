@@ -36,6 +36,9 @@ class PlannerConfig:
     def __post_init__(self):
         if not self.step_size > 0:  # also rejects nan
             raise InvalidArgument("step_size must be positive")
+        samples = self.max_samples
+        if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+            raise InvalidArgument(f"max_samples must be an integer, got {samples!r}")
         if self.max_samples < 1:
             raise InvalidArgument("max_samples must be at least 1")
         if self.max_samples > MAX_SAMPLES:

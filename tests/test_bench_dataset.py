@@ -17,7 +17,10 @@ from multigoal.bench import (
 )
 from multigoal.dataset import _split_of, generate_dataset, validate_dataset
 from multigoal.errors import FormatError, InvalidArgument
+from multigoal.grid import load_goals, load_map
+from multigoal.pgm import read_pgm, write_pgm
 from multigoal.scenarios import Scenario
+import oracle_reference as ref
 
 
 def tiny_scenarios():
@@ -101,7 +104,7 @@ class TestBenchmark:
         assert records[0].solution is not None
         assert records[0].solution.total_cost == records[0].cost
 
-    def test_time_column_empty_in_csv(self, tmp_path):
+    def test_no_time_column_in_csv(self, tmp_path):
         records = benchmark(
             tiny_scenarios()[:1], ("guided",), repeats=1, base_seed=2, cfg_overrides=FAST
         )
@@ -199,6 +202,22 @@ class TestGenerateDataset:
         lines[0] = f"{sample_id},{float(value) + 1.0!r}"
         dist_file.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="distance"):
+            validate_dataset(tmp_path)
+
+    def test_validation_detects_a_mask_missing_a_path_cell(self, tmp_path):
+        # the cell lies on the reference search's path, so validation flags it
+        # only if its own (bounded) search still finds that same path
+        generate_dataset(4, 5, tmp_path, width=32, height=32)
+        grid = load_map(tmp_path / "maps" / "sample_00002.map")
+        a, b = load_goals(tmp_path / "goals" / "sample_00002.csv")
+        ((path, _),) = ref.shortest_paths_from(grid, a, [b])
+        x, y = path[len(path) // 2]
+        mask_file = tmp_path / "masks" / "sample_00002.pgm"
+        raster = read_pgm(mask_file).copy()
+        raster[y, x] = 0
+        write_pgm(mask_file, raster)
+        message = f"sample_00002: mask misses optimal path cell ({x}, {y})"
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
             validate_dataset(tmp_path)
 
     @pytest.mark.parametrize("text, message", [

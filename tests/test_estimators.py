@@ -1,6 +1,7 @@
 import collections
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from multigoal import (
     grid_shortest_path,
     place_goals,
 )
+from multigoal import estimators
 from multigoal.errors import FormatError, InvalidArgument, Unreachable
 from multigoal.estimators import (
     NEIGHBORS_8,
@@ -431,9 +433,55 @@ def reference_maps(draw):
     return GridMap(cells)
 
 
+DATASET_OBSTACLES = ObstacleSpec(count_range=(4, 64), density_range=(0.10, 0.30))
+
+
+@st.composite
+def single_pairs(draw):
+    """(map, start, target) for one single-pair search. The map is open (the
+    densest ties), a serpentine one-cell corridor (one route, often far longer
+    than the octile distance), a wall between the two ends whose one gap, if
+    any, is in the last row (reaching it often takes more than three octile
+    distances, so only the unbounded search finds the path; no gap leaves
+    the pair unreachable), one of reference_maps, or a generated 32x32 map
+    like the dataset's. The target is the start in some draws."""
+    kind = draw(st.sampled_from(["open", "corridor", "wall", "reference", "generated"]))
+    w = draw(st.integers(3, 16))
+    h = draw(st.integers(2, 16))
+    starts = targets = None
+    if kind == "reference":
+        grid = draw(reference_maps())
+    elif kind == "generated":
+        grid = generate_map(draw(st.integers(0, 2**32)), 32, 32, DATASET_OBSTACLES)
+    elif kind == "open":
+        grid = empty_map(w, h)
+    elif kind == "corridor":
+        cells = np.ones((h, w), dtype=bool)
+        cells[::2] = False
+        cells[1::4, -1] = False
+        cells[3::4, 0] = False
+        grid = GridMap(cells)
+    else:
+        h = draw(st.integers(8, 16))
+        cells = np.zeros((h, w), dtype=bool)
+        x0 = draw(st.integers(1, min(w - 2, 3)))
+        cells[:, x0] = True
+        if draw(st.booleans()):
+            cells[-1, x0] = False
+        grid = GridMap(cells)
+        starts = [(x, y) for x, y in grid.free_cells() if x < x0]
+        targets = [(x, y) for x, y in grid.free_cells() if x > x0]
+    free = [(x, y) for x, y in grid.free_cells()]
+    start = draw(st.sampled_from(starts or free))
+    others = [c for c in targets or free if c != start]
+    target = start if not others or draw(st.integers(0, 9)) == 0 else draw(st.sampled_from(others))
+    return grid, Point(start[0] + 0.5, start[1] + 0.5), Point(target[0] + 0.5, target[1] + 0.5)
+
+
 class TestMatchesReference:
-    """The table-driven search and the disk-row dilation against the plain
-    versions in tests/oracle_reference.py, compared for exact equality."""
+    """The table-driven search, the bounded single-pair search and the
+    disk-row dilation against the plain versions in
+    tests/oracle_reference.py, compared for exact equality."""
 
     @settings(max_examples=80, deadline=None)
     @given(reference_maps(), st.data())
@@ -446,6 +494,51 @@ class TestMatchesReference:
         assert shortest_paths_from(grid, start, targets) == ref.shortest_paths_from(
             grid, start, targets
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(single_pairs())
+    def test_bounded_search(self, pair):
+        grid, a, b = pair
+        (expected,) = ref.shortest_paths_from(grid, a, [b])
+        if expected is None:
+            message = f"no grid path from cell {a.cell()} to cell {b.cell()}"
+            with pytest.raises(Unreachable, match=f"^{re.escape(message)}$"):
+                grid_shortest_path(grid, a, b)
+        else:
+            assert grid_shortest_path(grid, a, b) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(single_pairs(), st.sampled_from([0.0, 1e-9, 1e-3, 0.1]))
+    def test_a_bound_at_the_path_length_needs_one_search(self, pair, over):
+        # h is a lower bound on every cell's distance to the target, so a bound
+        # at the path length keeps the whole optimal path. An h that overshoots
+        # anywhere on it (octile + 1, 1.5 x Euclidean) drops a cell, and the
+        # search then falls back, which the equality test above cannot see.
+        grid, a, b = pair
+        (expected,) = ref.shortest_paths_from(grid, a, [b])
+        assume(expected is not None and a.cell() != b.cell())
+        ax, ay = a.cell()
+        factor = expected[1] / estimators._octile_to(grid, b)[ay + 1, ax + 1] * (1.0 + over)
+        with (
+            mock.patch.object(estimators, "_BOUND_FACTORS", (factor,)),
+            mock.patch.object(estimators, "_search", wraps=estimators._search) as search,
+        ):
+            assert grid_shortest_path(grid, a, b) == expected
+        assert search.call_count == 1
+
+    def test_bounded_search_falls_back_to_the_full_search(self):
+        # the ends are two cells apart across a wall whose gap is 23 rows away,
+        # so the path is longer than 3 octile distances and every bound fails
+        cells = np.zeros((24, 5), dtype=bool)
+        cells[:-1, 2] = True
+        grid = GridMap(cells)
+        a, b = Point(1.5, 0.5), Point(3.5, 0.5)
+        with mock.patch.object(estimators, "_search", wraps=estimators._search) as search:
+            found = grid_shortest_path(grid, a, b)
+        assert found == ref.shortest_paths_from(grid, a, [b])[0]
+        assert found[1] > 3 * 2.0
+        assert search.call_count == 4
+        assert search.call_args == mock.call(grid, a, [b])  # the last search has no bound
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -488,8 +581,9 @@ class TestMatchesReference:
 
     def test_search_on_generated_maps(self):
         # all pairs of 10 goals on 20 generated 64x64 maps: the maps the
-        # oracle labels. Letting the orthogonal head win equal keys changes
-        # 6 of these 180 searches.
+        # oracle labels, with the multi-target and the bounded single-pair
+        # search. Letting the orthogonal head win equal keys changes 6 of
+        # these 180 searches.
         spec = ObstacleSpec(density_range=(0.15, 0.30))
         tally = collections.Counter()
         for seed in range(20):
@@ -497,9 +591,9 @@ class TestMatchesReference:
             goals = list(place_goals(g, 10, seed=seed))
             for i, start in enumerate(goals[:-1]):
                 targets = goals[i + 1 :]
-                assert shortest_paths_from(g, start, targets) == ref.shortest_paths_from(
-                    g, start, targets, tally
-                )
+                expected = ref.shortest_paths_from(g, start, targets, tally)
+                assert shortest_paths_from(g, start, targets) == expected
+                assert [grid_shortest_path(g, start, b) for b in targets] == expected
         assert tally["ties"] > 0
 
 

@@ -313,15 +313,20 @@ def _blocked_start():
     (lambda: Point(math.nan, 0), "point coordinates must be finite"),
     (lambda: GoalSet([Point(1, 1)]), "need at least 2 goals, got 1"),
     (lambda: PlannerConfig(k=2), "k must lie in [0, 1]"),
+    (lambda: PlannerConfig(max_samples=2.5), "max_samples must be an integer, got 2.5"),
+    (lambda: PlannerConfig(max_samples=True), "max_samples must be an integer, got True"),
+    (lambda: GridMap([[0, 1], [1]]), "cells must be a 2D table"),
     (lambda: PathPolyline([Point(1, 1)]), "polyline needs at least 2 points"),
     (lambda: LossWeights((1, 1)), "need 3 loss weights (BCE, Dice, MSE), got 2"),
     (lambda: RegionMask(np.full((4, 4), np.nan)), "mask values must lie in [0, 1]"),
+    (lambda: RegionMask([[0, 1], [1]]), "mask values must be 2D"),
     (lambda: nearest_neighbor(WeightMatrix([[0, 1], [1, 0]]), 9),
      "start vertex 9 out of range for m=2"),
     # the oracle search refuses a blocked end as the planners do
     (_blocked_start, "start (1.5, 1.5) is not free"),
-], ids=["Point", "GoalSet", "PlannerConfig", "PathPolyline", "LossWeights", "RegionMask",
-        "nearest_neighbor", "grid_shortest_path"])
+], ids=["Point", "GoalSet", "PlannerConfig", "PlannerConfig-float-max_samples",
+        "PlannerConfig-bool-max_samples", "GridMap-ragged", "PathPolyline", "LossWeights",
+        "RegionMask", "RegionMask-ragged", "nearest_neighbor", "grid_shortest_path"])
 def test_a_bad_value_raises_invalid_argument(call, message):
     with pytest.raises(InvalidArgument, match=re.escape(message)):
         call()
