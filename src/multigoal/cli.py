@@ -283,7 +283,7 @@ def _cmd_estimate(args) -> int:
     grid = load_map(args.map_path)
     goals = _load_goals_on(grid, args.goals_path)
     est = make_estimator(args.estimator, args.dilation_radius)
-    matrix, _ = export_predictions(args.out_dir, grid, goals, est)
+    matrix = export_predictions(args.out_dir, grid, goals, est)
     matrix.to_csv(os.path.join(args.out_dir, "weights.csv"))
     n = matrix.m * (matrix.m - 1) // 2
     print(f"wrote {n} pair estimates and weights.csv to {args.out_dir}")

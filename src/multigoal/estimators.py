@@ -12,7 +12,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .grid import (
     Point,
     cells_where,
     check_endpoints,
+    check_real,
     is_2d,
     read_rows,
     write_rows,
@@ -51,6 +52,7 @@ class RegionMask:
     def __init__(self, values: np.ndarray):
         if not is_2d(values):
             raise InvalidArgument("mask values must be 2D")
+        check_real(values, "mask values")
         arr = np.array(values, dtype=np.float64)
         if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # also rejects nan
             raise InvalidArgument("mask values must lie in [0, 1]")
@@ -391,6 +393,22 @@ def dilate_path_to_region(grid: GridMap, path, radius: float) -> RegionMask:
     return RegionMask((covered & ~grid.cells).astype(np.float64))
 
 
+class _PathMask(RegionMask):
+    """The region dilate_path_to_region(grid, path, radius), dilated on the
+    first read of values: a pair whose region is never read costs no dilation
+    and holds no map-sized table."""
+
+    def __init__(self, grid: GridMap, path, radius: float):
+        self._dilation = (grid, path, radius)
+        self.height, self.width = grid.height, grid.width
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = dilate_path_to_region(*self._dilation).values
+        del self._dilation
+        return values
+
+
 def _pair_unreachable(i: int, j: int, exc: Unreachable) -> Unreachable:
     return Unreachable(f"goal pair ({i}, {j}) is unreachable: {exc}")
 
@@ -420,7 +438,10 @@ class GridOracleEstimator:
         return self.dilation_radius if self.dilation_radius is not None else default_dilation_radius(grid)
 
     def estimate_all(self, grid, goals):
-        """One search from each goal i to all goals j > i: M-1 searches in all."""
+        """One search from each goal i to all goals j > i: M-1 searches in all.
+
+        Each pair's mask dilates its path on the first read of its values.
+        """
         radius = self._radius(grid)
         out = {}
         m = len(goals)
@@ -431,7 +452,7 @@ class GridOracleEstimator:
                     exc = _no_grid_path(goals[i], goals[j])
                     raise _pair_unreachable(i, j, exc) from exc
                 path, length = hit
-                out[(i, j)] = PairEstimate(length, dilate_path_to_region(grid, path, radius))
+                out[(i, j)] = PairEstimate(length, _PathMask(grid, path, radius))
         return out
 
 
@@ -489,17 +510,17 @@ def export_predictions(directory, grid: GridMap, goals: GoalSet, est):
     """Write per-pair masks and distances in the external-prediction layout.
 
     Produces pair_i_j.pgm (mask scaled to 0..255) and distances.csv with rows
-    "i,j,distance"; a failed estimate creates no directory. Returns the
-    (matrix, masks) pair that was exported.
+    "i,j,distance"; a failed estimate creates no directory. Each mask is
+    dropped once written, so an oracle estimate holds one map-sized table at
+    a time. Returns the exported matrix.
     """
     matrix, masks = build_weight_matrix(grid, goals, est)
     os.makedirs(directory, exist_ok=True)
-    for (i, j), mask in sorted(masks.items()):
-        write_pgm(os.path.join(directory, pair_mask_filename(i, j)), mask.to_u8())
-    write_rows(
-        os.path.join(directory, "distances.csv"), [(i, j, matrix[i, j]) for i, j in sorted(masks)]
-    )
-    return matrix, masks
+    pairs = sorted(masks)
+    for i, j in pairs:
+        write_pgm(os.path.join(directory, pair_mask_filename(i, j)), masks.pop((i, j)).to_u8())
+    write_rows(os.path.join(directory, "distances.csv"), [(i, j, matrix[i, j]) for i, j in pairs])
+    return matrix
 
 
 def load_external_predictions(directory) -> ExternalEstimator:

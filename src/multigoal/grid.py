@@ -57,6 +57,7 @@ class GridMap:
     def __init__(self, cells: np.ndarray):
         if not is_2d(cells):
             raise InvalidArgument("cells must be a 2D table")
+        check_real(cells, "cells")
         height, width = np.shape(cells)
         check_map_size(width, height)
         arr = np.array(cells, dtype=bool)
@@ -179,6 +180,14 @@ def is_2d(table) -> bool:
         return np.ndim(table) == 2
     except ValueError:  # numpy refuses ragged rows
         return False
+
+
+def check_real(table, what: str) -> None:
+    """Raise InvalidArgument unless table holds bools, integers or floats:
+    strings, objects (None among them) and complex numbers are refused."""
+    dtype = np.asarray(table).dtype
+    if dtype.kind not in "biuf":
+        raise InvalidArgument(f"{what} must be real numbers, got {dtype} entries")
 
 
 def cells_where(table: np.ndarray) -> np.ndarray:
@@ -544,8 +553,16 @@ def _is_pgm(path) -> bool:
     return os.fspath(path).lower().endswith(".pgm")
 
 
+def check_integer(value, what: str) -> None:
+    """Raise InvalidArgument unless value is an int or a numpy integer; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+
+
 def check_seed(seed: int) -> int:
-    """seed as an int, or InvalidArgument unless it lies in [0, 2**64)."""
+    """seed as an int, or InvalidArgument unless it is an integer (int or
+    numpy integer, not bool) in [0, 2**64)."""
+    check_integer(seed, "seed")
     seed = int(seed)
     if not (0 <= seed < 2**64):
         raise InvalidArgument(f"seed must be an unsigned 64-bit integer, got {seed}")

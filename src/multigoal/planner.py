@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError, InvalidArgument, NoPathFound
-from .grid import GridMap, Point, check_endpoints, check_seed, read_rows, write_rows
+from .grid import GridMap, Point, check_endpoints, check_integer, check_seed, read_rows, write_rows
 
 _REWIRE_EPS = 1e-12
 # Tree allocates its node arrays for the whole sample budget up front
@@ -36,9 +36,7 @@ class PlannerConfig:
     def __post_init__(self):
         if not self.step_size > 0:  # also rejects nan
             raise InvalidArgument("step_size must be positive")
-        samples = self.max_samples
-        if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-            raise InvalidArgument(f"max_samples must be an integer, got {samples!r}")
+        check_integer(self.max_samples, "max_samples")
         if self.max_samples < 1:
             raise InvalidArgument("max_samples must be at least 1")
         if self.max_samples > MAX_SAMPLES:

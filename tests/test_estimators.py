@@ -1,6 +1,7 @@
 import collections
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,7 @@ from multigoal.estimators import (
     load_external_predictions,
     shortest_paths_from,
 )
+from multigoal.pgm import write_pgm
 import oracle_reference as ref
 
 SQRT2 = math.sqrt(2.0)
@@ -374,6 +376,23 @@ class TestEstimateAll:
             assert got[key].distance == length
             assert got[key].mask == mask
 
+    def test_a_mask_dilates_on_its_first_read_only(self, monkeypatch):
+        g = generate_map(4, 24, 24, None)
+        goals = place_goals(g, 4, 5, 3)
+        calls = []
+        dilate = estimators.dilate_path_to_region
+        monkeypatch.setattr(
+            estimators, "dilate_path_to_region", lambda *args: calls.append(args) or dilate(*args)
+        )
+        mask = GridOracleEstimator().estimate_all(g, goals)[(0, 1)].mask
+        mask.check_shape(g)
+        assert calls == [] and (mask.width, mask.height) == (24, 24)
+        first = mask.values
+        assert mask.values is first and len(mask.cells_at_least(0.5))
+        assert len(calls) == 1
+        path, _ = grid_shortest_path(g, goals[0], goals[1])
+        assert calls == [(g, path, default_dilation_radius(g))]
+
     @settings(max_examples=60, deadline=None)
     @given(maps_with_goals())
     def test_length_is_sum_of_step_costs(self, world):
@@ -632,11 +651,12 @@ class TestExternalPredictions:
     def setup_exported(self, tmp_path):
         g = generate_map(31, 24, 24, None)
         goals = place_goals(g, 4, 8, 3)
-        matrix, masks = export_predictions(tmp_path, g, goals, GridOracleEstimator())
-        return g, goals, matrix, masks
+        matrix = export_predictions(tmp_path, g, goals, GridOracleEstimator())
+        return g, goals, matrix
 
     def test_round_trip(self, tmp_path):
-        g, goals, matrix, masks = self.setup_exported(tmp_path)
+        g, goals, matrix = self.setup_exported(tmp_path)
+        _, masks = build_weight_matrix(g, goals, GridOracleEstimator())
         est = load_external_predictions(tmp_path)
         out = est.estimate_all(g, goals)
         for i in range(4):
@@ -647,8 +667,36 @@ class TestExternalPredictions:
         w2, _ = build_weight_matrix(g, goals, est)
         assert w2 == matrix
 
+    def test_export_holds_one_mask_at_a_time(self, tmp_path):
+        g = generate_map(5, 128, 128, None)
+        goals = place_goals(g, 20, 3, 10)
+        est = GridOracleEstimator()
+        # a warm-up export builds the per-map and per-radius caches before the baseline
+        export_predictions(tmp_path / "warm-up", g, GoalSet(goals[:2]), est)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            export_predictions(tmp_path / "out", g, goals, est)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # All 190 masks take 25 MB. Held one at a time, the peak is the
+        # working lists of one 128x128 search (about 1.1 MB) and the 190
+        # held paths (about 0.8 MB).
+        assert peak < 16 * g.width * g.height * 8
+        radius = default_dilation_radius(g)
+        expect = tmp_path / "expect"
+        expect.mkdir()
+        for i in range(len(goals)):
+            for j in range(i + 1, len(goals)):
+                path, _ = grid_shortest_path(g, goals[i], goals[j])
+                mask = dilate_path_to_region(g, path, radius)
+                write_pgm(expect / estimators.pair_mask_filename(i, j), mask.to_u8())
+                got = tmp_path / "out" / estimators.pair_mask_filename(i, j)
+                assert got.read_bytes() == (expect / got.name).read_bytes()
+
     def test_missing_pair_file(self, tmp_path):
-        g, goals, matrix, masks = self.setup_exported(tmp_path)
+        self.setup_exported(tmp_path)
         (tmp_path / "pair_0_2.pgm").unlink()
         # distances.csv lists the pairs in order, so row 2 is (0, 2)
         missing = re.escape(f"distances.csv row 2: missing mask file for pair (0, 2): {tmp_path}")

@@ -16,7 +16,10 @@ from multigoal import (
     PlannerConfig,
     Point,
     build_weight_matrix,
+    estimators,
+    generate_map,
     held_karp,
+    place_goals,
     tour_cost,
     verify_solution,
 )
@@ -72,16 +75,42 @@ class TestDeriveSeed:
         assert 0 <= s < 2**64
 
 
+def counted_dilations(monkeypatch):
+    """The path of each dilate_path_to_region call the oracle makes, one entry per call."""
+    paths = []
+    dilate = estimators.dilate_path_to_region
+
+    def counted(grid, path, radius):
+        paths.append(path)
+        return dilate(grid, path, radius)
+
+    monkeypatch.setattr(estimators, "dilate_path_to_region", counted)
+    return paths
+
+
+class TestOracleDilatesOnlyTheTourMasks:
+    def test_ten_goals_dilate_one_mask_per_tour_edge(self, monkeypatch):
+        g = generate_map(21, 48, 48, None)
+        goals = place_goals(g, 10, 22, 4)
+        paths = counted_dilations(monkeypatch)
+        sol = run_algorithm(g, goals, GUIDED, PlannerConfig.for_map(g, seed=3), estimator="oracle")
+        edges = {frozenset((goals[i].cell(), goals[j].cell())) for i, j in sol.tour.edges()}
+        dilated = [frozenset((path[0], path[-1])) for path in paths]
+        assert len(paths) == len(edges) == 10
+        assert set(dilated) == edges  # at most one dilation per pair
+
+
 class TestRunPipeline:
-    def test_m2_out_and_back(self):
+    def test_m2_out_and_back(self, monkeypatch):
         g = empty_map()
         goals = GoalSet([Point(5.5, 5.5), Point(30.5, 30.5)])
         cfg = PlannerConfig.for_map(g, seed=3)
+        dilated = counted_dilations(monkeypatch)
         with recorded_plans() as samples:
             sol = run_algorithm(g, goals, GUIDED, cfg, estimator="oracle")
         assert sol.tour.order == (0, 1)
         assert len(sol.legs) == 2
-        assert len(samples) == 1
+        assert len(samples) == 1 and len(dilated) == 1
         assert sol.legs[1].points == sol.legs[0].points[::-1]
         assert sol.total_cost >= 2 * goals[0].distance_to(goals[1]) - 1e-9
         verify_solution(g, goals, sol, cfg)

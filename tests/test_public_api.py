@@ -19,7 +19,7 @@ import pytest
 import multigoal
 from multigoal import (
     GoalSet, GridMap, LossWeights, PlannerConfig, Point, RegionMask, WeightMatrix, cli, errors,
-    grid_shortest_path, nearest_neighbor,
+    generate_map, grid_shortest_path, nearest_neighbor,
 )
 from multigoal.bench import BenchmarkRecord
 from multigoal.errors import InvalidArgument
@@ -315,18 +315,27 @@ def _blocked_start():
     (lambda: PlannerConfig(k=2), "k must lie in [0, 1]"),
     (lambda: PlannerConfig(max_samples=2.5), "max_samples must be an integer, got 2.5"),
     (lambda: PlannerConfig(max_samples=True), "max_samples must be an integer, got True"),
+    (lambda: PlannerConfig(seed=2.7), "seed must be an integer, got 2.7"),
+    (lambda: PlannerConfig(seed=True), "seed must be an integer, got True"),
+    (lambda: PlannerConfig(seed="7"), "seed must be an integer, got '7'"),
+    (lambda: generate_map(2.7, 8, 8), "seed must be an integer, got 2.7"),
     (lambda: GridMap([[0, 1], [1]]), "cells must be a 2D table"),
+    (lambda: GridMap([[None, 1], [0, 0]]), "cells must be real numbers, got object entries"),
     (lambda: PathPolyline([Point(1, 1)]), "polyline needs at least 2 points"),
     (lambda: LossWeights((1, 1)), "need 3 loss weights (BCE, Dice, MSE), got 2"),
     (lambda: RegionMask(np.full((4, 4), np.nan)), "mask values must lie in [0, 1]"),
     (lambda: RegionMask([[0, 1], [1]]), "mask values must be 2D"),
+    (lambda: RegionMask([["a", "b"], ["c", "d"]]), "mask values must be real numbers, got <U1"),
+    (lambda: RegionMask(np.full((2, 2), 0.5j)), "mask values must be real numbers, got complex"),
     (lambda: nearest_neighbor(WeightMatrix([[0, 1], [1, 0]]), 9),
      "start vertex 9 out of range for m=2"),
     # the oracle search refuses a blocked end as the planners do
     (_blocked_start, "start (1.5, 1.5) is not free"),
 ], ids=["Point", "GoalSet", "PlannerConfig", "PlannerConfig-float-max_samples",
-        "PlannerConfig-bool-max_samples", "GridMap-ragged", "PathPolyline", "LossWeights",
-        "RegionMask", "RegionMask-ragged", "nearest_neighbor", "grid_shortest_path"])
+        "PlannerConfig-bool-max_samples", "PlannerConfig-float-seed", "PlannerConfig-bool-seed",
+        "PlannerConfig-str-seed", "generate_map-float-seed", "GridMap-ragged", "GridMap-object",
+        "PathPolyline", "LossWeights", "RegionMask", "RegionMask-ragged", "RegionMask-str",
+        "RegionMask-complex", "nearest_neighbor", "grid_shortest_path"])
 def test_a_bad_value_raises_invalid_argument(call, message):
     with pytest.raises(InvalidArgument, match=re.escape(message)):
         call()
