@@ -137,19 +137,32 @@ def validate_dataset(out_dir) -> int:
             raise FormatError(f"{dist_path} row {row}: bad entry {line!r}") from None
 
     for entry in samples:
-        if entry["id"] not in distances:
-            raise FormatError(f"{dist_path}: no row for {entry['id']}")
+        sample_id = entry["id"]
+        if sample_id not in distances:
+            raise FormatError(f"{dist_path}: no row for {sample_id}")
+        stored = distances[sample_id]
         grid = load_map(os.path.join(out_dir, entry["map"]))
-        goals = load_goals(os.path.join(out_dir, entry["goals"]))
-        raster = read_pgm(os.path.join(out_dir, entry["mask"]))
-        path, length = grid_shortest_path(grid, goals[0], goals[1])
+        goals_path = os.path.join(out_dir, entry["goals"])
+        goals = load_goals(goals_path)
+        if len(goals) != 2:
+            raise FormatError(f"{goals_path}: a sample needs 2 goals, got {len(goals)}")
+        mask_path = os.path.join(out_dir, entry["mask"])
+        raster = read_pgm(mask_path)
+        if raster.shape != grid.cells.shape:
+            raise FormatError(
+                f"{mask_path}: mask is {raster.shape[1]}x{raster.shape[0]}, "
+                f"map is {grid.width}x{grid.height}"
+            )
+        try:
+            # the stored distance bounds the search; a wrong one still gets the true path
+            path, length = grid_shortest_path(grid, goals[0], goals[1], stored)
+        except (InvalidArgument, Unreachable) as exc:
+            raise type(exc)(f"{sample_id}: {exc}") from None
         for x, y in path:
             if raster[y, x] != 255:
-                raise InvalidArgument(f"{entry['id']}: mask misses optimal path cell ({x}, {y})")
-        if distances[entry["id"]] != length:
-            raise InvalidArgument(
-                f"{entry['id']}: stored distance {distances[entry['id']]} != oracle {length}"
-            )
+                raise InvalidArgument(f"{sample_id}: mask misses optimal path cell ({x}, {y})")
+        if stored != length:
+            raise InvalidArgument(f"{sample_id}: stored distance {stored} != oracle {length}")
     return len(samples)
 
 

@@ -300,16 +300,40 @@ def _no_grid_path(a: Point, b: Point) -> Unreachable:
 _BOUND_FACTORS = (1.15, 1.5, 3.0)
 
 
-def _octile_to(grid: GridMap, b: Point) -> np.ndarray:
-    """Octile distance from every cell of the padded map to the cell of b,
-    indexed [y + 1, x + 1]: a lower bound on the 8-connected path length."""
+def _bounded_dist(grid: GridMap, a: Point, b: Point, lim: float) -> list:
+    """The starting distances of a search from a to b that drops every push
+    into a cell n at a distance d with d + h(n) >= lim, where h is the octile
+    distance to b: lim - h(n) on the cells where a push can be kept, and 0.0,
+    which drops every push, elsewhere.
+
+    A push can be kept only inside the box of cells with
+    |x - ax| + |x - bx| <= lim + 2 and the same in y: outside it, the
+    Chebyshev distances to a and to b, and so d + h(n), sum above lim + 2.
+    Only the box is built, one row slice at a time.
+    """
+    ax, ay = a.cell()
     bx, by = b.cell()
-    dx = np.abs(np.arange(-1, grid.width + 1) - bx)
-    dy = np.abs(np.arange(-1, grid.height + 1) - by)[:, None]
-    return (SQRT2 - 1.0) * np.minimum(dx, dy) + np.maximum(dx, dy)
+    pw = grid.width + 2
+    dist = [0.0] * (pw * (grid.height + 2))
+    x0 = max(math.floor((ax + bx - lim) / 2) - 1, 0)
+    x1 = min(math.ceil((ax + bx + lim) / 2) + 1, grid.width - 1)
+    y0 = max(math.floor((ay + by - lim) / 2) - 1, 0)
+    y1 = min(math.ceil((ay + by + lim) / 2) + 1, grid.height - 1)
+    if x0 > x1 or y0 > y1:
+        return dist
+    dx = np.abs(np.arange(x0, x1 + 1) - bx)
+    dy = np.abs(np.arange(y0, y1 + 1) - by)[:, None]
+    rows = (lim - ((SQRT2 - 1.0) * np.minimum(dx, dy) + np.maximum(dx, dy))).tolist()
+    start = (y0 + 1) * pw + x0 + 1
+    for row in rows:
+        dist[start : start + len(row)] = row
+        start += pw
+    return dist
 
 
-def grid_shortest_path(grid: GridMap, a: Point, b: Point) -> tuple[list[tuple[int, int]], float]:
+def grid_shortest_path(
+    grid: GridMap, a: Point, b: Point, length_hint: float | None = None
+) -> tuple[list[tuple[int, int]], float]:
     """Shortest 8-connected cell-center path between the cells of a and b.
 
     Returns (cell path, length); raises Unreachable when no path exists. See
@@ -318,22 +342,30 @@ def grid_shortest_path(grid: GridMap, a: Point, b: Point) -> tuple[list[tuple[in
 
     The search is bounded: with h the octile distance to b, a lower bound on
     the rest of any path, a push into cell n at distance d is dropped when
-    d + h(n) >= U + 1e-6 * (1 + U), for U = f * h(a) with f from
-    _BOUND_FACTORS in turn, and then unbounded. A dropped push can lie on no
-    path shorter than U, and whether a push is kept depends on its value
-    alone, so the kept pushes keep their order and the cells of the optimal
-    path get the parents of the full search. The first bound that reaches b
-    returns the full search's path; an unreachable pair fails every bound
-    and the full search.
+    d + h(n) >= U + 1e-6 * (1 + U), for U = length_hint when given, else
+    U = f * h(a) with f from _BOUND_FACTORS in turn, and then unbounded. A
+    dropped push can lie on no path shorter than U, and whether a push is
+    kept depends on its value and its cell alone, so the kept pushes keep
+    their order and the cells of the optimal path get the parents of the
+    full search. The first bound that reaches b returns the full search's
+    path; an unreachable pair fails every bound and the full search. So a
+    hint, such as a stored length, changes no output: one not below the
+    path length needs one bounded search, and one below it, NaN or infinite
+    ends in the full search.
     """
     check_endpoints(grid, a, b)
-    h = _octile_to(grid, b)
-    ax, ay = a.cell()
-    h_a = float(h[ay + 1, ax + 1])
-    h = h.ravel()
-    for f in _BOUND_FACTORS:
-        bound = f * h_a
-        (found,) = _search(grid, a, [b], (bound + 1e-6 * (1.0 + bound) - h).tolist())
+    if length_hint is None:
+        (ax, ay), (bx, by) = a.cell(), b.cell()
+        dx, dy = abs(ax - bx), abs(ay - by)
+        h_a = (SQRT2 - 1.0) * min(dx, dy) + max(dx, dy)
+        bounds = [f * h_a for f in _BOUND_FACTORS]
+    else:
+        bounds = [length_hint]
+    for bound in bounds:
+        lim = bound + 1e-6 * (1.0 + bound)
+        if not math.isfinite(lim):
+            break
+        (found,) = _search(grid, a, [b], _bounded_dist(grid, a, b, lim))
         if found is not None:
             return found
     (found,) = _search(grid, a, [b])

@@ -16,8 +16,8 @@ from multigoal.bench import (
     write_results_csv,
 )
 from multigoal.dataset import _split_of, generate_dataset, validate_dataset
-from multigoal.errors import FormatError, InvalidArgument
-from multigoal.grid import load_goals, load_map
+from multigoal.errors import FormatError, InvalidArgument, Unreachable
+from multigoal.grid import load_goals, load_map, save_goals, save_map
 from multigoal.pgm import read_pgm, write_pgm
 from multigoal.scenarios import Scenario
 import oracle_reference as ref
@@ -218,6 +218,71 @@ class TestGenerateDataset:
         write_pgm(mask_file, raster)
         message = f"sample_00002: mask misses optimal path cell ({x}, {y})"
         with pytest.raises(InvalidArgument, match=re.escape(message)):
+            validate_dataset(tmp_path)
+
+    @pytest.mark.parametrize("stored", [lambda d: 0.5 * d, lambda d: 0.0,
+                                        lambda d: float("nan"), lambda d: d + 1.0])
+    def test_validation_reports_a_wrong_stored_distance(self, tmp_path, stored):
+        # the stored distance bounds validation's search: one too small or NaN
+        # falls back to the full search, one too large still finds the true path
+        generate_dataset(2, 5, tmp_path, width=32, height=32)
+        grid = load_map(tmp_path / "maps" / "sample_00000.map")
+        a, b = load_goals(tmp_path / "goals" / "sample_00000.csv")
+        ((_, length),) = ref.shortest_paths_from(grid, a, [b])
+        dist_file = tmp_path / "distances.csv"
+        lines = dist_file.read_text().splitlines()
+        value = stored(length)
+        lines[0] = f"sample_00000,{value!r}"
+        dist_file.write_text("\n".join(lines) + "\n")
+        message = f"sample_00000: stored distance {value} != oracle {length}"
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            validate_dataset(tmp_path)
+
+    @pytest.mark.parametrize("height, width", [(8, 8), (40, 32), (32, 40)])
+    def test_validation_refuses_a_mask_of_another_shape(self, tmp_path, height, width):
+        # a smaller mask would be indexed out of range, a larger one at the wrong cells
+        generate_dataset(2, 5, tmp_path, width=32, height=32)
+        mask_file = tmp_path / "masks" / "sample_00000.pgm"
+        write_pgm(mask_file, np.full((height, width), 255, dtype=np.uint8))
+        message = f"{mask_file}: mask is {width}x{height}, map is 32x32"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            validate_dataset(tmp_path)
+
+    def test_validation_refuses_a_goals_file_without_two_goals(self, tmp_path):
+        generate_dataset(2, 5, tmp_path, width=32, height=32)
+        grid = load_map(tmp_path / "maps" / "sample_00000.map")
+        goals_file = tmp_path / "goals" / "sample_00000.csv"
+        goals = list(load_goals(goals_file))
+        x, y = next(c for c in grid.free_cells().tolist() if Point(c[0] + 0.5, c[1] + 0.5) not in goals)
+        save_goals(goals_file, GoalSet(goals + [Point(x + 0.5, y + 0.5)]))
+        message = f"{goals_file}: a sample needs 2 goals, got 3"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            validate_dataset(tmp_path)
+
+    def test_validation_names_the_sample_of_a_blocked_goal(self, tmp_path):
+        generate_dataset(2, 5, tmp_path, width=32, height=32)
+        grid = load_map(tmp_path / "maps" / "sample_00000.map")
+        goals_file = tmp_path / "goals" / "sample_00000.csv"
+        _, b = load_goals(goals_file)
+        ys, xs = np.nonzero(grid.cells)
+        a = Point(xs[0] + 0.5, ys[0] + 0.5)
+        save_goals(goals_file, GoalSet([a, b]))
+        message = f"sample_00000: start ({a.x}, {a.y}) is not free"
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            validate_dataset(tmp_path)
+
+    def test_validation_names_the_sample_of_an_unreachable_goal(self, tmp_path):
+        generate_dataset(2, 5, tmp_path, width=32, height=32)
+        map_file = tmp_path / "maps" / "sample_00000.map"
+        grid = load_map(map_file)
+        a, b = load_goals(tmp_path / "goals" / "sample_00000.csv")
+        cells = grid.cells.copy()
+        bx, by = b.cell()
+        cells[max(by - 1, 0) : by + 2, max(bx - 1, 0) : bx + 2] = True
+        cells[by, bx] = False
+        save_map(map_file, GridMap(cells))
+        message = f"sample_00000: no grid path from cell {a.cell()} to cell {b.cell()}"
+        with pytest.raises(Unreachable, match=f"^{re.escape(message)}$"):
             validate_dataset(tmp_path)
 
     @pytest.mark.parametrize("text, message", [

@@ -526,24 +526,93 @@ class TestMatchesReference:
         else:
             assert grid_shortest_path(grid, a, b) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        single_pairs(),
+        st.sampled_from(["exact", "-ulp", "+ulp", 0.9, 1.1, 0.0, -1.0, math.inf, math.nan, 1e300]),
+    )
+    def test_a_length_hint_changes_no_output(self, pair, hint):
+        # a string or a factor is taken relative to the path length (to the
+        # map's half-perimeter when there is no path); other hints are absolute
+        grid, a, b = pair
+        (expected,) = ref.shortest_paths_from(grid, a, [b])
+        length = float(grid.width + grid.height) if expected is None else expected[1]
+        if hint in ("exact", "-ulp", "+ulp"):
+            hint = {"exact": length, "-ulp": math.nextafter(length, -math.inf),
+                    "+ulp": math.nextafter(length, math.inf)}[hint]
+        elif hint in (0.9, 1.1):
+            hint *= length
+        if expected is None:
+            message = f"no grid path from cell {a.cell()} to cell {b.cell()}"
+            with pytest.raises(Unreachable, match=f"^{re.escape(message)}$"):
+                grid_shortest_path(grid, a, b, hint)
+        else:
+            assert grid_shortest_path(grid, a, b, hint) == expected
+
     @settings(max_examples=150, deadline=None)
     @given(single_pairs(), st.sampled_from([0.0, 1e-9, 1e-3, 0.1]))
     def test_a_bound_at_the_path_length_needs_one_search(self, pair, over):
         # h is a lower bound on every cell's distance to the target, so a bound
         # at the path length keeps the whole optimal path. An h that overshoots
         # anywhere on it (octile + 1, 1.5 x Euclidean) drops a cell, and the
-        # search then falls back, which the equality test above cannot see.
+        # search then falls back, which the equality tests above cannot see.
         grid, a, b = pair
         (expected,) = ref.shortest_paths_from(grid, a, [b])
-        assume(expected is not None and a.cell() != b.cell())
-        ax, ay = a.cell()
-        factor = expected[1] / estimators._octile_to(grid, b)[ay + 1, ax + 1] * (1.0 + over)
-        with (
-            mock.patch.object(estimators, "_BOUND_FACTORS", (factor,)),
-            mock.patch.object(estimators, "_search", wraps=estimators._search) as search,
-        ):
-            assert grid_shortest_path(grid, a, b) == expected
+        assume(expected is not None)
+        with mock.patch.object(estimators, "_search", wraps=estimators._search) as search:
+            assert grid_shortest_path(grid, a, b, expected[1] * (1.0 + over)) == expected
         assert search.call_count == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 20).flatmap(
+            lambda w: st.tuples(st.just(w), st.integers(2, 20).filter(lambda h: h != w))
+        ),
+        st.data(),
+        st.sampled_from([-1.0, 0.0, 0.5, 0.9, 1.0, 1.15, 1.5, 3.0, 1e300]),
+    )
+    def test_the_bound_is_built_only_inside_its_box(self, size, data, factor):
+        # non-square maps with both ends on the border, often in a corner;
+        # U is a multiple of the path length (or of the half-perimeter)
+        w, h = size
+        coins = data.draw(st.lists(st.integers(0, 4), min_size=w * h, max_size=w * h))
+        cells = np.array(coins).reshape(h, w) == 0
+        corners = {(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)}
+        for x, y in corners:
+            cells[y, x] = False
+        grid = GridMap(cells)
+        border = [(x, y) for x, y in grid.free_cells().tolist() if x in (0, w - 1) or y in (0, h - 1)]
+        ends = st.one_of(st.sampled_from(sorted(corners)), st.sampled_from(border))
+        a, b = (Point(x + 0.5, y + 0.5) for x, y in (data.draw(ends), data.draw(ends)))
+        (expected,) = ref.shortest_paths_from(grid, a, [b])
+        bound = factor * (w + h if expected is None else expected[1])
+        lim = bound + 1e-6 * (1.0 + bound)
+
+        # the full-map list the bound was built as before: lim - octile(n, b)
+        bx, by = b.cell()
+        dx = np.abs(np.arange(-1, w + 1) - bx)
+        dy = np.abs(np.arange(-1, h + 1) - by)[:, None]
+        full = (lim - ((SQRT2 - 1.0) * np.minimum(dx, dy) + np.maximum(dx, dy))).ravel().tolist()
+        boxed = estimators._bounded_dist(grid, a, b, lim)
+        assert len(boxed) == len(full)
+        (ax, ay), pw = a.cell(), w + 2
+        for i, (v, u) in enumerate(zip(boxed, full)):
+            x, y = i % pw - 1, i // pw - 1
+            if v != 0.0 or u == 0.0:
+                assert v == u, (x, y)  # inside the box, bit for bit
+            elif 0 <= x < w and 0 <= y < h:  # outside the box (the padded ring is blocked)
+                assert max(abs(x - ax) + abs(x - bx), abs(y - ay) + abs(y - by)) > lim + 2
+
+        # the same pushes are kept, so the search ends the same way
+        kept = []
+        for dist in (boxed, full):
+            before = list(dist)
+            found = estimators._search(grid, a, [b], dist)
+            cells_lowered = {i for i, (u, v) in enumerate(zip(before, dist)) if u != v}
+            kept.append((found, cells_lowered - {(ay + 1) * pw + ax + 1}))
+        assert kept[0] == kept[1]
+        if kept[0][0] != [None]:
+            assert kept[0][0] == [expected]
 
     def test_bounded_search_falls_back_to_the_full_search(self):
         # the ends are two cells apart across a wall whose gap is 23 rows away,

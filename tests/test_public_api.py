@@ -220,7 +220,7 @@ SIGNATURES = {
     "dice_loss": ["y", "yhat"],
     "dilate_path_to_region": ["grid", "path", "radius"],
     "generate_map": ["seed", "width", "height", "spec"],
-    "grid_shortest_path": ["grid", "a", "b"],
+    "grid_shortest_path": ["grid", "a", "b", "length_hint"],
     "held_karp": ["w"],
     "local_search_improve": ["w", "t"],
     "mse_loss": ["c", "chat"],
