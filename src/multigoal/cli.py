@@ -26,11 +26,12 @@ from .grid import (
     GoalSet,
     GridMap,
     ObstacleSpec,
-    Point,
     generate_map,
     load_goals,
     load_map,
+    parse_row,
     place_goals,
+    point_row,
     read_json_entries,
     read_rows,
     save_goals,
@@ -233,14 +234,6 @@ def _load_mask_on(grid: GridMap, path) -> RegionMask:
     return mask
 
 
-def _parse_point(text: str) -> Point:
-    try:
-        x, y = text.split(",")
-        return Point(float(x), float(y))
-    except ValueError:
-        raise FormatError(f"expected a point as 'x,y', got {text!r}") from None
-
-
 def _cmd_gen_map(args) -> int:
     seed = _config_of(args)["seed"]
     spec = ObstacleSpec(
@@ -310,8 +303,8 @@ def _cmd_plan(args) -> int:
         raise InvalidArgument("--mask guides only --algorithm rrt, not rrt-star")
     config = _config_of(args)
     grid = load_map(args.map_path)
-    start = _parse_point(args.start)
-    goal = _parse_point(args.goal)
+    start = parse_row(args.start, point_row, "--start")
+    goal = parse_row(args.goal, point_row, "--goal")
     cfg = _planner_config(config, grid)
 
     t0 = time.perf_counter()

@@ -21,7 +21,7 @@ from .grid import (
     load_map,
     place_goals,
     read_json_entries,
-    read_rows,
+    read_table,
     save_goals,
     save_map,
     write_lines,
@@ -118,28 +118,40 @@ def _split_of(index: int, n: int) -> str:
     return "test"
 
 
+def _distance_row(fields) -> tuple[str, float]:
+    sample_id, value = fields
+    return sample_id, float(value)
+
+
 def validate_dataset(out_dir) -> int:
-    """Re-check every sample: mask covers the optimal path, distance matches the oracle.
+    """Re-check every sample: its manifest entry and distances.csv row agree, the
+    mask covers the optimal path, and the distance matches the oracle.
 
     Returns the number of validated samples; raises InvalidArgument, still a
     ValueError, on the first violation, and FormatError on a malformed file.
     """
-    samples = read_json_entries(
-        os.path.join(out_dir, "manifest.json"), "samples", ("id", "map", "goals", "mask")
-    )
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    samples = read_json_entries(manifest_path, "samples", ("id", "map", "goals", "mask"))
     dist_path = os.path.join(out_dir, "distances.csv")
-    distances = {}
-    for row, line in read_rows(dist_path):
-        try:
-            sample_id, value = line.split(",")
-            distances[sample_id] = float(value)
-        except ValueError:
-            raise FormatError(f"{dist_path} row {row}: bad entry {line!r}") from None
-
+    distances = dict(value for _, value in read_table(dist_path, _distance_row, key=lambda v: v[0]))
+    listed = set()
     for entry in samples:
+        if entry["id"] in listed:
+            raise FormatError(f"{manifest_path}: {entry['id']} listed twice")
+        listed.add(entry["id"])
+    for sample_id in distances:
+        if sample_id not in listed:
+            raise FormatError(f"{dist_path}: {sample_id} is not a manifest sample")
+
+    for k, entry in enumerate(samples):
         sample_id = entry["id"]
         if sample_id not in distances:
             raise FormatError(f"{dist_path}: no row for {sample_id}")
+        split = _split_of(k, len(samples))
+        if entry.get("split") != split:
+            raise FormatError(
+                f"{manifest_path}: {sample_id} split {entry.get('split')!r} != {split!r}"
+            )
         stored = distances[sample_id]
         grid = load_map(os.path.join(out_dir, entry["map"]))
         goals_path = os.path.join(out_dir, entry["goals"])
@@ -163,6 +175,11 @@ def validate_dataset(out_dir) -> int:
                 raise InvalidArgument(f"{sample_id}: mask misses optimal path cell ({x}, {y})")
         if stored != length:
             raise InvalidArgument(f"{sample_id}: stored distance {stored} != oracle {length}")
+        if entry.get("distance") != stored:
+            raise FormatError(
+                f"{manifest_path}: {sample_id} distance {entry.get('distance')!r} != {stored} "
+                f"in {dist_path}"
+            )
     return len(samples)
 
 

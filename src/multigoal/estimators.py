@@ -25,7 +25,7 @@ from .grid import (
     check_endpoints,
     check_real,
     is_2d,
-    read_rows,
+    read_table,
     write_rows,
 )
 from .pgm import read_pgm, write_pgm
@@ -99,8 +99,11 @@ class WeightMatrix:
     """Symmetric pairwise cost table with zero diagonal; input to the TSP solver."""
 
     def __init__(self, w: np.ndarray):
+        if not is_2d(w):
+            raise InvalidArgument("weight matrix must be a 2D table")
+        check_real(w, "weights")
         arr = np.array(w, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        if arr.shape[0] != arr.shape[1]:
             raise InvalidArgument(f"weight matrix must be square, got shape {arr.shape}")
         m = arr.shape[0]
         if m < 2:
@@ -129,21 +132,15 @@ class WeightMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "WeightMatrix":
-        rows = []
-        for row, line in read_rows(path):
-            try:
-                values = [float(v) for v in line.split(",")]
-            except ValueError:
-                raise FormatError(f"{path} row {row}: non-numeric entry") from None
-            if rows and len(values) != len(rows[0]):
-                raise FormatError(
-                    f"{path} row {row}: expected {len(rows[0])} columns, got {len(values)}"
-                )
-            rows.append(values)
+        rows = list(read_table(path, lambda fields: [float(v) for v in fields]))
         if not rows:
             raise FormatError(f"{path}: empty weight matrix")
+        m = len(rows[0][1])
+        for row, values in rows:
+            if len(values) != m:
+                raise FormatError(f"{path} row {row}: expected {m} columns, got {len(values)}")
         try:
-            return cls(np.array(rows, dtype=np.float64))
+            return cls([values for _, values in rows])
         except InvalidArgument as exc:
             raise FormatError(f"{path}: {exc}") from None
 
@@ -567,27 +564,24 @@ def load_external_predictions(directory) -> ExternalEstimator:
         raise FormatError(f"{root}: no distances.csv")
     distances: dict[tuple[int, int], float] = {}
     masks: dict[tuple[int, int], RegionMask] = {}
-    for row, line in read_rows(dist_path):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"{dist_path} row {row}: expected 'i,j,distance'")
-        try:
-            i, j, d = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise FormatError(f"{dist_path} row {row}: bad entry {line!r}") from None
-        pair = (min(i, j), max(i, j))
-        if pair in distances:
-            raise FormatError(f"{dist_path} row {row}: pair {pair} listed twice")
-        if i == j or pair[0] < 0 or not (math.isfinite(d) and d >= 0):
-            raise FormatError(f"{dist_path} row {row}: bad entry {line!r}")
+    for row, (pair, d) in read_table(dist_path, _prediction_row, key=lambda entry: entry[0]):
         distances[pair] = d
-        mask_path = os.path.join(root, pair_mask_filename(i, j))
+        mask_path = os.path.join(root, pair_mask_filename(*pair))
         if not os.path.exists(mask_path):
             raise FormatError(
                 f"{dist_path} row {row}: missing mask file for pair {pair}: {mask_path}"
             )
         masks[pair] = RegionMask.from_u8(read_pgm(mask_path))
     return ExternalEstimator(distances, masks, source=root)
+
+
+def _prediction_row(fields) -> tuple[tuple[int, int], float]:
+    """((i, j) with i < j, distance) of an "i,j,distance" row."""
+    i, j, d = fields
+    i, j, d = int(i), int(j), float(d)
+    if i == j or min(i, j) < 0 or not (math.isfinite(d) and d >= 0):
+        raise InvalidArgument(f"pair ({i}, {j}) at distance {d}")
+    return (min(i, j), max(i, j)), d
 
 
 def make_estimator(kind: str, dilation_radius: float | None = None):

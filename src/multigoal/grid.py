@@ -458,6 +458,9 @@ def _text_map_cells(path) -> np.ndarray:
         if row.count("#") + row.count(".") != width:
             bad = next(ch for ch in row if ch not in "#.")
             raise FormatError(f"{path} line {lineno}: invalid character {bad!r}")
+    for lineno, line in enumerate(lines[1 + height :], start=2 + height):
+        if line.strip():
+            raise FormatError(f"{path} line {lineno}: text after the last of {height} rows")
     block = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
     return block.reshape(height, width) == ord("#")
 
@@ -468,28 +471,17 @@ def save_goals(path, goals: GoalSet) -> None:
 
 
 def load_goals(path) -> GoalSet:
-    """Read a goals CSV; line number = goal index."""
-    points = []
-    first_row: dict[tuple[float, float], int] = {}
-    for row, line in read_rows(path):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise FormatError(f"{path} row {row}: expected 'x,y', got {line!r}")
-        try:
-            x, y = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise FormatError(f"{path} row {row}: non-numeric pair {line!r}") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise FormatError(f"{path} row {row}: non-finite pair {line!r}")
-        if (x, y) in first_row:
-            raise FormatError(
-                f"{path} rows {first_row[x, y]} and {row}: duplicate goal at ({x}, {y})"
-            )
-        first_row[x, y] = row
-        points.append(Point(x, y))
+    """Read a goals CSV; its k-th non-blank row is goal k - 1."""
+    points = [p for _, p in read_table(path, point_row, key=lambda p: (p.x, p.y))]
     if len(points) < 2:
         raise FormatError(f"{path}: goals file needs at least 2 rows, got {len(points)}")
     return GoalSet(points)
+
+
+def point_row(fields) -> Point:
+    """The Point of an "x,y" row: a goal, a path point, or plan's --start and --goal."""
+    x, y = fields
+    return Point(float(x), float(y))
 
 
 def read_lines(path) -> list[str]:
@@ -512,6 +504,30 @@ def read_rows(path):
         line = line.strip()
         if line:
             yield row, line
+
+
+def parse_row(text: str, parse, where: str):
+    """parse(the fields of text split on commas). A ValueError from parse,
+    InvalidArgument among them, raises FormatError "<where>: bad entry '<text>'"."""
+    try:
+        return parse(text.split(","))
+    except ValueError:
+        raise FormatError(f"{where}: bad entry {text!r}") from None
+
+
+def read_table(path, parse, key=None):
+    """Yield (line number, parse(fields)) of each non-blank row of an ASCII CSV file,
+    refusing a bad row as parse_row does; with key, a row whose key(value) an
+    earlier row had raises FormatError naming both rows. Every CSV input is read here."""
+    first_row = {}
+    for row, line in read_rows(path):
+        value = parse_row(line, parse, f"{path} row {row}")
+        if key is not None:
+            k = key(value)
+            if k in first_row:
+                raise FormatError(f"{path} row {row} repeats row {first_row[k]}: {k!r}")
+            first_row[k] = row
+        yield row, value
 
 
 def write_lines(path, lines) -> None:

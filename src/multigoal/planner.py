@@ -16,7 +16,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError, InvalidArgument, NoPathFound
-from .grid import GridMap, Point, check_endpoints, check_integer, check_seed, read_rows, write_rows
+from .grid import (
+    GridMap,
+    Point,
+    check_endpoints,
+    check_integer,
+    check_seed,
+    point_row,
+    read_table,
+    write_rows,
+)
 
 _REWIRE_EPS = 1e-12
 # Tree allocates its node arrays for the whole sample budget up front
@@ -191,15 +200,7 @@ def save_path(path, poly: PathPolyline) -> None:
 
 
 def load_path(path) -> PathPolyline:
-    points = []
-    for row, line in read_rows(path):
-        try:
-            x, y = (float(v) for v in line.split(","))
-            points.append(Point(x, y))
-        except ValueError:
-            raise FormatError(
-                f"{path} row {row}: expected 'x,y' with two finite numbers, got {line!r}"
-            ) from None
+    points = [p for _, p in read_table(path, point_row)]
     if len(points) < 2:
         raise FormatError(f"{path}: a path needs at least 2 points, got {len(points)}")
     return PathPolyline(points)

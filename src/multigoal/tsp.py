@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
+from .grid import check_integer
 
 EXACT_LIMIT = 16  # Held-Karp memory bound: 2^16 x 16 float table
 EXACT_THRESHOLD = 13  # solve_tsp runs Held-Karp up to this many vertices
@@ -25,7 +26,10 @@ class Tour:
     """A closed visiting order over vertices 0..M-1, canonicalized on construction."""
 
     def __init__(self, order):
-        seq = [int(v) for v in order]
+        seq = list(order)
+        for v in seq:
+            check_integer(v, "tour vertex")
+        seq = [int(v) for v in seq]
         m = len(seq)
         if m < 2 or sorted(seq) != list(range(m)):
             raise InvalidArgument(f"order {seq} is not a permutation of 0..{max(m - 1, 0)}")
@@ -209,9 +213,6 @@ def _apply_first_oropt(wl, order) -> bool:
 
 def solve_tsp(w) -> TspResult:
     """Visiting order for a weight matrix: exact up to EXACT_THRESHOLD vertices, else heuristic."""
-    if w.m == 2:
-        t = Tour((0, 1))
-        return TspResult(t, tour_cost(w, t), "EXACT")
     if w.m <= EXACT_THRESHOLD:
         t, cost = held_karp(w)
         return TspResult(t, cost, "EXACT")

@@ -1,3 +1,4 @@
+import json
 import re
 from types import SimpleNamespace
 from unittest import mock
@@ -294,6 +295,59 @@ class TestGenerateDataset:
         generate_dataset(1, 5, tmp_path, width=16, height=16)
         (tmp_path / "manifest.json").write_text(text)
         with pytest.raises(FormatError, match=re.escape(f"manifest.json: {message}")):
+            validate_dataset(tmp_path)
+
+    @staticmethod
+    def edit_manifest(out, edit):
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["samples"])
+        path.write_text(json.dumps(manifest))
+        return path
+
+    def test_validation_refuses_a_repeated_distance_row(self, tmp_path):
+        generate_dataset(3, 5, tmp_path, 24, 24)
+        dist_file = tmp_path / "distances.csv"
+        dist_file.write_text("sample_00000,1.0\n" + dist_file.read_text())
+        message = f"{dist_file} row 2 repeats row 1: 'sample_00000'"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            validate_dataset(tmp_path)
+
+    def test_validation_refuses_a_distance_row_of_no_sample(self, tmp_path):
+        generate_dataset(3, 5, tmp_path, 24, 24)
+        dist_file = tmp_path / "distances.csv"
+        dist_file.write_text(dist_file.read_text() + "sample_99999,3.0\n")
+        message = f"{dist_file}: sample_99999 is not a manifest sample"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            validate_dataset(tmp_path)
+
+    def test_validation_refuses_a_sample_dropped_from_the_manifest(self, tmp_path):
+        generate_dataset(3, 5, tmp_path, 24, 24)
+        self.edit_manifest(tmp_path, lambda samples: samples.pop())
+        message = f"{tmp_path / 'distances.csv'}: sample_00002 is not a manifest sample"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            validate_dataset(tmp_path)
+
+    def test_validation_refuses_a_sample_listed_twice(self, tmp_path):
+        generate_dataset(3, 5, tmp_path, 24, 24)
+        path = self.edit_manifest(tmp_path, lambda samples: samples.append(samples[0]))
+        message = f"{path}: sample_00000 listed twice"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            validate_dataset(tmp_path)
+
+    def test_validation_refuses_a_manifest_distance_of_another_value(self, tmp_path):
+        manifest = generate_dataset(3, 5, tmp_path, 24, 24)
+        stored = manifest["samples"][0]["distance"]
+        path = self.edit_manifest(tmp_path, lambda samples: samples[0].update(distance=1.0))
+        message = f"{path}: sample_00000 distance 1.0 != {stored} in {tmp_path / 'distances.csv'}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            validate_dataset(tmp_path)
+
+    def test_validation_refuses_a_wrong_split(self, tmp_path):
+        generate_dataset(3, 5, tmp_path, 24, 24)
+        path = self.edit_manifest(tmp_path, lambda samples: samples[1].update(split="nonsense"))
+        message = f"{path}: sample_00001 split 'nonsense' != 'test'"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             validate_dataset(tmp_path)
 
     def test_rejects_nonpositive_n(self, tmp_path):

@@ -255,7 +255,7 @@ class TestPipelineCommand:
                     "--out-dir", tmp_path / "sol"])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"{goals_path} rows 1 and 4: duplicate goal at (2.5, 2.5)" in err
+        assert f"{goals_path} row 4 repeats row 1: (2.5, 2.5)" in err
 
     def test_unknown_estimator(self, small_world, tmp_path, capsys):
         map_path, goals_path = small_world

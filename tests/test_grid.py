@@ -417,6 +417,19 @@ class TestMapFiles:
         path.write_bytes(b"3 2\r\n.#.\r...")
         assert np.array_equal(load_map(path).cells, [[False, True, False], [False, False, False]])
 
+    def test_text_after_the_last_row(self, tmp_path):
+        g = generate_map(21, 24, 24, ObstacleSpec(density_range=(0.1, 0.3)))
+        path = tmp_path / "m.map"
+        save_map(path, g)
+        with open(path, "a") as f:
+            f.write("\n  \n")  # blank trailing lines are skipped
+        assert load_map(path) == g
+        with open(path, "a") as f:
+            f.write("#.#\n")
+        message = f"{path} line 28: text after the last of 24 rows"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_map(path)
+
 
 class TestGoalFiles:
     def test_round_trip(self, tmp_path):
@@ -448,14 +461,14 @@ class TestGoalFiles:
     def test_duplicate_rows_name_both(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("1.5,1.5\n2.5,2.5\n1.50,1.5\n")
-        with pytest.raises(FormatError, match=r"rows 1 and 3: duplicate goal at \(1\.5, 1\.5\)"):
+        with pytest.raises(FormatError, match=r"row 3 repeats row 1: \(1\.5, 1\.5\)$"):
             load_goals(path)
 
     @pytest.mark.parametrize("row", ["inf,1.0", "1.0,nan"])
     def test_non_finite_row(self, tmp_path, row):
         path = tmp_path / "g.csv"
         path.write_text(f"0.5,0.5\n{row}\n")
-        with pytest.raises(FormatError, match="row 2: non-finite pair"):
+        with pytest.raises(FormatError, match=f"row 2: bad entry '{row}'"):
             load_goals(path)
 
 

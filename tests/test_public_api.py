@@ -18,8 +18,8 @@ import pytest
 
 import multigoal
 from multigoal import (
-    GoalSet, GridMap, LossWeights, PlannerConfig, Point, RegionMask, WeightMatrix, cli, errors,
-    generate_map, grid_shortest_path, nearest_neighbor,
+    GoalSet, GridMap, LossWeights, PlannerConfig, Point, RegionMask, Tour, WeightMatrix, cli,
+    errors, generate_map, grid_shortest_path, nearest_neighbor,
 )
 from multigoal.bench import BenchmarkRecord
 from multigoal.errors import InvalidArgument
@@ -100,6 +100,19 @@ def test_only_the_harness_and_the_cli_read_the_clock():
             if any(m and m.split(".")[0] == "time" for m in modules):
                 importers.add(name)
     assert importers == {"bench.py", "cli.py"}
+
+
+def test_only_the_grid_and_the_cli_read_rows():
+    """Every CSV file is read through grid.read_table, so one function decides
+    how a row is refused; the CLI reads its key=value config files itself."""
+    callers = {
+        name
+        for name, tree in source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "read_rows"
+    }
+    assert callers == {"grid.py", "cli.py"}
 
 
 def run_after_bare_import(code):
@@ -331,11 +344,16 @@ def _blocked_start():
      "start vertex 9 out of range for m=2"),
     # the oracle search refuses a blocked end as the planners do
     (_blocked_start, "start (1.5, 1.5) is not free"),
+    (lambda: WeightMatrix([[0, 1], [1]]), "weight matrix must be a 2D table"),
+    (lambda: WeightMatrix([["a", "b"], ["c", "d"]]), "weights must be real numbers, got <U1"),
+    (lambda: Tour([0, 1.5]), "tour vertex must be an integer, got 1.5"),
+    (lambda: Tour(["a", "b"]), "tour vertex must be an integer, got 'a'"),
 ], ids=["Point", "GoalSet", "PlannerConfig", "PlannerConfig-float-max_samples",
         "PlannerConfig-bool-max_samples", "PlannerConfig-float-seed", "PlannerConfig-bool-seed",
         "PlannerConfig-str-seed", "generate_map-float-seed", "GridMap-ragged", "GridMap-object",
         "PathPolyline", "LossWeights", "RegionMask", "RegionMask-ragged", "RegionMask-str",
-        "RegionMask-complex", "nearest_neighbor", "grid_shortest_path"])
+        "RegionMask-complex", "nearest_neighbor", "grid_shortest_path", "WeightMatrix-ragged",
+        "WeightMatrix-str", "Tour-float", "Tour-str"])
 def test_a_bad_value_raises_invalid_argument(call, message):
     with pytest.raises(InvalidArgument, match=re.escape(message)):
         call()

@@ -79,6 +79,94 @@ def test_weight_csv_round_trip(m, data):
     assert round_trip(lambda p, x: x.to_csv(p), WeightMatrix.from_csv, matrix, "w.csv") == matrix
 
 
+@st.composite
+def weight_matrices(draw):
+    m = draw(st.integers(2, 5))
+    w = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            w[i, j] = w[j, i] = draw(st.floats(min_value=1e-300, max_value=1e300))
+    return WeightMatrix(w)
+
+
+point_lists = st.lists(st.tuples(finite, finite), min_size=2, max_size=6)
+csv_number = finite.map(str)  # str() is how write_rows writes a float
+xy_line = st.tuples(csv_number, csv_number).map(",".join)
+# (values, save, load, file name, an appended line, a changed number)
+TEXT_FORMATS = {
+    "map": (grids(), save_map, load_map, "m.map", st.text("#.", min_size=1, max_size=13),
+            st.integers(-1, 13).map(str)),
+    "goals": (point_lists.filter(lambda ps: len(set(ps)) == len(ps)).map(
+                  lambda ps: GoalSet([Point(x, y) for x, y in ps])),
+              save_goals, load_goals, "g.csv", xy_line, csv_number),
+    "path": (point_lists.map(lambda ps: PathPolyline([Point(x, y) for x, y in ps])),
+             save_path, load_path, "p.csv", xy_line, csv_number),
+    "weights": (weight_matrices(), lambda p, w: w.to_csv(p), WeightMatrix.from_csv, "w.csv",
+                st.lists(csv_number, min_size=1, max_size=6).map(",".join), csv_number),
+}
+
+
+def numbers_in(line):
+    """(separator, fields, indices of the fields that are numbers) of a line."""
+    sep = "," if "," in line else " "
+    fields = line.split(sep)
+    numeric = []
+    for k, field in enumerate(fields):
+        try:
+            float(field)
+            numeric.append(k)
+        except ValueError:
+            pass
+    return sep, fields, numeric
+
+
+def one_edit(data, lines, appended, number):
+    """lines with one drawn edit: a line duplicated, appended or dropped, or one
+    number replaced by another of the file's numbers or a drawn one."""
+    lines = list(lines)
+    k = data.draw(st.integers(0, len(lines) - 1))
+    edit = data.draw(st.sampled_from(["duplicate", "append", "drop", "number"]))
+    if edit == "duplicate":
+        lines.insert(k, lines[k])
+    elif edit == "append":
+        lines.append(data.draw(appended))
+    elif edit == "drop":
+        del lines[k]
+    else:
+        found = [(n, i) for n, line in enumerate(lines) for i in numbers_in(line)[2]]
+        existing = [numbers_in(lines[n])[1][i] for n, i in found]
+        n, i = data.draw(st.sampled_from(found))
+        sep, fields, _ = numbers_in(lines[n])
+        fields[i] = data.draw(st.one_of(st.sampled_from(existing), number))
+        lines[n] = sep.join(fields)
+    return lines
+
+
+@pytest.mark.parametrize("fmt", TEXT_FORMATS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_edit_is_refused_or_saved_back(fmt, data):
+    """After one edit, a text file either fails to load with a FormatError that
+    names it, or loads to a value whose save writes the edited file back:
+    no reader accepts what a save would not have written."""
+    values, save, load, name, appended, number = TEXT_FORMATS[fmt]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, name)
+        save(path, data.draw(values))
+        with open(path) as f:
+            edited = one_edit(data, f.read().splitlines(), appended, number)
+        with open(path, "w") as f:
+            f.write("".join(line + "\n" for line in edited))
+        try:
+            value = load(path)
+        except FormatError as exc:
+            assert path in str(exc)
+            return
+        save(path, value)
+        with open(path) as f:
+            assert f.read().splitlines() == edited
+
+
 # Pieces of the text formats, so that the draws also reach the checks behind
 # the ASCII test: numbers, separators, rare line ends and non-ASCII bytes.
 _TOKENS = [b"0", b"1", b"2", b"-1", b"0.5", b"1e400", b"nan", b",", b" ", b"\n", b"\r",
