@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import bench as bench_mod
-from .errors import FormatError, InvalidArgument, MultigoalError
+from .errors import FormatError, InvalidArgument, MultigoalError, naming
 from .estimators import (
     RegionMask,
     WeightMatrix,
@@ -32,7 +32,7 @@ from .grid import (
     parse_row,
     place_goals,
     point_row,
-    read_json_entries,
+    read_json_object,
     read_rows,
     save_goals,
     save_map,
@@ -217,20 +217,16 @@ def _planner_config(config, grid: GridMap) -> PlannerConfig:
 def _load_goals_on(grid: GridMap, path) -> GoalSet:
     """Goals from a file, each checked to lie in a free cell of grid."""
     goals = load_goals(path)
-    try:
+    with naming(path):
         goals.validate_on(grid)
-    except InvalidArgument as exc:
-        raise InvalidArgument(f"{path}: {exc}") from None
     return goals
 
 
 def _load_mask_on(grid: GridMap, path) -> RegionMask:
     """A region mask from a PGM file, checked to match grid's shape."""
     mask = RegionMask.from_u8(read_pgm(path))
-    try:
+    with naming(path):
         mask.check_shape(grid)
-    except InvalidArgument as exc:
-        raise InvalidArgument(f"{path}: {exc}") from None
     return mask
 
 
@@ -384,10 +380,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    try:
-        weights = LossWeights(tuple(float(v) for v in args.alpha.split(",")))
-    except ValueError as exc:
-        raise FormatError(f"--alpha: {exc}") from None
+    alpha = parse_row(args.alpha, lambda fields: tuple(float(v) for v in fields), "--alpha")
+    with naming("--alpha", FormatError):
+        weights = LossWeights(alpha)
     labels = load_external_predictions(args.labels)
     predictions = load_external_predictions(args.predictions)
     rows, agg = score_predictions(labels, predictions, weights)
@@ -415,7 +410,7 @@ def _cmd_render(args) -> int:
         solution = os.path.join(args.solution_dir, "solution.json")
         legs.extend(
             load_path(os.path.join(args.solution_dir, leg["file"]))
-            for leg in read_json_entries(solution, "legs", ("file",))
+            for leg in read_json_object(solution, "legs", ("file",))["legs"]
         )
     render_svg(grid, goals, masks=masks, legs=legs, out_path=args.out)
     print(f"wrote {args.out}")

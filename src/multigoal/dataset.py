@@ -11,16 +11,24 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import FormatError, GenerationFailed, InvalidArgument, PlacementFailed, Unreachable
+from .errors import (
+    FormatError,
+    GenerationFailed,
+    InvalidArgument,
+    PlacementFailed,
+    Unreachable,
+    naming,
+)
 from .estimators import default_dilation_radius, dilate_path_to_region, grid_shortest_path
 from .grid import (
     ObstacleSpec,
+    check_integer,
     check_map_size,
     generate_map,
     load_goals,
     load_map,
     place_goals,
-    read_json_entries,
+    read_json_object,
     read_table,
     save_goals,
     save_map,
@@ -124,14 +132,16 @@ def _distance_row(fields) -> tuple[str, float]:
 
 
 def validate_dataset(out_dir) -> int:
-    """Re-check every sample: its manifest entry and distances.csv row agree, the
-    mask covers the optimal path, and the distance matches the oracle.
+    """Re-check every sample: its manifest entry and distances.csv row agree, its
+    map has the manifest's width and height, the mask covers the optimal path,
+    and the distance matches the oracle; the manifest's n counts the samples.
 
     Returns the number of validated samples; raises InvalidArgument, still a
     ValueError, on the first violation, and FormatError on a malformed file.
     """
     manifest_path = os.path.join(out_dir, "manifest.json")
-    samples = read_json_entries(manifest_path, "samples", ("id", "map", "goals", "mask"))
+    manifest = read_json_object(manifest_path, "samples", ("id", "map", "goals", "mask"))
+    samples = manifest["samples"]
     dist_path = os.path.join(out_dir, "distances.csv")
     distances = dict(value for _, value in read_table(dist_path, _distance_row, key=lambda v: v[0]))
     listed = set()
@@ -142,6 +152,12 @@ def validate_dataset(out_dir) -> int:
     for sample_id in distances:
         if sample_id not in listed:
             raise FormatError(f"{dist_path}: {sample_id} is not a manifest sample")
+    with naming(manifest_path, FormatError):
+        for field in ("n", "width", "height"):
+            check_integer(manifest.get(field), field)
+    if manifest["n"] != len(samples):
+        raise FormatError(f"{manifest_path}: n {manifest['n']} != {len(samples)} samples")
+    width, height = manifest["width"], manifest["height"]
 
     for k, entry in enumerate(samples):
         sample_id = entry["id"]
@@ -154,6 +170,11 @@ def validate_dataset(out_dir) -> int:
             )
         stored = distances[sample_id]
         grid = load_map(os.path.join(out_dir, entry["map"]))
+        if (grid.width, grid.height) != (width, height):
+            raise FormatError(
+                f"{manifest_path}: {sample_id} map is {grid.width}x{grid.height}, "
+                f"not {width}x{height}"
+            )
         goals_path = os.path.join(out_dir, entry["goals"])
         goals = load_goals(goals_path)
         if len(goals) != 2:
@@ -165,11 +186,9 @@ def validate_dataset(out_dir) -> int:
                 f"{mask_path}: mask is {raster.shape[1]}x{raster.shape[0]}, "
                 f"map is {grid.width}x{grid.height}"
             )
-        try:
+        with naming(sample_id):
             # the stored distance bounds the search; a wrong one still gets the true path
             path, length = grid_shortest_path(grid, goals[0], goals[1], stored)
-        except (InvalidArgument, Unreachable) as exc:
-            raise type(exc)(f"{sample_id}: {exc}") from None
         for x, y in path:
             if raster[y, x] != 255:
                 raise InvalidArgument(f"{sample_id}: mask misses optimal path cell ({x}, {y})")

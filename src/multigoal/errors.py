@@ -1,5 +1,8 @@
 """Exception types shared across the toolkit, one per decision a caller makes:
-fix the input, retry with another seed, or change the goals."""
+fix the input, retry with another seed, or change the goals; and naming, which
+puts the name of the input a refusal is about in front of its message."""
+
+from contextlib import contextmanager
 
 
 class MultigoalError(Exception):
@@ -31,3 +34,15 @@ class Unreachable(MultigoalError):
 
 class NoPathFound(MultigoalError):
     """A sampling-based planner exhausted its sample budget; the message names the leg."""
+
+
+@contextmanager
+def naming(where, kind=None):
+    """Run the block; a MultigoalError from it is raised again as kind, or as its
+    own class when kind is None, with "<where>: " in front of its message. where
+    names the file, flag, sample, leg or pair that a check inside the block
+    cannot name itself."""
+    try:
+        yield
+    except MultigoalError as exc:
+        raise (kind or type(exc))(f"{where}: {exc}") from None

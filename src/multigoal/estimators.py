@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import FormatError, InvalidArgument, Unreachable
+from .errors import FormatError, InvalidArgument, Unreachable, naming
 from .grid import (
     GoalSet,
     GridMap,
@@ -139,10 +139,8 @@ class WeightMatrix:
         for row, values in rows:
             if len(values) != m:
                 raise FormatError(f"{path} row {row}: expected {m} columns, got {len(values)}")
-        try:
+        with naming(path, FormatError):
             return cls([values for _, values in rows])
-        except InvalidArgument as exc:
-            raise FormatError(f"{path}: {exc}") from None
 
 
 @lru_cache(maxsize=16)
@@ -438,10 +436,6 @@ class _PathMask(RegionMask):
         return values
 
 
-def _pair_unreachable(i: int, j: int, exc: Unreachable) -> Unreachable:
-    return Unreachable(f"goal pair ({i}, {j}) is unreachable: {exc}")
-
-
 class EuclideanEstimator:
     """Straight-line distance; carries no region information (all free cells promising)."""
 
@@ -479,7 +473,7 @@ class GridOracleEstimator:
             for j, hit in enumerate(found, start=i + 1):
                 if hit is None:
                     exc = _no_grid_path(goals[i], goals[j])
-                    raise _pair_unreachable(i, j, exc) from exc
+                    raise Unreachable(f"goal pair ({i}, {j}) is unreachable: {exc}")
                 path, length = hit
                 out[(i, j)] = PairEstimate(length, _PathMask(grid, path, radius))
         return out
@@ -502,11 +496,8 @@ class ExternalEstimator:
                     dist_path = os.path.join(self.source, "distances.csv")
                     raise FormatError(f"{dist_path}: no stored prediction for pair {(i, j)}")
                 mask = self.masks[(i, j)]
-                try:
+                with naming(os.path.join(self.source, pair_mask_filename(i, j))):
                     mask.check_shape(grid)
-                except InvalidArgument as exc:
-                    mask_path = os.path.join(self.source, pair_mask_filename(i, j))
-                    raise InvalidArgument(f"{mask_path}: {exc}") from None
                 out[(i, j)] = PairEstimate(self.distances[(i, j)], mask)
         return out
 
@@ -576,10 +567,10 @@ def load_external_predictions(directory) -> ExternalEstimator:
 
 
 def _prediction_row(fields) -> tuple[tuple[int, int], float]:
-    """((i, j) with i < j, distance) of an "i,j,distance" row."""
+    """((i, j) with i < j, distance > 0) of an "i,j,distance" row."""
     i, j, d = fields
     i, j, d = int(i), int(j), float(d)
-    if i == j or min(i, j) < 0 or not (math.isfinite(d) and d >= 0):
+    if i == j or min(i, j) < 0 or not (math.isfinite(d) and d > 0):
         raise InvalidArgument(f"pair ({i}, {j}) at distance {d}")
     return (min(i, j), max(i, j)), d
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, GenerationFailed, InvalidArgument, PlacementFailed
+from .errors import FormatError, GenerationFailed, InvalidArgument, PlacementFailed, naming
 from .pgm import read_pgm, write_pgm
 
 _RETRY_BUDGET = 100
@@ -430,10 +430,9 @@ def save_map(path, grid: GridMap) -> None:
 
 def load_map(path) -> GridMap:
     """Read a map written by save_map (text or PGM)."""
-    try:
-        return GridMap(read_pgm(path) == 0 if _is_pgm(path) else _text_map_cells(path))
-    except InvalidArgument as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    cells = read_pgm(path) == 0 if _is_pgm(path) else _text_map_cells(path)
+    with naming(path, FormatError):
+        return GridMap(cells)
 
 
 def _text_map_cells(path) -> np.ndarray:
@@ -546,9 +545,9 @@ def write_rows(path, rows) -> None:
     write_lines(path, text.getvalue().split("\n")[:-1])
 
 
-def read_json_entries(path, key: str, fields: tuple[str, ...]) -> list[dict]:
-    """The list under key of the JSON object in an ASCII text file; each entry
-    must be an object whose fields are strings.
+def read_json_object(path, key: str, fields: tuple[str, ...]) -> dict:
+    """The JSON object in an ASCII text file, whose key must hold a list of
+    entries; each entry must be an object whose fields are strings.
 
     Bad JSON, a missing key or a mistyped entry raises FormatError naming the file.
     """
@@ -562,7 +561,7 @@ def read_json_entries(path, key: str, fields: tuple[str, ...]) -> list[dict]:
     for n, entry in enumerate(entries):
         if not (isinstance(entry, dict) and all(isinstance(entry.get(f), str) for f in fields)):
             raise FormatError(f"{path}: {key}[{n}] needs string fields {', '.join(fields)}")
-    return entries
+    return doc
 
 
 def _is_pgm(path) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidArgument
+from .errors import FormatError, InvalidArgument, naming
 from .estimators import pair_mask_filename
 
 EPS = 1e-12
@@ -109,13 +109,11 @@ def score_predictions(labels, predictions, weights: LossWeights | None = None):
         label_path = os.path.join(labels.source, pair_mask_filename(i, j))
         if not np.isin(mask, (0.0, 1.0)).all():
             raise FormatError(f"{label_path}: a label mask may hold only 0 and 255")
-        try:
+        prediction_path = os.path.join(predictions.source, pair_mask_filename(i, j))
+        with naming(f"{label_path} vs {prediction_path}"):
             prediction = predictions.masks[(i, j)].values
             l1 = bce_loss(mask, prediction)
             l2 = dice_loss(mask, prediction)
-        except InvalidArgument as exc:
-            prediction_path = os.path.join(predictions.source, pair_mask_filename(i, j))
-            raise InvalidArgument(f"{label_path} vs {prediction_path}: {exc}") from None
         err = (distance - predictions.distances[(i, j)]) ** 2
         rows.append((i, j, l1, l2, err))
         c_true.append(distance)

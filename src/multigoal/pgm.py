@@ -60,4 +60,7 @@ def read_pgm(path) -> np.ndarray:
         raise FormatError(
             f"{path}: expected {width * height} raster bytes, got {len(raster)}"
         )
+    extra = len(data) - pos - width * height
+    if extra:
+        raise FormatError(f"{path}: {extra} bytes after the {width}x{height} raster")
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgument, NoPathFound
+from .errors import InvalidArgument, naming
 from .estimators import WeightMatrix, build_weight_matrix, make_estimator
 from .grid import GoalSet, GridMap, check_seed
 from .planner import PathPolyline, PlannerConfig, plan_leg_rrt, plan_leg_rrt_star
@@ -95,9 +95,8 @@ def run_algorithm(
         for i in range(m):
             for j in range(i + 1, m):
                 cfg_pair = replace(cfg, seed=derive_seed(cfg.seed, 2, i, j))
-                poly, samples = _named_plan(
-                    "pair", i, j, plan_leg_rrt_star, grid, goals[i], goals[j], cfg_pair
-                )
+                with naming(f"pair ({i}, {j})"):
+                    poly, samples = plan_leg_rrt_star(grid, goals[i], goals[j], cfg_pair)
                 w[i, j] = w[j, i] = poly.length
                 paths[(i, j)] = poly
                 samples_total += samples
@@ -116,14 +115,12 @@ def run_algorithm(
         else:
             if algorithm == GUIDED:
                 cfg_leg = replace(cfg, seed=derive_seed(cfg.seed, 1, k))
-                leg, samples = _named_plan(
-                    "leg", i, j, plan_leg_rrt, grid, goals[i], goals[j], masks[key], cfg_leg
-                )
+                with naming(f"leg ({i}, {j})"):
+                    leg, samples = plan_leg_rrt(grid, goals[i], goals[j], masks[key], cfg_leg)
             else:
                 cfg_leg = replace(cfg, seed=derive_seed(cfg.seed, 3, k))
-                leg, samples = _named_plan(
-                    "leg", i, j, plan_leg_rrt_star, grid, goals[i], goals[j], cfg_leg
-                )
+                with naming(f"leg ({i}, {j})"):
+                    leg, samples = plan_leg_rrt_star(grid, goals[i], goals[j], cfg_leg)
             samples_total += samples
             paths[key] = leg if i < j else leg.reverse()
         legs.append(leg)
@@ -137,14 +134,6 @@ def run_algorithm(
         tsp_method=result.method,
         samples_total=samples_total,
     )
-
-
-def _named_plan(what, i, j, planner, *args):
-    """planner(*args); a NoPathFound names the goal pair it failed on."""
-    try:
-        return planner(*args)
-    except NoPathFound as exc:
-        raise NoPathFound(f"{what} ({i}, {j}): {exc}") from exc
 
 
 def verify_solution(grid: GridMap, goals: GoalSet, solution: Solution, cfg: PlannerConfig) -> None:

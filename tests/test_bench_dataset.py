@@ -350,6 +350,21 @@ class TestGenerateDataset:
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             validate_dataset(tmp_path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda manifest: manifest.update(n=99), "n 99 != 3 samples"),
+        (lambda manifest: manifest.pop("n"), "n must be an integer, got None"),
+        (lambda manifest: manifest.update(width=7), "sample_00000 map is 24x24, not 7x24"),
+        (lambda manifest: manifest.update(height="x"), "height must be an integer, got 'x'"),
+    ], ids=["n=99", "no n", "width=7", "height=x"])
+    def test_validation_refuses_a_wrong_manifest_field(self, tmp_path, edit, message):
+        generate_dataset(3, 5, tmp_path, 24, 24)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            validate_dataset(tmp_path)
+
     def test_rejects_nonpositive_n(self, tmp_path):
         with pytest.raises(ValueError):
             generate_dataset(0, 1, tmp_path)

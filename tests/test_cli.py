@@ -681,7 +681,7 @@ class TestBadInputExitsOne:
         (["gen-map", "--width", 1], "map must be at least 2x2, got 1x64"),
         (["gen-map", "--count-min", 5, "--count-max", 2], "bad count_range (5, 2)"),
         (["gen-map", "--goals", 1], "need m >= 2 goals, got 1"),
-        (["score", "--alpha", "1,x"], "--alpha: could not convert string to float: 'x'"),
+        (["score", "--alpha", "1,x"], "--alpha: bad entry '1,x'"),
         (["score", "--alpha", "0,1,1"], "--alpha: all loss weights must be positive"),
         (["gen-map", "--width", -5], "map must be at least 2x2, got -5x64"),
         (["gen-map", "--width", 3_000_000, "--height", 3_000_000],

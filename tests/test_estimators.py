@@ -778,6 +778,8 @@ class TestExternalPredictions:
         ("0,1,inf\n", "row 1: bad entry '0,1,inf'"),
         ("0,1,3.5\n\n2,2,1.0\n", "row 3: bad entry '2,2,1.0'"),
         ("-1,2,1.0\n", "row 1: bad entry '-1,2,1.0'"),
+        # two distinct goals are never 0 apart: build_weight_matrix would refuse it
+        ("0,1,3.5\n0,2,0.0\n", "row 2: bad entry '0,2,0.0'"),
         ("0,1,3.5\n1,0,3.5\n", r"row 2 repeats row 1: \(0, 1\)$"),
     ])
     def test_bad_distance_rows(self, tmp_path, rows, message):

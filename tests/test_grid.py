@@ -19,6 +19,7 @@ from multigoal import (
     save_map,
 )
 from multigoal.errors import FormatError, InvalidArgument
+from multigoal.estimators import GridOracleEstimator, export_predictions, load_external_predictions
 from multigoal.grid import MAX_CELLS, check_map_size, load_goals, load_map
 import sampled_reference
 from sampled_reference import segment_free
@@ -429,6 +430,25 @@ class TestMapFiles:
         message = f"{path} line 28: text after the last of 24 rows"
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_map(path)
+
+    def test_bytes_after_the_pgm_raster(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        save_map(path, empty_map(8, 8))
+        with open(path, "ab") as f:
+            f.write(b"junk")
+        message = f"{path}: 4 bytes after the 8x8 raster"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_map(path)
+
+    def test_bytes_after_an_external_mask_raster(self, tmp_path):
+        goals = GoalSet([Point(1.5, 1.5), Point(6.5, 5.5)])
+        export_predictions(tmp_path, empty_map(8, 8), goals, GridOracleEstimator())
+        path = tmp_path / "pair_0_1.pgm"
+        with open(path, "ab") as f:
+            f.write(b"\x00\xff")
+        message = f"{path}: 2 bytes after the 8x8 raster"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_external_predictions(tmp_path)
 
 
 class TestGoalFiles:

@@ -115,6 +115,26 @@ def test_only_the_grid_and_the_cli_read_rows():
     assert callers == {"grid.py", "cli.py"}
 
 
+def test_only_errors_names_a_refusal():
+    """No except clause outside errors.py catches a MultigoalError and raises:
+    a refusal gets the name of its file, flag, sample, leg or pair through
+    errors.naming, so one function decides how that name is written."""
+    classes = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.MultigoalError)
+    }
+    sites = {
+        f"{name}:{node.lineno}"
+        for name, tree in source_trees()
+        if name != "errors.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and classes & {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+        and any(isinstance(n, ast.Raise) for statement in node.body for n in ast.walk(statement))
+    }
+    assert sites == set()
+
+
 def run_after_bare_import(code):
     """stdout of ``code`` run after ``import multigoal`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(multigoal.__file__))

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from multigoal import GoalSet, GridMap, Point, RegionMask, WeightMatrix, save_goals, save_map
 from multigoal.dataset import generate_dataset, validate_dataset
-from multigoal.errors import FormatError
-from multigoal.estimators import load_external_predictions
-from multigoal.grid import load_goals, load_map, read_json_entries
+from multigoal.errors import FormatError, MultigoalError
+from multigoal.estimators import GridOracleEstimator, export_predictions, load_external_predictions
+from multigoal.grid import load_goals, load_map, read_json_object
 from multigoal.pgm import read_pgm, write_pgm
 from multigoal.planner import PathPolyline, load_path, save_path
 
@@ -122,7 +122,9 @@ def numbers_in(line):
 
 def one_edit(data, lines, appended, number):
     """lines with one drawn edit: a line duplicated, appended or dropped, or one
-    number replaced by another of the file's numbers or a drawn one."""
+    number replaced by another of the file's numbers or a drawn one. number is
+    the strategy of a drawn number, or a tuple of one per CSV column; with a
+    tuple, the replacement comes from the replaced number's column."""
     lines = list(lines)
     k = data.draw(st.integers(0, len(lines) - 1))
     edit = data.draw(st.sampled_from(["duplicate", "append", "drop", "number"]))
@@ -134,8 +136,11 @@ def one_edit(data, lines, appended, number):
         del lines[k]
     else:
         found = [(n, i) for n, line in enumerate(lines) for i in numbers_in(line)[2]]
-        existing = [numbers_in(lines[n])[1][i] for n, i in found]
         n, i = data.draw(st.sampled_from(found))
+        if isinstance(number, tuple):
+            found = [(row, column) for row, column in found if column == i]
+            number = number[i]
+        existing = [numbers_in(lines[row])[1][column] for row, column in found]
         sep, fields, _ = numbers_in(lines[n])
         fields[i] = data.draw(st.one_of(st.sampled_from(existing), number))
         lines[n] = sep.join(fields)
@@ -167,6 +172,63 @@ def test_one_edit_is_refused_or_saved_back(fmt, data):
             assert f.read().splitlines() == edited
 
 
+# An 8x8 map whose wall bends the oracle's paths, for the prediction directory
+PREDICTION_MAP = GridMap(np.array([[c == "#" for c in row] for row in [
+    "........", "........", "..####..", "........", "....#...", "....#...", "........", "........",
+]]))
+goal_index = st.integers(-1, 5).map(str)
+
+
+def mask_edit(data, raw, raster_size):
+    """The bytes of a PGM file with one drawn edit: bytes appended, the last
+    byte dropped, or one raster byte changed."""
+    edit = data.draw(st.sampled_from(["append", "drop", "byte"]))
+    if edit == "append":
+        return raw + data.draw(st.binary(min_size=1, max_size=4))
+    if edit == "drop":
+        return raw[:-1]
+    k = data.draw(st.integers(len(raw) - raster_size, len(raw) - 1))
+    return raw[:k] + bytes([data.draw(st.integers(0, 255))]) + raw[k + 1 :]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_edit_to_a_prediction_directory_is_refused_or_saved_back(data):
+    """After one edit to distances.csv or to one mask of an external: directory,
+    loading it and estimating on the same map and goals either raises a
+    MultigoalError that names one of its files, or export_predictions of what
+    was loaded writes the edited directory back."""
+    grid = PREDICTION_MAP
+    cells = data.draw(st.lists(st.sampled_from(grid.free_cells().tolist()),
+                               min_size=3, max_size=4, unique_by=tuple))
+    goals = GoalSet([Point(x + 0.5, y + 0.5) for x, y in cells])
+    with tempfile.TemporaryDirectory() as d:
+        export_predictions(d, grid, goals, GridOracleEstimator())
+        files = {}
+        for name in sorted(os.listdir(d)):
+            with open(os.path.join(d, name), "rb") as f:
+                files[name] = f.read()
+        name = data.draw(st.sampled_from(["distances.csv", "a mask"]))
+        if name == "distances.csv":
+            row = st.tuples(goal_index, goal_index, csv_number).map(",".join)
+            lines = one_edit(data, files[name].decode().splitlines(), row,
+                             (goal_index, goal_index, csv_number))
+            files[name] = "".join(line + "\n" for line in lines).encode()
+        else:
+            name = data.draw(st.sampled_from(sorted(set(files) - {"distances.csv"})))
+            files[name] = mask_edit(data, files[name], grid.width * grid.height)
+        with open(os.path.join(d, name), "wb") as f:
+            f.write(files[name])
+        try:
+            export_predictions(d, grid, goals, load_external_predictions(d))
+        except MultigoalError as exc:
+            assert any(os.path.join(d, other) in str(exc) for other in files)
+            return
+        for name, raw in files.items():
+            with open(os.path.join(d, name), "rb") as f:
+                assert f.read() == raw, name
+
+
 # Pieces of the text formats, so that the draws also reach the checks behind
 # the ASCII test: numbers, separators, rare line ends and non-ASCII bytes.
 _TOKENS = [b"0", b"1", b"2", b"-1", b"0.5", b"1e400", b"nan", b",", b" ", b"\n", b"\r",
@@ -186,7 +248,7 @@ def dataset_dir(tmp_path_factory):
 
 def solution_legs(path):
     """The leg entries of a pipeline solution.json, read as render reads them."""
-    return read_json_entries(path, "legs", ("file",))
+    return read_json_object(path, "legs", ("file",))["legs"]
 
 
 # (reader, file name it reads); load_external_predictions takes the directory
