@@ -39,6 +39,7 @@ from .pgm import read_pgm, write_pgm
 from .pipeline import derive_seed
 
 _SAMPLE_RETRIES = 50
+_SPLIT_RATIO = "6:2:2"
 
 
 def generate_dataset(
@@ -92,7 +93,7 @@ def generate_dataset(
         "n": n_maps,
         "width": width,
         "height": height,
-        "split_ratio": "6:2:2",
+        "split_ratio": _SPLIT_RATIO,
         "samples": samples,
     }
     write_lines(
@@ -131,13 +132,27 @@ def _distance_row(fields) -> tuple[str, float]:
     return sample_id, float(value)
 
 
+def _sample_file(out_dir, manifest_path, entry: dict, key: str) -> str:
+    """The path of a sample's map, goals or mask file, which must lie inside out_dir."""
+    name = entry[key]
+    local = os.path.normpath(name)
+    if os.path.isabs(name) or local == os.pardir or local.startswith(os.pardir + os.sep):
+        raise FormatError(
+            f"{manifest_path}: {entry['id']} {key} {name!r} is outside the dataset directory"
+        )
+    return os.path.join(out_dir, name)
+
+
 def validate_dataset(out_dir) -> int:
     """Re-check every sample: its manifest entry and distances.csv row agree, its
-    map has the manifest's width and height, the mask covers the optimal path,
-    and the distance matches the oracle; the manifest's n counts the samples.
+    files lie inside out_dir, its map has the manifest's width and height, the
+    mask covers the optimal path, and the distance matches the oracle; the
+    manifest's n counts the samples, and its seed and split ratio are the kind
+    that generate_dataset writes.
 
     Returns the number of validated samples; raises InvalidArgument, still a
     ValueError, on the first violation, and FormatError on a malformed file.
+    Every refusal names the file it found at fault.
     """
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest = read_json_object(manifest_path, "samples", ("id", "map", "goals", "mask"))
@@ -153,8 +168,12 @@ def validate_dataset(out_dir) -> int:
         if sample_id not in listed:
             raise FormatError(f"{dist_path}: {sample_id} is not a manifest sample")
     with naming(manifest_path, FormatError):
-        for field in ("n", "width", "height"):
+        for field in ("seed", "n", "width", "height"):
             check_integer(manifest.get(field), field)
+    if manifest.get("split_ratio") != _SPLIT_RATIO:
+        raise FormatError(
+            f"{manifest_path}: split_ratio {manifest.get('split_ratio')!r} != {_SPLIT_RATIO!r}"
+        )
     if manifest["n"] != len(samples):
         raise FormatError(f"{manifest_path}: n {manifest['n']} != {len(samples)} samples")
     width, height = manifest["width"], manifest["height"]
@@ -169,31 +188,36 @@ def validate_dataset(out_dir) -> int:
                 f"{manifest_path}: {sample_id} split {entry.get('split')!r} != {split!r}"
             )
         stored = distances[sample_id]
-        grid = load_map(os.path.join(out_dir, entry["map"]))
+        map_path, goals_path, mask_path = (
+            _sample_file(out_dir, manifest_path, entry, key) for key in ("map", "goals", "mask")
+        )
+        grid = load_map(map_path)
         if (grid.width, grid.height) != (width, height):
             raise FormatError(
                 f"{manifest_path}: {sample_id} map is {grid.width}x{grid.height}, "
                 f"not {width}x{height}"
             )
-        goals_path = os.path.join(out_dir, entry["goals"])
         goals = load_goals(goals_path)
         if len(goals) != 2:
             raise FormatError(f"{goals_path}: a sample needs 2 goals, got {len(goals)}")
-        mask_path = os.path.join(out_dir, entry["mask"])
         raster = read_pgm(mask_path)
         if raster.shape != grid.cells.shape:
             raise FormatError(
                 f"{mask_path}: mask is {raster.shape[1]}x{raster.shape[0]}, "
                 f"map is {grid.width}x{grid.height}"
             )
-        with naming(sample_id):
+        with naming(f"{goals_path}: {sample_id}"):
             # the stored distance bounds the search; a wrong one still gets the true path
             path, length = grid_shortest_path(grid, goals[0], goals[1], stored)
         for x, y in path:
             if raster[y, x] != 255:
-                raise InvalidArgument(f"{sample_id}: mask misses optimal path cell ({x}, {y})")
+                raise InvalidArgument(
+                    f"{mask_path}: {sample_id} mask misses optimal path cell ({x}, {y})"
+                )
         if stored != length:
-            raise InvalidArgument(f"{sample_id}: stored distance {stored} != oracle {length}")
+            raise InvalidArgument(
+                f"{dist_path}: {sample_id} stored distance {stored} != oracle {length}"
+            )
         if entry.get("distance") != stored:
             raise FormatError(
                 f"{manifest_path}: {sample_id} distance {entry.get('distance')!r} != {stored} "

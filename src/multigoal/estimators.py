@@ -181,7 +181,7 @@ def _move_codes(grid: GridMap) -> bytes:
     return grid._move_codes
 
 
-def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
+def shortest_paths_from(grid: GridMap, a: Point, targets, dist: list | None = None) -> list:
     """Shortest 8-connected cell-center paths from the cell of a to each target's cell.
 
     Orthogonal steps cost 1, diagonal steps sqrt(2); a diagonal move is
@@ -194,6 +194,9 @@ def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
     a target is the run a single-target search would make, each path equals
     the one a search for that target alone returns.
 
+    dist, when given, is a bound list from _bounded_dist (see _search); it
+    changes no path that the bound keeps.
+
     Returns one (cell path, length) per target, in target order, or None for
     a target that cannot be reached. Cells are ids on the map padded by a
     one-cell blocked border; each cell's legal moves come from its move code
@@ -201,7 +204,7 @@ def shortest_paths_from(grid: GridMap, a: Point, targets) -> list:
     """
     for b in targets:
         check_endpoints(grid, a, b)
-    return _search(grid, a, targets)
+    return _search(grid, a, targets, dist)
 
 
 def _search(grid: GridMap, a: Point, targets, dist: list | None = None) -> list:
@@ -295,32 +298,62 @@ def _no_grid_path(a: Point, b: Point) -> Unreachable:
 _BOUND_FACTORS = (1.15, 1.5, 3.0)
 
 
-def _bounded_dist(grid: GridMap, a: Point, b: Point, lim: float) -> list:
-    """The starting distances of a search from a to b that drops every push
-    into a cell n at a distance d with d + h(n) >= lim, where h is the octile
-    distance to b: lim - h(n) on the cells where a push can be kept, and 0.0,
-    which drops every push, elsewhere.
+def _limit(bound: float) -> float:
+    """The bound on d + h(n) below which a search keeps a push for a path of
+    length at most bound: the slack covers the rounding of d, h and bound."""
+    return bound + 1e-6 * (1.0 + bound)
 
-    A push can be kept only inside the box of cells with
+
+def _bounded_dist(grid: GridMap, a: Point, ends) -> list:
+    """The starting distances of a search from a that keeps a push into a cell
+    n at a distance d only when d + h_b(n) < lim for some end (b, lim) of
+    ends, where h_b is the octile distance to b: the max over ends of
+    lim - h_b(n) on the cells where that end can keep a push, and 0.0, which
+    drops every push, elsewhere.
+
+    An end can keep a push only inside its box of cells with
     |x - ax| + |x - bx| <= lim + 2 and the same in y: outside it, the
-    Chebyshev distances to a and to b, and so d + h(n), sum above lim + 2.
-    Only the box is built, one row slice at a time.
+    Chebyshev distances to a and to b, and so d + h_b(n), sum above lim + 2.
+    Only the boxes are built, one row slice at a time: one end's box as it
+    is, several ends' merged in the box that holds them all.
     """
     ax, ay = a.cell()
-    bx, by = b.cell()
     pw = grid.width + 2
     dist = [0.0] * (pw * (grid.height + 2))
-    x0 = max(math.floor((ax + bx - lim) / 2) - 1, 0)
-    x1 = min(math.ceil((ax + bx + lim) / 2) + 1, grid.width - 1)
-    y0 = max(math.floor((ay + by - lim) / 2) - 1, 0)
-    y1 = min(math.ceil((ay + by + lim) / 2) + 1, grid.height - 1)
-    if x0 > x1 or y0 > y1:
+    boxes = []
+    for b, lim in ends:
+        bx, by = b.cell()
+        x0 = max(math.floor((ax + bx - lim) / 2) - 1, 0)
+        x1 = min(math.ceil((ax + bx + lim) / 2) + 1, grid.width - 1)
+        y0 = max(math.floor((ay + by - lim) / 2) - 1, 0)
+        y1 = min(math.ceil((ay + by + lim) / 2) + 1, grid.height - 1)
+        if x0 <= x1 and y0 <= y1:
+            boxes.append((x0, x1, y0, y1, bx, by, lim))
+    if not boxes:
         return dist
-    dx = np.abs(np.arange(x0, x1 + 1) - bx)
-    dy = np.abs(np.arange(y0, y1 + 1) - by)[:, None]
-    rows = (lim - ((SQRT2 - 1.0) * np.minimum(dx, dy) + np.maximum(dx, dy))).tolist()
+
+    def bound(x0, x1, y0, y1, bx, by, lim):
+        # lim - ((sqrt(2) - 1) * min(dx, dy) + max(dx, dy)), in place
+        dx = np.abs(np.arange(x0 - bx, x1 - bx + 1, dtype=np.float64))
+        dy = np.abs(np.arange(y0 - by, y1 - by + 1, dtype=np.float64))[:, None]
+        rows = np.minimum(dx, dy)
+        rows *= SQRT2 - 1.0
+        rows += np.maximum(dx, dy)
+        return np.subtract(lim, rows, out=rows)
+
+    x0, y0 = boxes[0][0], boxes[0][2]
+    if len(boxes) == 1:
+        table = bound(*boxes[0])
+    else:
+        x0, x1 = min(box[0] for box in boxes), max(box[1] for box in boxes)
+        y0, y1 = min(box[2] for box in boxes), max(box[3] for box in boxes)
+        table = np.zeros((y1 - y0 + 1, x1 - x0 + 1))
+        for box in boxes:
+            bx0, bx1, by0, by1 = box[:4]
+            part = table[by0 - y0 : by1 - y0 + 1, bx0 - x0 : bx1 - x0 + 1]
+            np.maximum(part, bound(*box), out=part)
     start = (y0 + 1) * pw + x0 + 1
-    for row in rows:
+    for row in table.tolist():
         dist[start : start + len(row)] = row
         start += pw
     return dist
@@ -357,10 +390,10 @@ def grid_shortest_path(
     else:
         bounds = [length_hint]
     for bound in bounds:
-        lim = bound + 1e-6 * (1.0 + bound)
+        lim = _limit(bound)
         if not math.isfinite(lim):
             break
-        (found,) = _search(grid, a, [b], _bounded_dist(grid, a, b, lim))
+        (found,) = _search(grid, a, [b], _bounded_dist(grid, a, [(b, lim)]))
         if found is not None:
             return found
     (found,) = _search(grid, a, [b])
@@ -463,18 +496,46 @@ class GridOracleEstimator:
     def estimate_all(self, grid, goals):
         """One search from each goal i to all goals j > i: M-1 searches in all.
 
+        The search from goal 0 is unbounded, so an unreachable goal fails it
+        and the first unreachable pair is named. Every later search is bounded
+        by paths through earlier goals. The path i -> k -> j for k < i has the
+        length D(k, i) + D(k, j), both found by search k, so
+        U_ij = min over k < i of D(k, i) + D(k, j) is at least D(i, j), and
+        the search from i keeps a push into cell n at distance d only when
+        d + h_j(n) < _limit(U_ij) for some target j, with h_j the octile
+        distance to j (see _bounded_dist).
+
+        Why every path and length stays the full search's: h_j never exceeds
+        the length of the rest of a path to j, so every cell n on the full
+        search's path to j has d(n) + h_j(n) <= D(i, j) <= U_ij, below the
+        limit, and its settling push is kept. Whether a push is kept depends
+        on its value and its cell alone, so the kept pushes keep their order,
+        and each path cell is settled at its full-search distance from its
+        full-search parent. A cell whose own shortest path was cut is settled
+        above its full-search distance, so its pushes lie above every
+        full-search distance they could tie with and take no path cell's
+        parent. A target the bound missed would come back as None and raise
+        Unreachable rather than give another path.
+
         Each pair's mask dilates its path on the first read of its values.
         """
         radius = self._radius(grid)
         out = {}
         m = len(goals)
+        lengths = np.zeros((m, m))
         for i in range(m - 1):
-            found = shortest_paths_from(grid, goals[i], [goals[j] for j in range(i + 1, m)])
+            targets = [goals[j] for j in range(i + 1, m)]
+            dist = None
+            if i:
+                lim = _limit((lengths[:i, i, None] + lengths[:i, i + 1 :]).min(axis=0))
+                dist = _bounded_dist(grid, goals[i], list(zip(targets, lim.tolist())))
+            found = shortest_paths_from(grid, goals[i], targets, dist)
             for j, hit in enumerate(found, start=i + 1):
                 if hit is None:
                     exc = _no_grid_path(goals[i], goals[j])
                     raise Unreachable(f"goal pair ({i}, {j}) is unreachable: {exc}")
                 path, length = hit
+                lengths[i, j] = length
                 out[(i, j)] = PairEstimate(length, _PathMask(grid, path, radius))
         return out
 

@@ -549,10 +549,13 @@ def read_json_object(path, key: str, fields: tuple[str, ...]) -> dict:
     """The JSON object in an ASCII text file, whose key must hold a list of
     entries; each entry must be an object whose fields are strings.
 
-    Bad JSON, a missing key or a mistyped entry raises FormatError naming the file.
+    Bad JSON, a key repeated in one object, a missing key or a mistyped entry
+    raises FormatError naming the file.
     """
+    text = "\n".join(read_lines(path))
     try:
-        doc = json.loads("\n".join(read_lines(path)))
+        with naming(path, FormatError):
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:  # nesting beyond the parser's depth
         raise FormatError(f"{path}: not valid JSON ({exc})") from None
     entries = doc.get(key) if isinstance(doc, dict) else None
@@ -561,6 +564,16 @@ def read_json_object(path, key: str, fields: tuple[str, ...]) -> dict:
     for n, entry in enumerate(entries):
         if not (isinstance(entry, dict) and all(isinstance(entry.get(f), str) for f in fields)):
             raise FormatError(f"{path}: {key}[{n}] needs string fields {', '.join(fields)}")
+    return doc
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice, of which json.loads would keep the last, is refused."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise FormatError(f"key {key!r} repeated in one object")
+        doc[key] = value
     return doc
 
 

@@ -217,7 +217,7 @@ class TestGenerateDataset:
         raster = read_pgm(mask_file).copy()
         raster[y, x] = 0
         write_pgm(mask_file, raster)
-        message = f"sample_00002: mask misses optimal path cell ({x}, {y})"
+        message = f"{mask_file}: sample_00002 mask misses optimal path cell ({x}, {y})"
         with pytest.raises(InvalidArgument, match=re.escape(message)):
             validate_dataset(tmp_path)
 
@@ -235,7 +235,7 @@ class TestGenerateDataset:
         value = stored(length)
         lines[0] = f"sample_00000,{value!r}"
         dist_file.write_text("\n".join(lines) + "\n")
-        message = f"sample_00000: stored distance {value} != oracle {length}"
+        message = f"{dist_file}: sample_00000 stored distance {value} != oracle {length}"
         with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
             validate_dataset(tmp_path)
 
@@ -268,7 +268,7 @@ class TestGenerateDataset:
         ys, xs = np.nonzero(grid.cells)
         a = Point(xs[0] + 0.5, ys[0] + 0.5)
         save_goals(goals_file, GoalSet([a, b]))
-        message = f"sample_00000: start ({a.x}, {a.y}) is not free"
+        message = f"{goals_file}: sample_00000: start ({a.x}, {a.y}) is not free"
         with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
             validate_dataset(tmp_path)
 
@@ -276,13 +276,14 @@ class TestGenerateDataset:
         generate_dataset(2, 5, tmp_path, width=32, height=32)
         map_file = tmp_path / "maps" / "sample_00000.map"
         grid = load_map(map_file)
-        a, b = load_goals(tmp_path / "goals" / "sample_00000.csv")
+        goals_file = tmp_path / "goals" / "sample_00000.csv"
+        a, b = load_goals(goals_file)
         cells = grid.cells.copy()
         bx, by = b.cell()
         cells[max(by - 1, 0) : by + 2, max(bx - 1, 0) : bx + 2] = True
         cells[by, bx] = False
         save_map(map_file, GridMap(cells))
-        message = f"sample_00000: no grid path from cell {a.cell()} to cell {b.cell()}"
+        message = f"{goals_file}: sample_00000: no grid path from cell {a.cell()} to cell {b.cell()}"
         with pytest.raises(Unreachable, match=f"^{re.escape(message)}$"):
             validate_dataset(tmp_path)
 
@@ -355,7 +356,12 @@ class TestGenerateDataset:
         (lambda manifest: manifest.pop("n"), "n must be an integer, got None"),
         (lambda manifest: manifest.update(width=7), "sample_00000 map is 24x24, not 7x24"),
         (lambda manifest: manifest.update(height="x"), "height must be an integer, got 'x'"),
-    ], ids=["n=99", "no n", "width=7", "height=x"])
+        (lambda manifest: manifest.update(seed=5.5), "seed must be an integer, got 5.5"),
+        (lambda manifest: manifest.pop("seed"), "seed must be an integer, got None"),
+        (lambda manifest: manifest.update(split_ratio="1:1:1"), "split_ratio '1:1:1' != '6:2:2'"),
+        (lambda manifest: manifest.pop("split_ratio"), "split_ratio None != '6:2:2'"),
+    ], ids=["n=99", "no n", "width=7", "height=x", "seed=5.5", "no seed", "split_ratio=1:1:1",
+            "no split_ratio"])
     def test_validation_refuses_a_wrong_manifest_field(self, tmp_path, edit, message):
         generate_dataset(3, 5, tmp_path, 24, 24)
         path = tmp_path / "manifest.json"
@@ -364,6 +370,35 @@ class TestGenerateDataset:
         path.write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
             validate_dataset(tmp_path)
+
+    def test_validation_refuses_a_repeated_manifest_key(self, tmp_path):
+        generate_dataset(3, 5, tmp_path, 24, 24)
+        path = tmp_path / "manifest.json"
+        lines = path.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if '"distance"' in line)
+        path.write_text("\n".join(lines[: k + 1] + lines[k:]) + "\n")
+        message = f"{path}: key 'distance' repeated in one object"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            validate_dataset(tmp_path)
+
+    @pytest.mark.parametrize("form", ["absolute", "../"])
+    @pytest.mark.parametrize("key", ["map", "goals", "mask"])
+    def test_validation_refuses_a_file_outside_the_directory(self, tmp_path, key, form):
+        # the entry names the same file of a twin dataset beside this one, so
+        # only where it lies is wrong
+        manifest = generate_dataset(2, 5, tmp_path / "ds", 24, 24)
+        generate_dataset(2, 5, tmp_path / "twin", 24, 24)
+        local = manifest["samples"][0][key]
+        name = str(tmp_path / "twin" / local) if form == "absolute" else f"../twin/{local}"
+        path = self.edit_manifest(tmp_path / "ds", lambda samples: samples[0].update({key: name}))
+        message = f"{path}: sample_00000 {key} {name!r} is outside the dataset directory"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            validate_dataset(tmp_path / "ds")
+
+    def test_validation_reads_a_file_named_through_its_own_directory(self, tmp_path):
+        generate_dataset(2, 5, tmp_path, 24, 24)
+        self.edit_manifest(tmp_path, lambda samples: samples[0].update(map="masks/../maps/sample_00000.map"))
+        assert validate_dataset(tmp_path) == 2
 
     def test_rejects_nonpositive_n(self, tmp_path):
         with pytest.raises(ValueError):

@@ -470,6 +470,7 @@ class TestRenderCommand:
         (b"{", ": not valid JSON (Expecting property name"),
         (b'{"leg": []}', ": expected an object with a 'legs' list"),
         (b'{"legs": [{"file": 3}]}', ": legs[0] needs string fields file"),
+        (b'{"legs": [], "legs": []}', ": key 'legs' repeated in one object"),
     ])
     def test_bad_solution_json(self, small_world, tmp_path, capsys, data, message):
         map_path, goals_path = small_world

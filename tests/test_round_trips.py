@@ -1,7 +1,10 @@
 """Save-then-load round trips for every file format the package writes, and
 random bytes fed to every reader."""
 
+import json
 import os
+import re
+import shutil
 import tempfile
 
 import numpy as np
@@ -16,6 +19,7 @@ from multigoal.estimators import GridOracleEstimator, export_predictions, load_e
 from multigoal.grid import load_goals, load_map, read_json_object
 from multigoal.pgm import read_pgm, write_pgm
 from multigoal.planner import PathPolyline, load_path, save_path
+import oracle_reference as ref
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -107,9 +111,10 @@ TEXT_FORMATS = {
 
 
 def numbers_in(line):
-    """(separator, fields, indices of the fields that are numbers) of a line."""
-    sep = "," if "," in line else " "
-    fields = line.split(sep)
+    """(separators, fields, indices of the fields that are numbers) of a line
+    split at every comma and space."""
+    seps = re.findall("[, ]", line)
+    fields = re.split("[, ]", line)
     numeric = []
     for k, field in enumerate(fields):
         try:
@@ -117,7 +122,12 @@ def numbers_in(line):
             numeric.append(k)
         except ValueError:
             pass
-    return sep, fields, numeric
+    return seps, fields, numeric
+
+
+def joined(seps, fields):
+    """The line that numbers_in split."""
+    return "".join(field + sep for field, sep in zip(fields, seps + [""]))
 
 
 def one_edit(data, lines, appended, number):
@@ -141,9 +151,9 @@ def one_edit(data, lines, appended, number):
             found = [(row, column) for row, column in found if column == i]
             number = number[i]
         existing = [numbers_in(lines[row])[1][column] for row, column in found]
-        sep, fields, _ = numbers_in(lines[n])
+        seps, fields, _ = numbers_in(lines[n])
         fields[i] = data.draw(st.one_of(st.sampled_from(existing), number))
-        lines[n] = sep.join(fields)
+        lines[n] = joined(seps, fields)
     return lines
 
 
@@ -227,6 +237,77 @@ def test_one_edit_to_a_prediction_directory_is_refused_or_saved_back(data):
         for name, raw in files.items():
             with open(os.path.join(d, name), "rb") as f:
                 assert f.read() == raw, name
+
+
+@pytest.fixture(scope="module")
+def three_samples(tmp_path_factory):
+    out = tmp_path_factory.mktemp("three")
+    generate_dataset(3, 5, out, width=16, height=16)
+    return out
+
+
+sample_id = st.sampled_from(["sample_00000", "sample_00001", "sample_00002", "sample_00003"])
+# per file: (an appended line, a changed number); an empty line is a blank line
+DATASET_EDITS = {
+    "distances.csv": (st.one_of(st.just(""), st.tuples(sample_id, csv_number).map(",".join)),
+                      csv_number),
+    "manifest.json": (st.sampled_from(["", "  ", "}", "{}", '"n": 3']),
+                      st.one_of(st.integers(-1, 17).map(str), csv_number)),
+    "map": (st.text("#.", max_size=17), st.integers(-1, 17).map(str)),
+    "goals": (st.one_of(st.just(""), xy_line), csv_number),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_edit_to_a_dataset_directory_is_refused_or_harmless(three_samples, data):
+    """After one edit to distances.csv, manifest.json or one map or goals file
+    of a generated dataset, validate_dataset either raises a MultigoalError
+    that names a file of the directory, or the edit changed nothing it
+    checks: a blank line, rows of distances.csv in another order, the
+    manifest's seed (which only generating the dataset again could check), a
+    goal moved inside its cell, or a goal moved to a cell whose path the
+    sample's distance and mask still describe."""
+    with tempfile.TemporaryDirectory() as d:
+        shutil.copytree(three_samples, d, dirs_exist_ok=True)
+        files = sorted(os.path.relpath(os.path.join(root, name), d)
+                       for root, _, names in os.walk(d) for name in names)
+        kind = data.draw(st.sampled_from(sorted(DATASET_EDITS)))
+        name = kind
+        if kind in ("map", "goals"):
+            folder = {"map": "maps", "goals": "goals"}[kind]
+            name = data.draw(st.sampled_from([f for f in files if f.startswith(folder + os.sep)]))
+        path = os.path.join(d, name)
+        with open(path) as f:
+            lines = f.read().splitlines()
+        edited = one_edit(data, lines, *DATASET_EDITS[kind])
+        with open(path, "w") as f:
+            f.write("".join(line + "\n" for line in edited))
+        try:
+            validate_dataset(d)
+        except MultigoalError as exc:
+            assert any(os.path.join(d, other) in str(exc) for other in files)
+            return
+        if kind == "distances.csv":
+            assert sorted(filter(None, edited)) == sorted(filter(None, lines))
+        elif kind == "manifest.json":
+            before, after = json.loads("\n".join(lines)), json.loads("\n".join(edited))
+            assert {**after, "seed": before["seed"]} == before
+        elif kind == "map":
+            with open(path, "w") as f:
+                f.write("".join(line + "\n" for line in lines))
+            assert load_map(path) == load_map(os.path.join(three_samples, name))
+        else:
+            goals = load_goals(path)
+            before = load_goals(os.path.join(three_samples, name))
+            if [p.cell() for p in goals] != [p.cell() for p in before]:
+                stem = os.path.splitext(os.path.basename(name))[0]
+                grid = load_map(os.path.join(d, "maps", stem + ".map"))
+                ((cells, length),) = ref.shortest_paths_from(grid, goals[0], [goals[1]])
+                with open(os.path.join(d, "distances.csv")) as f:
+                    assert f"{stem},{length!r}" in f.read().splitlines()
+                raster = read_pgm(os.path.join(d, "masks", stem + ".pgm"))
+                assert all(raster[y, x] == 255 for x, y in cells)
 
 
 # Pieces of the text formats, so that the draws also reach the checks behind
