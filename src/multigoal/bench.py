@@ -137,12 +137,12 @@ def format_report(records) -> str:
         f"{'scenario':<12} {'algorithm':<20} {'ok':>3} {'fail':>4} "
         f"{'median cost':>12} {'median time':>12}"
     ]
-    for (scenario, algorithm), group in _groups(records):
-        costs = [r.cost for r in group if not r.failed]
-        times = [r.wall_time_s for r in group]
-        cost_s = f"{statistics.median(costs):.2f}" if costs else "-"
+    for row, (_, group) in zip(aggregate(records), _groups(records)):
+        cost = row["cost_median"]
+        cost_s = "-" if cost is None else f"{cost:.2f}"
+        time_s = statistics.median([r.wall_time_s for r in group])
         lines.append(
-            f"{scenario:<12} {algorithm:<20} {len(costs):>3} {len(group) - len(costs):>4} "
-            f"{cost_s:>12} {statistics.median(times):>11.3f}s"
+            f"{row['scenario']:<12} {row['algorithm']:<20} {row['runs'] - row['failures']:>3} "
+            f"{row['failures']:>4} {cost_s:>12} {time_s:>11.3f}s"
         )
     return "\n".join(lines)

@@ -194,8 +194,11 @@ def shortest_paths_from(grid: GridMap, a: Point, targets, dist: list | None = No
     a target is the run a single-target search would make, each path equals
     the one a search for that target alone returns.
 
-    dist, when given, is a bound list from _bounded_dist (see _search); it
-    changes no path that the bound keeps.
+    dist, when given, is a bound list from _bounded_dist: each padded cell
+    id's starting distance (all inf when None). A push into a cell is kept
+    only below it, so a finite entry drops every push at or above it; that
+    changes no path that the bound keeps (see grid_shortest_path). dist is
+    consumed.
 
     Returns one (cell path, length) per target, in target order, or None for
     a target that cannot be reached. Cells are ids on the map padded by a
@@ -204,16 +207,6 @@ def shortest_paths_from(grid: GridMap, a: Point, targets, dist: list | None = No
     """
     for b in targets:
         check_endpoints(grid, a, b)
-    return _search(grid, a, targets, dist)
-
-
-def _search(grid: GridMap, a: Point, targets, dist: list | None = None) -> list:
-    """The search of shortest_paths_from, endpoints unchecked.
-
-    dist holds each padded cell id's starting distance (all inf when None):
-    a push into a cell is kept only below it, so a finite entry drops every
-    push at or above it (see grid_shortest_path). dist is consumed.
-    """
     pw = grid.width + 2
     code = _move_codes(grid)
     table = _move_table(pw)
@@ -381,7 +374,6 @@ def grid_shortest_path(
     path length needs one bounded search, and one below it, NaN or infinite
     ends in the full search.
     """
-    check_endpoints(grid, a, b)
     if length_hint is None:
         (ax, ay), (bx, by) = a.cell(), b.cell()
         dx, dy = abs(ax - bx), abs(ay - by)
@@ -389,17 +381,14 @@ def grid_shortest_path(
         bounds = [f * h_a for f in _BOUND_FACTORS]
     else:
         bounds = [length_hint]
-    for bound in bounds:
+    for bound in (*bounds, math.inf):
         lim = _limit(bound)
-        if not math.isfinite(lim):
-            break
-        (found,) = _search(grid, a, [b], _bounded_dist(grid, a, [(b, lim)]))
+        dist = _bounded_dist(grid, a, [(b, lim)]) if math.isfinite(lim) else None
+        (found,) = shortest_paths_from(grid, a, [b], dist)
         if found is not None:
             return found
-    (found,) = _search(grid, a, [b])
-    if found is None:
-        raise _no_grid_path(a, b)
-    return found
+        if dist is None:
+            raise _no_grid_path(a, b)
 
 
 def default_dilation_radius(grid: GridMap) -> float:
@@ -518,7 +507,17 @@ class GridOracleEstimator:
         Unreachable rather than give another path.
 
         Each pair's mask dilates its path on the first read of its values.
+        Two goals in one cell would be 0 apart, so the first such pair in
+        (i, j) order is refused before any search.
         """
+        first, shared = {}, []
+        for j, goal in enumerate(goals):
+            i = first.setdefault(goal.cell(), j)
+            if i != j:
+                shared.append((i, j))
+        if shared:
+            i, j = min(shared)
+            raise InvalidArgument(f"goal pair ({i}, {j}) shares cell {goals[i].cell()}")
         radius = self._radius(grid)
         out = {}
         m = len(goals)

@@ -98,6 +98,28 @@ class TestBenchmark:
         report = format_report(records)
         assert "guided" in report and "median cost" in report
 
+    def test_report_text(self):
+        # hand-made records with fixed wall times: a group with a failure, an
+        # all-failed group that prints "-", groups in sorted key order
+        def record(scenario, algorithm, repeat, wall, cost=None):
+            solution = None if cost is None else SimpleNamespace(total_cost=cost)
+            return BenchmarkRecord(scenario, algorithm, repeat, repeat, wall, solution)
+
+        records = [
+            record("open", "rrt-star", 0, 1.5),
+            record("open", "guided", 0, 0.1, 10.0),
+            record("open", "guided", 1, 0.3),
+            record("open", "rrt-star", 1, 2.5),
+            record("open", "guided", 2, 0.2, 12.5),
+            record("blocked", "guided", 0, 0.0125, 31.0),
+        ]
+        assert format_report(records) == "\n".join([
+            "scenario     algorithm             ok fail  median cost  median time",
+            "blocked      guided                 1    0        31.00       0.013s",
+            "open         guided                 2    1        11.25       0.200s",
+            "open         rrt-star               0    2            -       2.000s",
+        ])
+
     def test_keep_solutions(self):
         records = benchmark(
             tiny_scenarios()[:1], ("guided",), repeats=1, base_seed=2, cfg_overrides=FAST

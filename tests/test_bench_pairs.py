@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: alternating perfbench pairs of two trees, one dataset pair each."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def copy_tree(dest):
@@ -49,6 +51,8 @@ def test_a_tree_against_itself(tmp_path):
         assert s["parent"]["q1"] == s["parent"]["median"] == s["parent"]["q3"]
         assert s["change"]["median"] == pytest.approx(s["median_ratio"] * s["parent"]["median"])
         assert isinstance(s["gain"], bool)
+        assert isinstance(s["worse"], bool) and isinstance(s["unresolved"], bool)
+    assert [s["bound"] for s in summary.values()] == [m["bound"] for m in spec["end_to_end"]]
     assert summary["cost.mean"]["median_ratio"] == 1.0
     assert report["mismatches"] == []
 
@@ -66,3 +70,45 @@ def test_a_parent_with_other_outputs_fails(tmp_path):
     (line,) = json.loads(out.read_text())["mismatches"]
     assert line.startswith("dataset seed 1: digest ")
     assert f"MISMATCH {line}" in proc.stdout
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def synthetic_pairs(name, parents, ratio):
+    return [{"seed": k, "parent": {"metrics": {name: v}}, "change": {"metrics": {name: v * ratio}}}
+            for k, v in enumerate(parents)]
+
+
+@pytest.mark.parametrize("name, ratio, worse", [
+    ("instances_per_s", 0.70, True),
+    ("instances_per_s", 0.90, False),
+    ("instances_per_s", 1.30, False),
+    ("peak_rss_mb", 1.11, True),
+    ("peak_rss_mb", 1.05, False),
+    ("peak_rss_mb", 0.80, False),
+])
+def test_worse_is_the_benchmark_bound(name, ratio, worse):
+    parents = [100.0, 101.0, 99.0, 100.5, 99.5]  # a tight parent: nothing is unresolved
+    s = load_tool().summarize(synthetic_pairs(name, parents, ratio), SPEC["end_to_end"])[name]
+    assert s["bound"] == {m["name"]: m["bound"] for m in SPEC["end_to_end"]}[name]
+    assert s["worse"] is worse
+    assert s["unresolved"] is False
+
+
+def test_unresolved_needs_a_wide_parent_and_overlapping_runs():
+    tool = load_tool()
+    wide = [60.0, 80.0, 100.0, 120.0, 140.0]  # spread 0.4 > the 0.25 bound
+    overlapping = tool.summarize(synthetic_pairs("instances_per_s", wide, 1.0), SPEC["end_to_end"])
+    assert overlapping["instances_per_s"]["unresolved"] is True
+    assert overlapping["instances_per_s"]["worse"] is False
+    # every change run beats every parent run: resolved however wide the parent
+    clear = tool.summarize(synthetic_pairs("instances_per_s", wide, 3.0), SPEC["end_to_end"])
+    assert clear["instances_per_s"]["unresolved"] is False
+    tight = tool.summarize(synthetic_pairs("instances_per_s", [100.0, 101.0, 99.0], 1.0),
+                           SPEC["end_to_end"])
+    assert tight["instances_per_s"]["unresolved"] is False

@@ -257,6 +257,21 @@ class TestPipelineCommand:
         err = capsys.readouterr().err
         assert f"{goals_path} row 4 repeats row 1: (2.5, 2.5)" in err
 
+    def test_goals_sharing_a_cell(self, tmp_path, capsys):
+        # 0 apart on the grid, so the oracle refuses them and names the pair;
+        # the euclidean estimator plans them
+        map_path, goals_path = tmp_path / "empty.map", tmp_path / "goals.csv"
+        save_map(map_path, GridMap(np.zeros((8, 8), dtype=bool)))
+        save_goals(goals_path, GoalSet([Point(1.25, 1.25), Point(1.75, 1.75), Point(5.5, 5.5)]))
+        files = ["--map", map_path, "--goals", goals_path]
+        for command in ("pipeline", "estimate"):
+            assert run([command, *files, "--estimator", "oracle", "--out-dir", tmp_path / command]) == 1
+            assert capsys.readouterr().err == "error: goal pair (0, 1) shares cell (1, 1)\n"
+            assert not (tmp_path / command).exists()
+        assert run(["pipeline", *files, "--estimator", "euclidean", "--seed", 1,
+                    "--out-dir", tmp_path / "sol"]) == 0
+        assert run(["estimate", *files, "--estimator", "euclidean", "--out-dir", tmp_path / "est"]) == 0
+
     def test_unknown_estimator(self, small_world, tmp_path, capsys):
         map_path, goals_path = small_world
         code = run(["pipeline", "--map", map_path, "--goals", goals_path,

@@ -332,6 +332,25 @@ def maps_with_goals(draw, max_side=9, goal_counts=(2, 6), blocked_one_in=(4,)):
     return grid, goals
 
 
+def one_goal_per_cell(grid, goals):
+    """goals as the oracle takes them: where two share a cell, check that the
+    oracle refuses the first such pair in (i, j) order, then keep each cell's
+    first goal (the draw is discarded when fewer than 2 are left)."""
+    m = len(goals)
+    shared = [(i, j) for i in range(m) for j in range(i + 1, m) if goals[i].cell() == goals[j].cell()]
+    if not shared:
+        return goals
+    i, j = shared[0]
+    message = f"goal pair ({i}, {j}) shares cell {goals[i].cell()}"
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+        GridOracleEstimator().estimate_all(grid, goals)
+    first = {}
+    for goal in goals:
+        first.setdefault(goal.cell(), goal)
+    assume(len(first) >= 2)
+    return GoalSet(first.values())
+
+
 class TestEstimateAll:
     def test_euclidean_shares_one_read_only_mask(self):
         g = generate_map(4, 16, 16, None)
@@ -353,10 +372,29 @@ class TestEstimateAll:
         assert list(GridOracleEstimator().estimate_all(g, goals)) == expect
         assert list(EuclideanEstimator().estimate_all(g, goals)) == expect
 
+    @pytest.mark.parametrize("cells, pair, cell", [
+        ([(1.25, 1.25), (1.75, 1.75), (5.5, 5.5)], (0, 1), (1, 1)),
+        ([(5.5, 5.5), (1.25, 1.25), (1.75, 1.75)], (1, 2), (1, 1)),
+        # the first pair in (i, j) order, not the first repeat met
+        ([(1.5, 1.5), (4.1, 4.1), (4.9, 4.9), (1.1, 1.9)], (0, 3), (1, 1)),
+    ])
+    def test_oracle_refuses_goals_sharing_a_cell(self, monkeypatch, cells, pair, cell):
+        # two goals in one cell would be 0 apart, which WeightMatrix refuses
+        # without naming the pair
+        goals = GoalSet([Point(x, y) for x, y in cells])
+        monkeypatch.setattr(estimators, "shortest_paths_from", mock.Mock(side_effect=AssertionError))
+        message = f"goal pair {pair} shares cell {cell}"
+        grid = empty_map(8, 8)
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            GridOracleEstimator().estimate_all(grid, goals)
+        m = len(goals)
+        assert len(EuclideanEstimator().estimate_all(grid, goals)) == m * (m - 1) // 2
+
     @settings(max_examples=60, deadline=None)
     @given(maps_with_goals())
     def test_oracle_matches_per_pair_search(self, world):
         grid, goals = world
+        goals = one_goal_per_cell(grid, goals)
         est = GridOracleEstimator()
         radius = default_dilation_radius(grid)
         m = len(goals)
@@ -387,6 +425,7 @@ class TestEstimateAll:
         # goals; open maps put goals on each other's shortest paths, where
         # the bound equals the path length
         grid, goals = world
+        goals = one_goal_per_cell(grid, goals)
         m = len(goals)
         expect = [ref.shortest_paths_from(grid, goals[i], goals[i + 1 :]) for i in range(m - 1)]
         pairs = [(i, j) for i, hits in enumerate(expect) for j, hit in enumerate(hits, start=i + 1)]
@@ -415,7 +454,7 @@ class TestEstimateAll:
         g = generate_map(1, 64, 64, ObstacleSpec(density_range=(0.15, 0.30)))
         goals = place_goals(g, 10, seed=1)
         n = (g.width + 2) * (g.height + 2)
-        search = estimators._search
+        search = estimators.shortest_paths_from
         calls = []
 
         def counting(grid, a, targets, dist=None):
@@ -431,7 +470,7 @@ class TestEstimateAll:
             stop = max(length for _, length in hits)
             return sum(u != v and v < stop for u, v in zip(before, after))
 
-        monkeypatch.setattr(estimators, "_search", counting)
+        monkeypatch.setattr(estimators, "shortest_paths_from", counting)
         GridOracleEstimator().estimate_all(g, goals)
         assert [bounded for bounded, _ in calls] == [False] + [True] * 8
         unbounded = [calls[0][1]]
@@ -624,7 +663,7 @@ class TestMatchesReference:
         grid, a, b = pair
         (expected,) = ref.shortest_paths_from(grid, a, [b])
         assume(expected is not None)
-        with mock.patch.object(estimators, "_search", wraps=estimators._search) as search:
+        with mock.patch.object(estimators, "shortest_paths_from", wraps=shortest_paths_from) as search:
             assert grid_shortest_path(grid, a, b, expected[1] * (1.0 + over)) == expected
         assert search.call_count == 1
 
@@ -690,7 +729,7 @@ class TestMatchesReference:
         kept = []
         for dist in (boxed, [max(us) for us in zip(*fulls)]):
             before = list(dist)
-            found = estimators._search(grid, a, bs, dist)
+            found = shortest_paths_from(grid, a, bs, dist)
             cells_lowered = {i for i, (u, v) in enumerate(zip(before, dist)) if u != v}
             kept.append((found, cells_lowered - {(ay + 1) * pw + ax + 1}))
         assert kept[0] == kept[1]
@@ -707,12 +746,27 @@ class TestMatchesReference:
         cells[:-1, 2] = True
         grid = GridMap(cells)
         a, b = Point(1.5, 0.5), Point(3.5, 0.5)
-        with mock.patch.object(estimators, "_search", wraps=estimators._search) as search:
+        with mock.patch.object(estimators, "shortest_paths_from", wraps=shortest_paths_from) as search:
             found = grid_shortest_path(grid, a, b)
         assert found == ref.shortest_paths_from(grid, a, [b])[0]
         assert found[1] > 3 * 2.0
         assert search.call_count == 4
-        assert search.call_args == mock.call(grid, a, [b])  # the last search has no bound
+        assert search.call_args == mock.call(grid, a, [b], None)  # the last search has no bound
+
+    @pytest.mark.parametrize("hint", [math.nan, math.inf])
+    @pytest.mark.parametrize("reachable", [True, False])
+    def test_a_non_finite_hint_costs_one_full_search(self, hint, reachable):
+        cells = np.zeros((24, 5), dtype=bool)
+        cells[:-1 if reachable else None, 2] = True
+        grid = GridMap(cells)
+        a, b = Point(1.5, 0.5), Point(3.5, 0.5)
+        with mock.patch.object(estimators, "shortest_paths_from", wraps=shortest_paths_from) as search:
+            if reachable:
+                assert grid_shortest_path(grid, a, b, hint) == ref.shortest_paths_from(grid, a, [b])[0]
+            else:
+                with pytest.raises(Unreachable, match=r"^no grid path from cell \(1, 0\) to cell \(3, 0\)$"):
+                    grid_shortest_path(grid, a, b, hint)
+        assert search.call_args_list == [mock.call(grid, a, [b], None)]
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -19,7 +19,12 @@ median and quartiles, the change/parent ratios (their median and quartiles),
 the number of pairs on which the change was better, the parent's own spread,
 (q3 - q1) / median of its values, and ``gain``: whether the change was better
 in at least nine tenths of the pairs and its median beats the parent's by more
-than the parent's quartiles lie apart.
+than the parent's quartiles lie apart. "No regression" is stated in the
+benchmark's own terms: ``bound`` is the metric's bound in BENCHMARK.json,
+``worse`` says the change's median is worse than the parent's by more than
+bound x the parent's median, and ``unresolved`` says the parent's spread
+exceeds the bound while not every change run beats every parent run. Each
+worse or unresolved metric gets a WORSE or UNRESOLVED line on stdout.
 
 Exits 1 when a pair differs in digest, ``cost.mean`` or ``failed`` (the file
 is still written), and 2 when a run fails.
@@ -117,12 +122,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, the change/parent
-    ratios, and whether the change wins: better in at least nine tenths of the
-    pairs, by more in the medians than the parent's quartiles lie apart."""
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric of BENCHMARK.json: each side's median and quartiles,
+    the change/parent ratios, whether the change wins (better in at least nine
+    tenths of the pairs, by more in the medians than the parent's quartiles lie
+    apart), and whether it is worse than the metric's bound allows or its
+    parent too spread to tell."""
     summary = {}
-    for name, direction in better.items():
+    for metric in end_to_end:
+        name, direction, bound = metric["name"], metric["better"], metric["bound"]
         both = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name)) for p in pairs]
         both = [(a, b) for a, b in both if a is not None and b is not None and a > 0]
         if not both:
@@ -132,6 +140,12 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         wins = sum(r > 1 if direction == "higher" else r < 1 for r in ratios)
         (p1, pmedian, p3), (_, cmedian, _) = sides["parent"], sides["change"]
         gain = cmedian - pmedian if direction == "higher" else pmedian - cmedian
+        parents, changes = [a for a, _ in both], [b for _, b in both]
+        if direction == "higher":
+            beats_all = min(changes) > max(parents)
+        else:
+            beats_all = max(changes) < min(parents)
+        spread = (p3 - p1) / pmedian
         q1, median, q3 = quartiles(ratios)
         summary[name] = {
             "better": direction,
@@ -141,8 +155,11 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "q3_ratio": q3,
             "pairs": len(ratios),
             "better_pairs": wins,
-            "parent_spread": (p3 - p1) / pmedian,
+            "parent_spread": spread,
             "gain": wins >= 0.9 * len(ratios) and gain > p3 - p1,
+            "bound": bound,
+            "worse": -gain > bound * pmedian,
+            "unresolved": spread > bound and not beats_all,
             "ratios": ratios,
         }
     return summary
@@ -175,7 +192,6 @@ def main(argv=None) -> int:
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     seeds = parse_seeds(args.seeds)
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
         trees = {side: os.path.join(work, side) for side in SIDES}
@@ -201,7 +217,7 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "seconds": seconds,
         "pairs": runs,
-        "summary": {workload: summarize(pairs, better) for workload, pairs in runs.items()},
+        "summary": {workload: summarize(pairs, spec["end_to_end"]) for workload, pairs in runs.items()},
         "mismatches": found,
     }
     with open(args.out, "w", encoding="utf-8") as f:
@@ -213,6 +229,14 @@ def main(argv=None) -> int:
                   f"(q1 {s['q1_ratio']:.4f}, q3 {s['q3_ratio']:.4f}), better in "
                   f"{s['better_pairs']}/{s['pairs']}, parent spread {s['parent_spread']:.4f}"
                   + (", a gain" if s["gain"] else ""))
+    for workload, summary in report["summary"].items():
+        for name, s in summary.items():
+            if s["worse"]:
+                print(f"WORSE {workload} {name}: change median {s['change']['median']!r} vs parent "
+                      f"{s['parent']['median']!r}, beyond the {s['bound']} bound ({s['better']} is better)")
+            if s["unresolved"]:
+                print(f"UNRESOLVED {workload} {name}: parent spread {s['parent_spread']:.4f} exceeds "
+                      f"the {s['bound']} bound and not every change run beats every parent run")
     for line in found:
         print(f"MISMATCH {line}")
     print(f"wrote {args.out}")
