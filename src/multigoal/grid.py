@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +97,9 @@ class GridMap:
 
         Unlike a check of points sampled along the segment this cannot miss
         corner clips, so a clear segment stays clear under sampled re-checks at
-        any resolution. The planners and verify_solution both use it.
+        any resolution. The planners and verify_solution both use it. Every
+        such cell lies in the box of the endpoints' cells, so a segment whose
+        box holds no blocked cell is clear without a walk.
         """
         ax, ay, bx, by = a.x, a.y, b.x, b.y
         width, height = self.width, self.height
@@ -104,15 +107,28 @@ class GridMap:
             raise InvalidArgument(f"segment endpoint ({ax}, {ay}) out of bounds")
         if not (0.0 <= bx < width and 0.0 <= by < height):
             raise InvalidArgument(f"segment endpoint ({bx}, {by}) out of bounds")
-        # nested lists: reading one Python bool is cheaper than a numpy scalar
+        # nested lists and int32 row arrays: reading one Python bool or int is
+        # cheaper than a numpy scalar
         if not hasattr(self, "_rows"):
             self._rows = self.cells.tolist()
+            # summed-area table (Crow 1984): [y][x] counts the blocked cells in
+            # rows < y and columns < x, so a cell box's count is four reads
+            counts = np.zeros((height + 1, width + 1), dtype=np.int32)
+            counts[1:, 1:] = self.cells.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)
+            self._blocked = [array("i", row.tolist()) for row in counts]
         rows = self._rows
         # int() is floor() for the in-bounds, non-negative coordinates
         x, y = int(ax), int(ay)
         ex, ey = int(bx), int(by)
         if rows[y][x] or rows[ey][ex]:
             return False
+        # every cell floor(p(t)) lies in the endpoints' cell box: a box with no
+        # blocked cell needs no walk
+        x0, x1 = (x, ex) if x <= ex else (ex, x)
+        y0, y1 = (y, ey) if y <= ey else (ey, y)
+        low, high = self._blocked[y0], self._blocked[y1 + 1]
+        if high[x1 + 1] - high[x0] - low[x1 + 1] + low[x0] == 0:
+            return True
         dx = bx - ax
         dy = by - ay
         step_x = 1 if dx > 0 else -1 if dx < 0 else 0

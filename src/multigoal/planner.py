@@ -79,16 +79,17 @@ class PlannerConfig:
 class Tree:
     """An exploring tree rooted at the start point, holding at most capacity nodes.
 
-    Node coordinates sit in two float arrays for the nearest and near
-    queries, and again in the xs and ys float lists for scalar reads; points
+    Node coordinates sit in one (2, capacity) float table, x in row 0 and y
+    in row 1, so that each coordinate is contiguous for the nearest and near
+    queries; again in the xs and ys float lists for scalar reads; and points
     holds each node's Point for collision checks and chains.
     """
 
     def __init__(self, root: Point, capacity: int):
-        self._x = np.empty(capacity, dtype=np.float64)
-        self._y = np.empty(capacity, dtype=np.float64)
-        self._x[0] = root.x
-        self._y[0] = root.y
+        self._xy = np.empty((2, capacity), dtype=np.float64)
+        self._xy[:, 0] = root.x, root.y
+        # the (2, 1) column a query point is subtracted as
+        self._at = np.empty((2, 1), dtype=np.float64)
         self.xs = [float(root.x)]
         self.ys = [float(root.y)]
         # (x, y, size, squared distances) of the last nearest query, for near
@@ -102,8 +103,9 @@ class Tree:
     def add(self, p: Point, parent: int, cost: float) -> int:
         """Append p itself (the planners build it from floats) under parent."""
         idx = self.size
-        self._x[idx] = p.x
-        self._y[idx] = p.y
+        xy = self._xy
+        xy[0, idx] = p.x
+        xy[1, idx] = p.y
         self.xs.append(p.x)
         self.ys.append(p.y)
         self.points.append(p)
@@ -136,12 +138,14 @@ class Tree:
     def _dist2(self, x: float, y: float) -> np.ndarray:
         """Squared distance of every node to (x, y), computed in place: the
         same bits as np.square(dx) + np.square(dy)."""
-        dx = self._x[: self.size] - x
-        dy = self._y[: self.size] - y
-        dx *= dx
-        dy *= dy
-        dx += dy
-        return dx
+        at = self._at
+        at[0, 0] = x
+        at[1, 0] = y
+        d = self._xy[:, : self.size] - at
+        d *= d
+        d2 = d[0]
+        d2 += d[1]
+        return d2
 
     def reparent(self, idx: int, new_parent: int, new_cost: float) -> None:
         """Attach idx under new_parent and shift the whole subtree's costs."""
@@ -303,8 +307,13 @@ def _rrt_star(grid, start, goal, cfg):
         first_length = candidates[0]
 
     goal_xy = gx, gy = float(goal.x), float(goal.y)
+    # once a node sits on the goal, a draw of the goal is nearest to it at
+    # distance 0, and a zero-length step is skipped below
+    on_goal = xs[0] == gx and ys[0] == gy
     for _ in range(cfg.max_samples):
         tx, ty = _draw(cells, goal_xy, cfg.k, rng)
+        if on_goal and tx == gx and ty == gy:
+            continue
         near_idx = tree.nearest(tx, ty)
         nx, ny, d = _steer(xs[near_idx], ys[near_idx], tx, ty, cfg.step_size)
         if d == 0.0:
@@ -332,6 +341,7 @@ def _rrt_star(grid, start, goal, cfg):
         if parent < 0:
             continue
         idx = tree.add(new_pt, parent, new_cost)
+        on_goal = on_goal or (nx == gx and ny == gy)
 
         for i, d in zip(neighbors, dists):
             if i == parent:

@@ -1,5 +1,6 @@
 """References the grid module is tested against: a sampled collision check
-for GridMap.segment_clear, and the list-of-Points goal placement for place_goals."""
+and the cell walker for GridMap.segment_clear, and the list-of-Points goal
+placement for place_goals."""
 
 import math
 
@@ -30,6 +31,60 @@ def segment_free(grid, a, b, resolution):
     cols = np.floor(xs).astype(np.intp)
     rows = np.floor(ys).astype(np.intp)
     return not grid.cells[rows, cols].any()
+
+
+def walk_segment(grid, a, b, rows=None):
+    """GridMap.segment_clear as a cell walk from a's cell toward b's, with no
+    cell box test: every crossing, corner crossings included, is stepped.
+
+    rows is the table read as rows[y][x], grid.cells.tolist() by default.
+    """
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    width, height = grid.width, grid.height
+    if not (0.0 <= ax < width and 0.0 <= ay < height):
+        raise InvalidArgument(f"segment endpoint ({ax}, {ay}) out of bounds")
+    if not (0.0 <= bx < width and 0.0 <= by < height):
+        raise InvalidArgument(f"segment endpoint ({bx}, {by}) out of bounds")
+    if rows is None:
+        rows = grid.cells.tolist()
+    # int() is floor() for the in-bounds, non-negative coordinates
+    x, y = int(ax), int(ay)
+    ex, ey = int(bx), int(by)
+    if rows[y][x] or rows[ey][ex]:
+        return False
+    dx = bx - ax
+    dy = by - ay
+    step_x = 1 if dx > 0 else -1 if dx < 0 else 0
+    step_y = 1 if dy > 0 else -1 if dy < 0 else 0
+    t_max_x = math.inf if step_x == 0 else ((x + (step_x > 0)) - ax) / dx
+    t_max_y = math.inf if step_y == 0 else ((y + (step_y > 0)) - ay) / dy
+    t_delta_x = math.inf if step_x == 0 else abs(1.0 / dx)
+    t_delta_y = math.inf if step_y == 0 else abs(1.0 / dy)
+    for _ in range(width + height + 4):
+        if x == ex and y == ey:
+            return True
+        if t_max_x >= 1.0 and t_max_y >= 1.0:
+            # remaining crossings lie at or beyond the endpoint, whose
+            # cell was already validated
+            return True
+        if t_max_x < t_max_y:
+            x += step_x
+            t_max_x += t_delta_x
+        elif t_max_y < t_max_x:
+            y += step_y
+            t_max_y += t_delta_y
+        else:
+            # exact corner crossing: the corner instant lies in the cell
+            # whose indices are the floor of the corner point
+            if rows[y + (step_y > 0)][x + (step_x > 0)]:
+                return False
+            x += step_x
+            y += step_y
+            t_max_x += t_delta_x
+            t_max_y += t_delta_y
+        if rows[y][x]:
+            return False
+    return x == ex and y == ey
 
 
 def place_goals(grid, m, seed, min_separation=0.0):

@@ -112,3 +112,19 @@ def test_unresolved_needs_a_wide_parent_and_overlapping_runs():
     tight = tool.summarize(synthetic_pairs("instances_per_s", [100.0, 101.0, 99.0], 1.0),
                            SPEC["end_to_end"])
     assert tight["instances_per_s"]["unresolved"] is False
+
+
+def failing_pair(failed, attempted):
+    sides = [{"digest": "d", "metrics": {"cost.mean": 1.0}, "failed": f, "attempted": n}
+             for f, n in zip(failed, attempted)]
+    return {"seed": 9704, "parent": sides[0], "change": sides[1]}
+
+
+def test_mismatches_compare_the_failed_share():
+    # a faster side runs more passes, and perfbench counts a failure per pass
+    tool = load_tool()
+    assert tool.mismatches("rrt-star", [failing_pair((2, 3), (64, 96))]) == []
+    assert tool.mismatches("rrt-star", [failing_pair((2, 6), (64, 96))]) == [
+        "rrt-star seed 9704: failed share 2/64 (parent) != 6/96 (change)"
+    ]
+    assert tool.mismatches("rrt-star", [failing_pair((0, 0), (64, 96))]) == []

@@ -1,9 +1,10 @@
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -134,7 +135,139 @@ class TestSegmentFree:
             segment_free(g, Point(0.5, 0.5), Point(4.5, 1.0), 0.25)
 
 
+def coordinate(draw, size):
+    """A coordinate in [0, size): an integer, a half-integer, a float next to
+    an integer, or any float."""
+    k = draw(st.integers(0, size - 1))
+    kind = draw(st.sampled_from(["integer", "half", "above", "below", "any"]))
+    if kind == "integer":
+        return float(k)
+    if kind == "half":
+        return k + 0.5
+    if kind == "above":
+        return math.nextafter(float(k), math.inf)
+    if kind == "below":
+        return math.nextafter(float(k + 1), -math.inf)
+    return draw(st.floats(0.0, size, exclude_max=True))
+
+
+@st.composite
+def segments_on_maps(draw):
+    """A random map and segments on it: equal endpoints, segments inside one
+    cell, across two adjacent cells, along diagonals that cross cell corners
+    exactly, and ones at least 4 cells long."""
+    w, h = draw(st.integers(4, 14)), draw(st.integers(4, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.random((h, w)) < draw(st.sampled_from([0.05, 0.2, 0.4]))
+    cells[0, 0] = False
+    segments = []
+    for _ in range(draw(st.integers(1, 20))):
+        ax, ay = coordinate(draw, w), coordinate(draw, h)
+        shape = draw(st.sampled_from(["equal", "one cell", "adjacent", "corners", "long", "any"]))
+        if shape == "equal":
+            bx, by = ax, ay
+        elif shape == "one cell":  # the sum may round up to the next integer
+            bx = math.floor(ax) + draw(st.floats(0.0, 1.0, exclude_max=True))
+            by = math.floor(ay) + draw(st.floats(0.0, 1.0, exclude_max=True))
+            bx = min(bx, math.nextafter(math.floor(ax) + 1.0, -math.inf))
+            by = min(by, math.nextafter(math.floor(ay) + 1.0, -math.inf))
+        elif shape == "adjacent":
+            sx, sy = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+            bx = min(max(ax + sx * draw(st.sampled_from([0.5, 1.0, 1.5])), 0.0), w - 0.5)
+            by = min(max(ay + sy * draw(st.sampled_from([0.5, 1.0, 1.5])), 0.0), h - 0.5)
+        elif shape == "corners":  # from a corner or cell centre at 45 degrees
+            ax, ay = math.floor(ax) + draw(st.sampled_from([0.0, 0.5])), math.floor(ay)
+            ay += ax - math.floor(ax)
+            n = draw(st.integers(1, min(w, h)))
+            sx, sy = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+            bx, by = ax + sx * n, ay + sy * n
+            assume(0 <= bx < w and 0 <= by < h)
+        elif shape == "long":
+            bx = draw(st.floats(0.0, w, exclude_max=True))
+            by = coordinate(draw, h)
+            assume(abs(math.floor(bx) - math.floor(ax)) + abs(math.floor(by) - math.floor(ay)) >= 4)
+        else:
+            bx, by = coordinate(draw, w), coordinate(draw, h)
+        segments.append((Point(ax, ay), Point(bx, by)))
+    return GridMap(cells), segments
+
+
+class ReadCells:
+    """A map's rows as walk_segment reads them, rows[y][x], recording each
+    (x, y) read before the read itself, out-of-range ones included."""
+
+    def __init__(self, grid):
+        self.rows = grid.cells.tolist()
+        self.read = []
+
+    def __getitem__(self, y):
+        return _ReadRow(self, y)
+
+
+class _ReadRow:
+    def __init__(self, cells, y):
+        self.cells, self.y = cells, y
+
+    def __getitem__(self, x):
+        self.cells.read.append((x, self.y))
+        return self.cells.rows[self.y][x]
+
+
+def answer(check, *args):
+    """check's answer, or the type of the exception it raised."""
+    try:
+        return check(*args)
+    except IndexError as exc:
+        return type(exc)
+
+
+def on_an_edge(v):
+    return abs(v - round(v)) < 1e-9
+
+
 class TestSegmentClear:
+    @settings(max_examples=300, deadline=None)
+    @given(segments_on_maps())
+    def test_equals_the_cell_walk(self, instance):
+        grid, segments = instance
+        for a, b in segments:
+            for p, q in ((a, b), (b, a)):
+                cells = ReadCells(grid)
+                walked = answer(sampled_reference.walk_segment, grid, p, q, cells)
+                (px, py), (qx, qy) = p.cell(), q.cell()
+                x0, x1, y0, y1 = min(px, qx), max(px, qx), min(py, qy), max(py, qy)
+                outside = [(x, y) for x, y in cells.read if not (x0 <= x <= x1 and y0 <= y <= y1)]
+                box_clear = not grid.cells[y0 : y1 + 1, x0 : x1 + 1].any()
+                if outside and box_clear:
+                    # the walk stepped one cell past q's cell on rounding, along
+                    # an axis on which q lies on or next to a cell edge; every
+                    # point of the segment floors into the box, so clear is exact
+                    for x, y in outside:
+                        assert abs(x - qx) <= 1 and abs(y - qy) <= 1
+                        assert (x0 <= x <= x1 or on_an_edge(q.x)) and (y0 <= y <= y1 or on_an_edge(q.y))
+                    assert grid.segment_clear(p, q) is True
+                else:
+                    assert answer(grid.segment_clear, p, q) == walked
+
+    def test_a_checked_map_still_pickles(self):
+        g = GridMap(np.eye(6, dtype=bool))
+        assert not g.segment_clear(Point(0.5, 5.5), Point(5.5, 0.5))
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g
+        assert not copy.segment_clear(Point(0.5, 5.5), Point(5.5, 0.5))
+        assert copy.segment_clear(Point(1.5, 0.5), Point(5.5, 4.5))
+
+    def test_clear_where_the_walk_steps_past_the_end_cell(self):
+        # the walk toward y = 15.0 crosses the line y = 15 at t just below 1
+        # on rounding, and reads the blocked cell (1, 14) below the end cell
+        cells = np.zeros((32, 32), dtype=bool)
+        cells[14, 1] = True
+        g = GridMap(cells)
+        a, b = Point(30.5, 22.5), Point(0.9999999999999999, 15.0)
+        assert sampled_reference.walk_segment(g, a, b) is False
+        assert g.segment_clear(a, b) is True
+        assert segment_free(g, a, b, 0.001)
+
     def test_dominates_sampled_checks(self):
         # a clear segment can never fail a sampled check, at any resolution
         rng = np.random.default_rng(2)

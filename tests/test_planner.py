@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multigoal import GridMap, NoPathFound, PlannerConfig, Point, RegionMask, plan_leg_rrt
+from multigoal import planner
+from multigoal.errors import InvalidArgument
 from multigoal.planner import (
     MAX_SAMPLES,
     PathPolyline,
@@ -413,12 +415,66 @@ class TestGoldenPaths:
             counting(Tree, name)
         g, cfg = self.world()
         plan_leg_rrt_star(g, Point(2, 2), Point(17, 4), cfg)
+        # 300 samples less the 18 goal draws made once a node sat on the goal
+        # (test_goal_draws_onto_the_goal_make_no_query derives the 18)
         assert counts == {
-            "nearest": 300, "near": 264, "add": 261, "segment_clear": 583, "_dist2": 345
+            "nearest": 282, "near": 264, "add": 261, "segment_clear": 583, "_dist2": 327
         }
         counts.clear()
         plan_leg_rrt(g, Point(2, 2), Point(17, 4), free_mask(g), cfg)
         assert counts == {"nearest": 83, "add": 62, "segment_clear": 84, "_dist2": 83}
+
+    def goal_draw_run(self, monkeypatch, start, goal):
+        """Run RRT* on the world from start to goal, and return its draws in
+        order, how many had been made when the first node landed exactly on
+        the goal (None if none did), and the points nearest was asked about."""
+        g, cfg = self.world()
+        draws, asked, reached = [], [], []
+        draw, add, nearest = planner._draw, Tree.add, Tree.nearest
+
+        def recording_draw(*args):
+            draws.append(draw(*args))
+            return draws[-1]
+
+        def recording_add(tree, p, parent, cost):
+            if (p.x, p.y) == (goal.x, goal.y) and not reached:
+                reached.append(len(draws))
+            return add(tree, p, parent, cost)
+
+        def recording_nearest(tree, x, y):
+            asked.append((x, y))
+            return nearest(tree, x, y)
+
+        monkeypatch.setattr(planner, "_draw", recording_draw)
+        monkeypatch.setattr(Tree, "add", recording_add)
+        monkeypatch.setattr(Tree, "nearest", recording_nearest)
+        try:
+            _rrt_star(g, start, goal, cfg)
+        except InvalidArgument:  # a leg from the goal to itself has no polyline
+            assert start == goal
+        assert len(draws) == cfg.max_samples
+        return draws, (reached or [None])[0], asked
+
+    def test_goal_draws_onto_the_goal_make_no_query(self, monkeypatch):
+        goal = Point(17, 4)
+        draws, reached, asked = self.goal_draw_run(monkeypatch, Point(2, 2), goal)
+        # the leg's _draw stream, replayed from its seed: which draws were the goal
+        g, cfg = self.world()
+        rng = np.random.default_rng(cfg.seed)
+        replayed = [_draw(g.free_cells(), (17.0, 4.0), cfg.k, rng) for _ in range(cfg.max_samples)]
+        assert replayed == draws
+        goal_draws = [i for i, xy in enumerate(replayed) if xy == (17.0, 4.0)]
+        skipped = [i for i in goal_draws if i >= reached]
+        assert reached is not None and len(skipped) == 18 and len(goal_draws) > 18
+        # every other draw, the goal draws before the goal was reached among them, asks nearest
+        assert asked == [xy for i, xy in enumerate(replayed) if i not in skipped]
+
+    def test_a_start_on_the_goal_makes_no_goal_query(self, monkeypatch):
+        goal = Point(17, 4)
+        draws, reached, asked = self.goal_draw_run(monkeypatch, goal, goal)
+        assert reached is None  # the root is the node on the goal
+        assert (17.0, 4.0) in draws and (17.0, 4.0) not in asked
+        assert asked == [xy for xy in draws if xy != (17.0, 4.0)]
 
 
 @st.composite

@@ -26,8 +26,8 @@ bound x the parent's median, and ``unresolved`` says the parent's spread
 exceeds the bound while not every change run beats every parent run. Each
 worse or unresolved metric gets a WORSE or UNRESOLVED line on stdout.
 
-Exits 1 when a pair differs in digest, ``cost.mean`` or ``failed`` (the file
-is still written), and 2 when a run fails.
+Exits 1 when a pair differs in digest, ``cost.mean`` or the failed share,
+``failed / attempted`` (the file is still written), and 2 when a run fails.
 """
 
 from __future__ import annotations
@@ -166,15 +166,23 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
 
 
 def mismatches(workload: str, pairs: list[dict]) -> list[str]:
+    """The pairs whose sides differ in digest, cost.mean or failed share.
+
+    perfbench counts a failure once per pass, and a faster tree runs more
+    passes, so the shares failed / attempted are compared, cross-multiplied.
+    """
     found = []
     for p in pairs:
         parent, change = p["parent"], p["change"]
         for what, a, b in (("digest", parent["digest"], change["digest"]),
                            ("cost.mean", parent["metrics"].get("cost.mean"),
-                            change["metrics"].get("cost.mean")),
-                           ("failed", parent["failed"], change["failed"])):
+                            change["metrics"].get("cost.mean"))):
             if a != b:
                 found.append(f"{workload} seed {p['seed']}: {what} {a!r} (parent) != {b!r} (change)")
+        if parent["failed"] * change["attempted"] != change["failed"] * parent["attempted"]:
+            found.append(f"{workload} seed {p['seed']}: failed share "
+                         f"{parent['failed']}/{parent['attempted']} (parent) != "
+                         f"{change['failed']}/{change['attempted']} (change)")
     return found
 
 
