@@ -92,14 +92,22 @@ class GridMap:
         return not self.cells[cy, cx]
 
     def segment_clear(self, a: Point, b: Point) -> bool:
-        """Exact conservative collision test: no cell floor(p(t)) along the
-        segment is blocked, for any t.
+        """Collision test: True iff no cell floor(p(t)) along the segment is
+        blocked, for any t, up to rounding (below).
 
-        Unlike a check of points sampled along the segment this cannot miss
-        corner clips, so a clear segment stays clear under sampled re-checks at
-        any resolution. The planners and verify_solution both use it. Every
-        such cell lies in the box of the endpoints' cells, so a segment whose
-        box holds no blocked cell is clear without a walk.
+        Unlike a check of points sampled along the segment this does not miss
+        corner clips, so a clear segment stays clear under sampled re-checks.
+        The planners and verify_solution both use it. Every such cell lies in
+        the box of the endpoints' cells, so a segment whose box holds no
+        blocked cell is clear without a walk, and the walk reads no cell
+        outside the box.
+
+        The walk steps between crossings in floating point, so where the
+        segment passes within a few ulps of a cell corner or edge its answer
+        can differ from exact arithmetic: on 30,000 segments with end
+        coordinates on or one ulp from an integer (64x64 maps, 8% blocked),
+        25 were clear while entering a blocked cell by under 2e-14 cells and
+        9 blocked while clear; none of 30,000 uniform segments differed.
         """
         ax, ay, bx, by = a.x, a.y, b.x, b.y
         width, height = self.width, self.height
@@ -137,31 +145,27 @@ class GridMap:
         t_max_y = math.inf if step_y == 0 else ((y + (step_y > 0)) - ay) / dy
         t_delta_x = math.inf if step_x == 0 else abs(1.0 / dx)
         t_delta_y = math.inf if step_y == 0 else abs(1.0 / dy)
-        for _ in range(width + height + 4):
-            if x == ex and y == ey:
-                return True
+        while x != ex or y != ey:
             if t_max_x >= 1.0 and t_max_y >= 1.0:
                 # remaining crossings lie at or beyond the endpoint, whose
                 # cell was already validated
                 return True
-            if t_max_x < t_max_y:
+            tx, ty = t_max_x, t_max_y
+            if tx <= ty:
                 x += step_x
                 t_max_x += t_delta_x
-            elif t_max_y < t_max_x:
+            if ty <= tx:
                 y += step_y
                 t_max_y += t_delta_y
-            else:
-                # exact corner crossing: the corner instant lies in the cell
-                # whose indices are the floor of the corner point
-                if rows[y + (step_y > 0)][x + (step_x > 0)]:
-                    return False
-                x += step_x
-                y += step_y
-                t_max_x += t_delta_x
-                t_max_y += t_delta_y
-            if rows[y][x]:
+            if not (x0 <= x <= x1 and y0 <= y <= y1):
+                # rounding put a crossing at or past the endpoint before it:
+                # any cell left unread is touched only within rounding of the
+                # endpoint, whose cell was already validated
+                return True
+            # an exact corner crossing also reads the cell of the corner point
+            if rows[y][x] or tx == ty and rows[y + (step_y < 0)][x + (step_x < 0)]:
                 return False
-        return x == ex and y == ey
+        return True
 
     def free_cells(self) -> np.ndarray:
         """(N, 2) int array of free-cell (x, y) indices in row-major order."""

@@ -81,8 +81,8 @@ class Tree:
 
     Node coordinates sit in one (2, capacity) float table, x in row 0 and y
     in row 1, so that each coordinate is contiguous for the nearest and near
-    queries; again in the xs and ys float lists for scalar reads; and points
-    holds each node's Point for collision checks and chains.
+    queries, and points holds each node's Point for scalar reads, collision
+    checks and chains.
     """
 
     def __init__(self, root: Point, capacity: int):
@@ -90,8 +90,6 @@ class Tree:
         self._xy[:, 0] = root.x, root.y
         # the (2, 1) column a query point is subtracted as
         self._at = np.empty((2, 1), dtype=np.float64)
-        self.xs = [float(root.x)]
-        self.ys = [float(root.y)]
         # (x, y, size, squared distances) of the last nearest query, for near
         self._last = None
         self.points = [Point(float(root.x), float(root.y))]
@@ -106,8 +104,6 @@ class Tree:
         xy = self._xy
         xy[0, idx] = p.x
         xy[1, idx] = p.y
-        self.xs.append(p.x)
-        self.ys.append(p.y)
         self.points.append(p)
         self.size += 1
         self.parents.append(parent)
@@ -254,6 +250,8 @@ def plan_leg_rrt(
 
 def _rrt(grid, start, goal, mask, cfg):
     check_endpoints(grid, start, goal)
+    if start == goal:
+        raise InvalidArgument(f"leg start equals its goal ({goal.x}, {goal.y})")
     mask.check_shape(grid)
     rng = np.random.default_rng(cfg.seed)
     cells = _region_cells(mask, cfg, grid.free_cells())
@@ -295,10 +293,12 @@ def plan_leg_rrt_star(
 
 def _rrt_star(grid, start, goal, cfg):
     check_endpoints(grid, start, goal)
+    if start == goal:
+        raise InvalidArgument(f"leg start equals its goal ({goal.x}, {goal.y})")
     rng = np.random.default_rng(cfg.seed)
     cells = grid.free_cells()
     tree = Tree(start, cfg.max_samples + 1)
-    points, costs, xs, ys = tree.points, tree.costs, tree.xs, tree.ys
+    points, costs = tree.points, tree.costs
     candidates: dict[int, float] = {}
     first_length = None
 
@@ -307,15 +307,16 @@ def _rrt_star(grid, start, goal, cfg):
         first_length = candidates[0]
 
     goal_xy = gx, gy = float(goal.x), float(goal.y)
-    # once a node sits on the goal, a draw of the goal is nearest to it at
-    # distance 0, and a zero-length step is skipped below
-    on_goal = xs[0] == gx and ys[0] == gy
+    # once a node sits on the goal (the root cannot), a draw of the goal is
+    # nearest to it at distance 0, and a zero-length step is skipped below
+    on_goal = False
     for _ in range(cfg.max_samples):
         tx, ty = _draw(cells, goal_xy, cfg.k, rng)
         if on_goal and tx == gx and ty == gy:
             continue
         near_idx = tree.nearest(tx, ty)
-        nx, ny, d = _steer(xs[near_idx], ys[near_idx], tx, ty, cfg.step_size)
+        near_pt = points[near_idx]
+        nx, ny, d = _steer(near_pt.x, near_pt.y, tx, ty, cfg.step_size)
         if d == 0.0:
             continue
         new_pt = Point(nx, ny)
@@ -327,7 +328,7 @@ def _rrt_star(grid, start, goal, cfg):
         if near_idx not in neighbors:
             neighbors.append(near_idx)
         # one distance per neighbour, shared by choose-parent and rewiring
-        dists = [math.hypot(xs[i] - nx, ys[i] - ny) for i in neighbors]
+        dists = [math.hypot(points[i].x - nx, points[i].y - ny) for i in neighbors]
         # the cheapest parent first; (cost, index) pairs are unique, so the
         # sorted fallback checks the same segments in the same order
         options = [(costs[i] + d, i) for i, d in zip(neighbors, dists)]

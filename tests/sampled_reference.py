@@ -1,8 +1,9 @@
-"""References the grid module is tested against: a sampled collision check
-and the cell walker for GridMap.segment_clear, and the list-of-Points goal
-placement for place_goals."""
+"""References the grid module is tested against: a sampled collision check,
+an exact rational one and the cell walker for GridMap.segment_clear, and the
+list-of-Points goal placement for place_goals."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +32,26 @@ def segment_free(grid, a, b, resolution):
     cols = np.floor(xs).astype(np.intp)
     rows = np.floor(ys).astype(np.intp)
     return not grid.cells[rows, cols].any()
+
+
+def exact_clear(grid, a, b):
+    """True iff no cell floor(p(t)), t in [0, 1], of the segment ab is blocked,
+    in exact rational arithmetic on the floats' own values.
+
+    floor(p(t)) is constant between the instants at which a coordinate
+    crosses an integer, so it is read at those instants, at 0 and 1, and
+    halfway between each consecutive two.
+    """
+    ax, ay, bx, by = (Fraction(v) for v in (a.x, a.y, b.x, b.y))
+    dx, dy = bx - ax, by - ay
+    ts = {Fraction(0), Fraction(1)}
+    for start, end, d in ((ax, bx, dx), (ay, by, dy)):
+        if d:
+            low, high = min(start, end), max(start, end)
+            ts.update((k - start) / d for k in range(math.ceil(low), math.floor(high) + 1))
+    ts = sorted(ts)
+    ts += [(s + t) / 2 for s, t in zip(ts, ts[1:])]
+    return not any(grid.cells[math.floor(ay + t * dy), math.floor(ax + t * dx)] for t in ts)
 
 
 def walk_segment(grid, a, b, rows=None):

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -193,8 +193,9 @@ def segments_on_maps(draw):
 
 
 class ReadCells:
-    """A map's rows as walk_segment reads them, rows[y][x], recording each
-    (x, y) read before the read itself, out-of-range ones included."""
+    """A map's rows as walk_segment and segment_clear read them, rows[y][x],
+    recording each (x, y) read before the read itself, out-of-range ones
+    included."""
 
     def __init__(self, grid):
         self.rows = grid.cells.tolist()
@@ -221,33 +222,75 @@ def answer(check, *args):
         return type(exc)
 
 
-def on_an_edge(v):
-    return abs(v - round(v)) < 1e-9
+def outside_the_box(read, p, q):
+    """The cells of read that lie outside the box of p's and q's cells."""
+    (px, py), (qx, qy) = p.cell(), q.cell()
+    x0, x1, y0, y1 = min(px, qx), max(px, qx), min(py, qy), max(py, qy)
+    return [(x, y) for x, y in read if not (x0 <= x <= x1 and y0 <= y <= y1)]
+
+
+# (map size, blocked cells, a, b, answers from a to b and from b to a) of
+# segments on which sampled_reference.walk_segment reads a cell past b's cell
+WALKS_PAST_THE_BOX = [
+    # toward y = 63.99999999999999 it steps into row 64 and raises IndexError
+    (64, [(30, 50)], (4.000000000000001, 44.99999999999999), (55.0, 63.99999999999999),
+     (IndexError, True)),
+    # toward y = 0.0 it steps into row -1, which wraps to row 15
+    (16, [(6, 15), (1, 0)], (1.9925410672206105, 10.000000000000002), (7.0, 0.0),
+     (False, True)),
+    # toward (17.0, 13.999999999999998) it meets an exact corner crossing at
+    # (17, 14) and reads the blocked corner cell above the end cell
+    (29, [(17, 10), (17, 14)], (4.0, 0.9999999999999999), (17.0, 13.999999999999998),
+     (False, True)),
+]
+
+
+def walk_past_the_box(size, blocked, a, b, walked):
+    return map_with_blocked(blocked, size, size), [(Point(*a), Point(*b))]
 
 
 class TestSegmentClear:
     @settings(max_examples=300, deadline=None)
     @given(segments_on_maps())
+    @example(walk_past_the_box(*WALKS_PAST_THE_BOX[0]))
+    @example(walk_past_the_box(*WALKS_PAST_THE_BOX[1]))
+    @example(walk_past_the_box(*WALKS_PAST_THE_BOX[2]))
     def test_equals_the_cell_walk(self, instance):
         grid, segments = instance
         for a, b in segments:
             for p, q in ((a, b), (b, a)):
                 cells = ReadCells(grid)
                 walked = answer(sampled_reference.walk_segment, grid, p, q, cells)
-                (px, py), (qx, qy) = p.cell(), q.cell()
-                x0, x1, y0, y1 = min(px, qx), max(px, qx), min(py, qy), max(py, qy)
-                outside = [(x, y) for x, y in cells.read if not (x0 <= x <= x1 and y0 <= y <= y1)]
-                box_clear = not grid.cells[y0 : y1 + 1, x0 : x1 + 1].any()
-                if outside and box_clear:
-                    # the walk stepped one cell past q's cell on rounding, along
-                    # an axis on which q lies on or next to a cell edge; every
-                    # point of the segment floors into the box, so clear is exact
-                    for x, y in outside:
-                        assert abs(x - qx) <= 1 and abs(y - qy) <= 1
-                        assert (x0 <= x <= x1 or on_an_edge(q.x)) and (y0 <= y <= y1 or on_an_edge(q.y))
+                if outside_the_box(cells.read, p, q):
+                    # the walk stepped past q's cell on rounding; every point of
+                    # the segment floors into the box, which segment_clear's
+                    # walk never leaves
                     assert grid.segment_clear(p, q) is True
                 else:
-                    assert answer(grid.segment_clear, p, q) == walked
+                    assert grid.segment_clear(p, q) == walked
+
+    @settings(max_examples=300, deadline=None)
+    @given(segments_on_maps())
+    @example(walk_past_the_box(*WALKS_PAST_THE_BOX[0]))
+    @example(walk_past_the_box(*WALKS_PAST_THE_BOX[1]))
+    @example(walk_past_the_box(*WALKS_PAST_THE_BOX[2]))
+    def test_reads_only_inside_the_cell_box(self, instance):
+        grid, segments = instance
+        grid.segment_clear(*segments[0])  # builds the rows and the box counts
+        for a, b in segments:
+            for p, q in ((a, b), (b, a)):
+                grid._rows = cells = ReadCells(grid)
+                grid.segment_clear(p, q)
+                assert cells.read and outside_the_box(cells.read, p, q) == []
+
+    @pytest.mark.parametrize("size, blocked, a, b, walked", WALKS_PAST_THE_BOX)
+    def test_equals_exact_arithmetic_where_the_walk_left_the_box(self, size, blocked, a, b, walked):
+        g = map_with_blocked(blocked, size, size)
+        a, b = Point(*a), Point(*b)
+        assert (answer(sampled_reference.walk_segment, g, a, b),
+                answer(sampled_reference.walk_segment, g, b, a)) == walked
+        assert sampled_reference.exact_clear(g, a, b) is True
+        assert g.segment_clear(a, b) is True and g.segment_clear(b, a) is True
 
     def test_a_checked_map_still_pickles(self):
         g = GridMap(np.eye(6, dtype=bool))

@@ -1,4 +1,5 @@
 import math
+import re
 import statistics
 from unittest import mock
 
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from multigoal import GridMap, NoPathFound, PlannerConfig, Point, RegionMask, plan_leg_rrt
 from multigoal import planner
+from multigoal.cli import main
 from multigoal.errors import InvalidArgument
+from multigoal.grid import save_map
 from multigoal.planner import (
     MAX_SAMPLES,
     PathPolyline,
@@ -448,10 +451,7 @@ class TestGoldenPaths:
         monkeypatch.setattr(planner, "_draw", recording_draw)
         monkeypatch.setattr(Tree, "add", recording_add)
         monkeypatch.setattr(Tree, "nearest", recording_nearest)
-        try:
-            _rrt_star(g, start, goal, cfg)
-        except InvalidArgument:  # a leg from the goal to itself has no polyline
-            assert start == goal
+        _rrt_star(g, start, goal, cfg)
         assert len(draws) == cfg.max_samples
         return draws, (reached or [None])[0], asked
 
@@ -469,12 +469,27 @@ class TestGoldenPaths:
         # every other draw, the goal draws before the goal was reached among them, asks nearest
         assert asked == [xy for i, xy in enumerate(replayed) if i not in skipped]
 
-    def test_a_start_on_the_goal_makes_no_goal_query(self, monkeypatch):
-        goal = Point(17, 4)
-        draws, reached, asked = self.goal_draw_run(monkeypatch, goal, goal)
-        assert reached is None  # the root is the node on the goal
-        assert (17.0, 4.0) in draws and (17.0, 4.0) not in asked
-        assert asked == [xy for xy in draws if xy != (17.0, 4.0)]
+    def test_a_leg_from_the_goal_to_itself_is_refused(self, monkeypatch, tmp_path, capsys):
+        g, cfg = self.world()
+        draws = []
+        draw = planner._draw
+        monkeypatch.setattr(planner, "_draw", lambda *args: draws.append(args) or draw(*args))
+        for plan in (
+            lambda a, b: plan_leg_rrt_star(g, a, b, cfg),
+            lambda a, b: plan_leg_rrt(g, a, b, free_mask(g), cfg),
+        ):
+            for a, b in ((Point(17, 4), Point(17, 4)), (Point(17.0, 4.0), Point(17, 4))):
+                with pytest.raises(InvalidArgument, match=re.escape(f"its goal ({b.x}, {b.y})")):
+                    plan(a, b)
+        # the CLI refuses the leg with its full default budget before a single draw
+        save_map(tmp_path / "world.map", g)
+        for algorithm in ("rrt-star", "rrt"):
+            code = main(["plan", "--map", str(tmp_path / "world.map"), "--start", "17,4",
+                         "--goal", "17,4", "--algorithm", algorithm,
+                         "--out-path", str(tmp_path / "p.csv")])
+            assert code == 1
+            assert capsys.readouterr().err == "error: leg start equals its goal (17.0, 4.0)\n"
+        assert draws == [] and not (tmp_path / "p.csv").exists()
 
 
 @st.composite
