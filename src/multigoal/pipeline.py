@@ -140,7 +140,8 @@ def verify_solution(grid: GridMap, goals: GoalSet, solution: Solution, cfg: Plan
     """Independent integrity check of a finished solution.
 
     Verifies tour validity, leg-to-goal chaining within the goal tolerance,
-    re-checks every segment with the exact GridMap.segment_clear, and
+    re-checks every segment with GridMap.segment_clear (exact up to rounding
+    where a segment passes within a few ulps of a cell corner or edge), and
     confirms the cost bookkeeping. Raises InvalidArgument, still a ValueError,
     on the first violation.
     """

@@ -9,6 +9,7 @@ solver takes its weights as an estimators.WeightMatrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,49 +166,94 @@ def local_search_improve(w, t: Tour) -> Tour:
     move; stops at a local optimum of both neighborhoods. The result never
     costs more than the input.
     """
-    order = list(t.order)
-    wl = w.w.tolist()
-    while _apply_first_2opt(wl, order) or _apply_first_oropt(wl, order):
+    order = np.array(t.order)
+    while _apply_first_2opt(w.w, order) or _apply_first_oropt(w.w, order):
         pass
-    return Tour(order)
+    return Tour(order.tolist())
 
 
-def _apply_first_2opt(wl, order) -> bool:
+def _by_position(wt: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights between tour positions, tw[i, j] = wt[order[i], order[j]],
+    and each position's edge to its successor, tw[i, (i + 1) % m]."""
+    tw = wt[order][:, order]
+    return tw, np.append(tw.diagonal(1), tw[-1, 0])
+
+
+def _apply_first_2opt(wt: np.ndarray, order: np.ndarray) -> bool:
+    """Apply the first improving 2-opt move in (i, j) row-major order.
+
+    Every move's delta is computed at once, in the float order of
+    w[a, c] + w[b, d] - w[a, b] - w[c, d] for the edges (a, b) leaving
+    position i and (c, d) leaving position j.
+    """
     m = len(order)
-    for i in range(m - 1):
-        a, b = order[i], order[i + 1]
-        for j in range(i + 2, m):
-            if i == 0 and j == m - 1:
-                continue  # reversing the whole tail is a reflection, not a move
-            c, d = order[j], order[(j + 1) % m]
-            delta = wl[a][c] + wl[b][d] - wl[a][b] - wl[c][d]
-            if delta < -IMPROVE_EPS:
-                order[i + 1 : j + 1] = order[i + 1 : j + 1][::-1]
-                return True
-    return False
+    tw, succ = _by_position(wt, order)
+    delta = tw[:-1] + np.roll(tw[1:], -1, axis=1)
+    delta -= succ[:-1, None]
+    delta -= succ
+    # the moves are j >= i + 2, less the reversal of the whole tail, which is
+    # a reflection, not a move
+    hits = np.triu(delta < -IMPROVE_EPS, 2)
+    hits[0, m - 1] = False
+    first = int(hits.argmax())
+    if not hits.flat[first]:
+        return False
+    i, j = divmod(first, m)
+    order[i + 1 : j + 1] = order[j:i:-1].copy()
+    return True
 
 
-def _apply_first_oropt(wl, order) -> bool:
+@functools.lru_cache(maxsize=64)
+def _oropt_moves(m: int, seg_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices into an (m, m) position table of w[u, s0], w[s1, v] and
+    w[u, v] for every Or-opt move (p, g).
+
+    The segment runs from position p (s0) to p + seg_len - 1 (s1), for
+    p = 1..n with n = m - seg_len. rest, the tour less the segment, holds the
+    slot's ends u at g - 1 and v at g mod n, for g = 1..n.
+    """
+    n = m - seg_len
+    p = np.arange(1, n + 1)[:, None]
+    g = np.arange(1, n + 1)
+    u = g - 1 + seg_len * (g - 1 >= p)
+    v = g % n + seg_len * (g % n >= p)
+    out = (u * m + p, (p + seg_len - 1) * m + v, u * m + v)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _apply_first_oropt(wt: np.ndarray, order: np.ndarray) -> bool:
+    """Apply the first improving Or-opt move: by segment length, then segment
+    start p, then insertion slot g.
+
+    Every move's delta is computed at once, in the float order of
+    w[u, s0] + w[s1, v] - w[u, v] - (w[prev, s0] + w[s1, next] - w[prev, next]).
+    """
     m = len(order)
+    tw, succ = _by_position(wt, order)
     for seg_len in (1, 2, 3):
         if seg_len >= m - 1:
             break
-        for p in range(1, m - seg_len + 1):
-            prev_v = order[p - 1]
-            s0 = order[p]
-            s1 = order[p + seg_len - 1]
-            next_v = order[(p + seg_len) % m]
-            removal_gain = wl[prev_v][s0] + wl[s1][next_v] - wl[prev_v][next_v]
-            rest = order[:p] + order[p + seg_len :]
-            for g in range(1, len(rest) + 1):
-                u = rest[g - 1]
-                v = rest[g % len(rest)]
-                if u == prev_v and v == next_v:
-                    continue  # original slot
-                delta = wl[u][s0] + wl[s1][v] - wl[u][v] - removal_gain
-                if delta < -IMPROVE_EPS:
-                    order[:] = rest[:g] + order[p : p + seg_len] + rest[g:]
-                    return True
+        n = m - seg_len
+        # prev sits at p - 1 and next at (p + seg_len) % m, for p = 1..n
+        prev = np.arange(n)
+        gain = succ[:n] + succ[seg_len:]
+        gain -= tw[prev, (prev + seg_len + 1) % m]
+        us0, s1v, uv = _oropt_moves(m, seg_len)
+        delta = tw.take(us0) + tw.take(s1v)
+        delta -= tw.take(uv)
+        delta -= gain[:, None]
+        # the segment's own slot (g == p) is no move, yet needs no mask: its
+        # delta is the gain less itself, never an improvement
+        hits = delta < -IMPROVE_EPS
+        first = int(hits.argmax())
+        if hits.flat[first]:
+            p, g = divmod(first, n)
+            p, g = p + 1, g + 1
+            rest = np.concatenate((order[:p], order[p + seg_len :]))
+            order[:] = np.concatenate((rest[:g], order[p : p + seg_len], rest[g:]))
+            return True
     return False
 
 

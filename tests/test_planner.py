@@ -193,6 +193,88 @@ class TestNearestAndSteer:
         assert d == pytest.approx(2.5, abs=1e-12)
 
 
+# a few exact values, so that nodes repeat and targets land on nodes, and any float
+coordinates = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(0.0, 4.0))
+xys = st.tuples(coordinates, coordinates)
+
+
+@st.composite
+def queued_runs(draw):
+    """A root, and steps against its tree: add a node, queue a list of
+    targets (some on the tree's nodes, possibly none), ask about the next
+    queued target, or ask about another point."""
+    pool = draw(st.lists(xys, min_size=1, max_size=12))
+    targets = st.lists(st.one_of(xys, st.sampled_from(pool)), max_size=8)
+    step = st.one_of(
+        st.tuples(st.just("add"), st.one_of(xys, st.sampled_from(pool))),
+        st.tuples(st.just("queue"), targets),
+        st.tuples(st.just("ask"), st.none()),
+        st.tuples(st.just("other"), xys),
+    )
+    return pool[0], draw(st.lists(step, max_size=40))
+
+
+class TestQueuedNearest:
+    """A queued nearest call answers what a fresh pass over every node would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(queued_runs())
+    def test_equals_a_fresh_pass(self, run):
+        root, steps = run
+        tree = Tree(Point(*root), 64)
+        queued, asked = [], 0
+        for kind, arg in steps:
+            if kind == "add":
+                tree.add(Point(*arg), 0, 0.0)
+            elif kind == "queue":
+                tree.queue(arg)
+                queued, asked = arg, 0
+            else:
+                if kind == "ask":
+                    if asked == len(queued):
+                        continue
+                    x, y = queued[asked]
+                    asked += 1
+                else:
+                    x, y = arg
+                assert tree.nearest(x, y) == int(tree._dist2(x, y).argmin())
+
+    def test_ties_and_a_dropped_queue(self):
+        t = Tree(Point(0, 0), 8)
+        t.add(Point(2.0, 0.0), 0, 2.0)
+        t.queue([(1.0, 0.0), (1.0, 0.0), (3.0, 0.0), (4.0, 0.0)])
+        assert t.nearest(1.0, 0.0) == 0  # a tie in the block pass
+        t.add(Point(1.0, 0.0), 0, 1.0)
+        assert t.nearest(1.0, 0.0) == 2  # a node added since the pass
+        t.add(Point(3.0, 0.0), 0, 3.0)
+        t.add(Point(3.0, 0.0), 0, 3.0)
+        assert t.nearest(3.0, 0.0) == 3  # a tie among the nodes added since
+        assert t.nearest(0.5, 0.0) == 0  # not the head: the queue is dropped
+        assert t.nearest(4.0, 0.0) == 3
+
+    def test_an_empty_queue(self):
+        t = Tree(Point(0, 0), 4)
+        t.queue([])
+        assert t.nearest(9.0, 9.0) == 0
+
+    def test_a_goal_draw_steers_from_the_first_of_tied_nodes(self, monkeypatch):
+        # nodes 1 and 2 lie equally close to the goal, both closer than the root
+        g = empty_map(20, 20)
+        cfg = PlannerConfig(step_size=3, goal_tolerance=0.5, max_samples=3)
+        draws = iter([(8.0, 4.0), (12.0, 4.0), (10.0, 12.0)])
+        monkeypatch.setattr(planner, "_draw", lambda cells, goal_xy, k, rng: next(draws))
+        parents, add = [], Tree.add
+
+        def recording_add(tree, p, parent, cost):
+            parents.append(parent)
+            return add(tree, p, parent, cost)
+
+        monkeypatch.setattr(Tree, "add", recording_add)
+        with pytest.raises(NoPathFound):
+            plan_leg_rrt(g, Point(10, 2), Point(10, 12), free_mask(g), cfg)
+        assert parents == [0, 0, 1]
+
+
 class TestPathCost:
     def test_two_point(self):
         assert path_cost([Point(0, 0), Point(3, 4)]) == 5.0
@@ -425,7 +507,23 @@ class TestGoldenPaths:
         }
         counts.clear()
         plan_leg_rrt(g, Point(2, 2), Point(17, 4), free_mask(g), cfg)
-        assert counts == {"nearest": 83, "add": 62, "segment_clear": 84, "_dist2": 83}
+        # 83 samples less the 8 goal draws, and no _dist2 call: every other draw
+        # is queued (test_rrt_asks_nearest_about_the_non_goal_draws derives the 8)
+        assert counts == {"nearest": 75, "add": 62, "segment_clear": 84}
+
+    def test_rrt_asks_nearest_about_the_non_goal_draws(self, monkeypatch):
+        g, cfg = self.world()
+        goal = Point(17, 4)
+        asked = []
+        nearest = Tree.nearest
+        monkeypatch.setattr(Tree, "nearest", lambda tree, x, y: asked.append((x, y)) or nearest(tree, x, y))
+        _poly, samples = plan_leg_rrt(g, Point(2, 2), goal, free_mask(g), cfg)
+        # the leg's _draw stream, replayed from its seed up to its last sample
+        rng = np.random.default_rng(cfg.seed)
+        replayed = hybrid_draws(free_mask(g), goal, cfg, rng, samples, g.free_cells())
+        goal_draws = [xy for xy in replayed if xy == (17.0, 4.0)]
+        assert samples == 83 and len(goal_draws) == 8
+        assert asked == [xy for xy in replayed if xy != (17.0, 4.0)]
 
     def goal_draw_run(self, monkeypatch, start, goal):
         """Run RRT* on the world from start to goal, and return its draws in

@@ -16,8 +16,15 @@ from multigoal import (
     tour_cost,
 )
 from multigoal.errors import InvalidArgument
-from multigoal.tsp import EXACT_THRESHOLD, _held_karp_table, solve_tsp
+from multigoal.tsp import (
+    EXACT_THRESHOLD,
+    _apply_first_2opt,
+    _apply_first_oropt,
+    _held_karp_table,
+    solve_tsp,
+)
 import oracle_reference as ref
+import tsp_reference
 
 SQRT2 = math.sqrt(2.0)
 FOUR = np.array([[0, 1, 10, 1], [1, 0, 1, 10], [10, 1, 0, 1], [1, 10, 1, 0]], dtype=float)
@@ -232,6 +239,48 @@ class TestLocalSearch:
             nn = nearest_neighbor(w, 0)
             improved = local_search_improve(w, nn)
             assert tour_cost(w, improved) <= tour_cost(w, nn) + 1e-12
+
+
+@st.composite
+def tied_tours(draw):
+    """A symmetric matrix of m = 3..20 vertices whose weights are rounded to
+    steps of 0.25 or 0.1 in [1, high], so that many moves tie, and a start
+    tour: nearest-neighbor or a random permutation."""
+    m = draw(st.integers(3, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = draw(st.sampled_from([2.0, 5.0, 50.0, 1e5]))
+    step = draw(st.sampled_from([0.25, 0.1]))
+    w = np.triu(np.round(rng.uniform(1.0, high, (m, m)) / step) * step, 1)
+    w = WeightMatrix(w + w.T)
+    if draw(st.booleans()):
+        return w, nearest_neighbor(w)
+    return w, Tour([0, *(rng.permutation(m - 1) + 1).tolist()])
+
+
+class TestScansMatchReference:
+    """The array scans apply the moves the list-based loops apply, in order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_tours())
+    def test_every_move(self, instance):
+        w, start = instance
+        wl = w.w.tolist()
+        order = list(start.order)
+        ours = np.array(order)
+        while True:
+            # the loop of local_search_improve: 2-opt first, Or-opt when it finds none
+            for scan, reference in (
+                (_apply_first_2opt, tsp_reference.apply_first_2opt),
+                (_apply_first_oropt, tsp_reference.apply_first_oropt),
+            ):
+                applied = reference(wl, order)
+                assert scan(w.w, ours) == applied
+                assert ours.tolist() == order
+                if applied:
+                    break
+            else:
+                break
+        assert local_search_improve(w, start) == Tour(order)
 
 
 class TestSolveTsp:
