@@ -144,16 +144,45 @@ class WeightMatrix:
 
 
 @lru_cache(maxsize=16)
-def _move_table(pw: int) -> tuple:
-    """For each 8-bit move code, the id offsets of its set orthogonal moves and
-    of its set diagonal moves, each in NEIGHBORS_8 order, for ids on a map
-    padded to width pw."""
+def _move_table(pw: int) -> list:
+    """The moves a settled cell checks, by its arrival and its move code, for
+    ids on a map padded to width pw: table[c - parent[c]][code] holds the id
+    offsets of the orthogonal and of the diagonal moves to check, each in
+    NEIGHBORS_8 order. The arrival is 0 at the start, whose rows hold every
+    legal move, or one of the eight moves of NEIGHBORS_8; the list has
+    2 * pw + 3 slots, so each of those nine offsets, negative ones counted
+    from its end, reaches its own slot. Every other slot is None.
+
+    An arrival u drops the moves with a component against it, and an
+    orthogonal arrival also drops each perpendicular move v whose diagonal
+    v - u is legal (see shortest_paths_from for why these checks all fail).
+    """
     moves = [(dy * pw + dx, cost) for dx, dy, cost in NEIGHBORS_8]
 
     def offsets(code: int, step: float) -> tuple:
         return tuple(off for k, (off, cost) in enumerate(moves) if code >> k & 1 and cost == step)
 
-    return tuple((offsets(code, 1.0), offsets(code, SQRT2)) for code in range(256))
+    full = [(offsets(code, 1.0), offsets(code, SQRT2)) for code in range(256)]
+    index = {(dx, dy): k for k, (dx, dy, _) in enumerate(NEIGHBORS_8)}
+    table = [None] * (2 * pw + 3)
+    table[0] = full
+    for ux, uy, _ in NEIGHBORS_8:
+        keep = 255
+        perpendicular = []  # (bit of v, bit of the diagonal v - u)
+        for k, (dx, dy, _) in enumerate(NEIGHBORS_8):
+            if dx * ux < 0 or dy * uy < 0:
+                keep ^= 1 << k
+            elif not (dx * ux or dy * uy):
+                perpendicular.append((k, index[dx - ux, dy - uy]))
+        rows = []
+        for code in range(256):
+            kept = code & keep
+            for k, j in perpendicular:
+                if code >> j & 1:
+                    kept &= ~(1 << k)
+            rows.append(full[kept])
+        table[uy * pw + ux] = rows
+    return table
 
 
 def _move_codes(grid: GridMap) -> bytes:
@@ -204,6 +233,50 @@ def shortest_paths_from(grid: GridMap, a: Point, targets, dist: list | None = No
     a target that cannot be reached. Cells are ids on the map padded by a
     one-cell blocked border; each cell's legal moves come from its move code
     (see _move_codes), so the inner loop tests neither bounds nor obstacles.
+
+    A settled cell c checks only the legal moves that its arrival
+    u = c - parent[c] leaves open (see _move_table); the start is its own
+    parent and checks every legal move. Each move left out is one whose
+    check, nd < dist[n] for the target n, fails in the search that checks
+    every legal move. A failed check changes nothing, so by induction over
+    the checks both searches make the same pushes and pops and end with the
+    same dist list, paths and lengths. Let d_p be the parent's distance and
+    d = fl(d_p + |u|) the cell's. dist entries only fall, so a check fails
+    when n was offered a value, before c was settled, at least the margin
+    below the one c would offer. An arrival drops:
+
+    1. The parent, which holds d_p < d.
+    2. Cells the parent checked. After an orthogonal arrival u, with v
+       either perpendicular unit move: c - u + v, a diagonal from c, which
+       the parent checked at fl(d_p + 1) when free, against c's
+       fl(d + sqrt(2)); and c + v when the diagonal v - u is legal from c,
+       that is when c - u + v and c + v are free, so that the parent checked
+       c + v at fl(d_p + sqrt(2)), against c's fl(d + 1), about d_p + 2.
+       After a diagonal arrival (dx, dy): c - (dx, 0) and c - (0, dy), free
+       since the arrival was legal, which the parent checked at fl(d_p + 1),
+       against c's fl(d + 1).
+    3. The side diagonals c + (-dx, dy) and c + (dx, -dy) after a diagonal
+       arrival. Take the first (the second is the same with the axes
+       swapped): B = c - (dx, 0) is free, and the side diagonal
+       T = B + (0, dy) is one orthogonal step from it. The parent's check
+       of B left dist[B] <= v = fl(d_p + 1) < d.
+       - If dist[B] is a pushed value, B pops and is settled before c, and
+         checks T at fl(dist[B] + 1), about d_p + 2 at most.
+       - Otherwise no push into B was kept, and dist[B] is B's entry in the
+         _bounded_dist list, at most v. So every end (b, lim) whose box
+         holds B has lim - h_b(B) <= v, with h_b the octile distance to b.
+         An end whose box misses B has lim < |x_B - x_a| + |x_B - x_b| - 2,
+         or the same in y, so lim - h_b(B) < Chebyshev(a, B) - 2 <= d_p - 1:
+         h_b(B) is at least |x_B - x_b|, and Chebyshev(a, B) is at most
+         Chebyshev(a, parent) + 1 <= d_p + 1, since a path is at least as
+         long as it has steps. h_b changes by at most 1 per orthogonal step,
+         so T's entry, the max over its ends of lim - h_b(T) and 0.0 outside
+         them, is about d_p + 2 at most.
+       Either way c's check at fl(d + sqrt(2)), about d_p + 2.83, fails.
+
+    The smallest margin, 2 - sqrt(2) for the perpendicular moves, is far
+    above the rounding of any of these sums, since grid.MAX_CELLS keeps
+    every distance far below 2**51.
     """
     for b in targets:
         check_endpoints(grid, a, b)
@@ -223,6 +296,7 @@ def shortest_paths_from(grid: GridMap, a: Point, targets, dist: list | None = No
         dist = [math.inf] * n
     dist[start] = 0.0
     parent = [-1] * n
+    parent[start] = start
     # The heap of a plain Dijkstra, as two FIFO queues of (key, cell): every
     # key is d + 1 or d + sqrt(2) for the d just popped, popped keys never
     # decrease and float addition is monotone, so each queue is already in
@@ -245,7 +319,7 @@ def shortest_paths_from(grid: GridMap, a: Point, targets, dist: list | None = No
                 left -= 1
                 if not left:
                     break
-            ortho_moves, diag_moves = table[code[c]]
+            ortho_moves, diag_moves = table[c - parent[c]][code[c]]
             nd = d + 1.0
             for off in ortho_moves:
                 nc = c + off

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgument, naming
-from .estimators import WeightMatrix, build_weight_matrix, make_estimator
+from .errors import InvalidArgument, NoPathFound, naming
+from .estimators import RegionMask, WeightMatrix, build_weight_matrix, make_estimator
 from .grid import GoalSet, GridMap, check_seed
 from .planner import PathPolyline, PlannerConfig, plan_leg_rrt, plan_leg_rrt_star
 from .tsp import Tour, solve_tsp
@@ -114,9 +114,8 @@ def run_algorithm(
             leg = paths[key] if i < j else paths[key].reverse()
         else:
             if algorithm == GUIDED:
-                cfg_leg = replace(cfg, seed=derive_seed(cfg.seed, 1, k))
                 with naming(f"leg ({i}, {j})"):
-                    leg, samples = plan_leg_rrt(grid, goals[i], goals[j], masks[key], cfg_leg)
+                    leg, samples = _plan_guided_leg(grid, goals[i], goals[j], masks[key], cfg, k)
             else:
                 cfg_leg = replace(cfg, seed=derive_seed(cfg.seed, 3, k))
                 with naming(f"leg ({i}, {j})"):
@@ -134,6 +133,28 @@ def run_algorithm(
         tsp_method=result.method,
         samples_total=samples_total,
     )
+
+
+def _plan_guided_leg(grid: GridMap, start, goal, mask, cfg: PlannerConfig, k: int):
+    """plan_leg_rrt for tour edge k, and once more over all free cells, with
+    its own seed, when the first try spends its budget: a predicted region
+    may miss every path. A first try that already drew from every free cell,
+    from a mask that covers them or from the sampler's fallback when no cell
+    qualifies, is not repeated: its error is raised as it came, and the
+    caller's errors.naming puts the leg's name in front.
+    Returns (polyline, samples of both tries).
+    """
+    try:
+        return plan_leg_rrt(grid, start, goal, mask, replace(cfg, seed=derive_seed(cfg.seed, 1, k)))
+    except NoPathFound as exc:
+        first_try = exc
+    free = ~grid.cells
+    drawn = mask.values >= cfg.mask_threshold
+    if drawn[free].all() or not drawn.any():
+        raise first_try
+    everywhere = RegionMask(free.astype(np.float64))
+    leg, samples = plan_leg_rrt(grid, start, goal, everywhere, replace(cfg, seed=derive_seed(cfg.seed, 4, k)))
+    return leg, cfg.max_samples + samples
 
 
 def verify_solution(grid: GridMap, goals: GoalSet, solution: Solution, cfg: PlannerConfig) -> None:

@@ -2,16 +2,24 @@
 dilation, the references that the package's two-queue table-driven search,
 layered Held-Karp and disk-row dilation are tested against for exact
 equality. The search here stays a textbook Dijkstra on one heap of
-(key, push counter, cell) entries."""
+(key, push counter, cell) entries.
+
+two_queue_shortest_paths_from is the package's search as it was before each
+settled cell checked only the moves its arrival leaves open: every legal
+move of every settled cell is checked. It is the reference for the final
+dist lists of bounded searches, which the heap search does not take."""
 
 import collections
 import heapq
 import math
+from collections import deque
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
 
-from multigoal.estimators import NEIGHBORS_8
+from multigoal.estimators import NEIGHBORS_8, SQRT2, _move_codes
+from multigoal.grid import check_endpoints
 
 
 def shortest_paths_from(grid, a, targets, tally=None):
@@ -135,3 +143,117 @@ def dilate_path_to_region(grid, path, radius):
     for x, y in path:
         on_path[y, x] = True
     return (ndimage.distance_transform_edt(~on_path) <= radius) & ~grid.cells
+
+
+@lru_cache(maxsize=16)
+def move_table(pw: int) -> tuple:
+    """For each 8-bit move code, the id offsets of its set orthogonal moves and
+    of its set diagonal moves, each in NEIGHBORS_8 order, for ids on a map
+    padded to width pw."""
+    moves = [(dy * pw + dx, cost) for dx, dy, cost in NEIGHBORS_8]
+
+    def offsets(code: int, step: float) -> tuple:
+        return tuple(off for k, (off, cost) in enumerate(moves) if code >> k & 1 and cost == step)
+
+    return tuple((offsets(code, 1.0), offsets(code, SQRT2)) for code in range(256))
+
+
+def two_queue_shortest_paths_from(grid, a, targets, dist: list | None = None) -> list:
+    """Shortest 8-connected cell-center paths from the cell of a to each target's cell.
+
+    Orthogonal steps cost 1, diagonal steps sqrt(2); a diagonal move is
+    forbidden when either adjacent orthogonal cell is blocked. Cells are popped
+    from two FIFO queues, one for orthogonal and one for diagonal steps, in
+    the order of a heap with FIFO tie-breaking; with the fixed neighbor order
+    this breaks every tie, so every returned path is deterministic. The
+    search stops once every target cell is settled.
+    Since a settled cell never gets a new parent, and the run up to settling
+    a target is the run a single-target search would make, each path equals
+    the one a search for that target alone returns.
+
+    dist, when given, is a bound list from _bounded_dist: each padded cell
+    id's starting distance (all inf when None). A push into a cell is kept
+    only below it, so a finite entry drops every push at or above it; that
+    changes no path that the bound keeps (see grid_shortest_path). dist is
+    consumed.
+
+    Returns one (cell path, length) per target, in target order, or None for
+    a target that cannot be reached. Cells are ids on the map padded by a
+    one-cell blocked border; each cell's legal moves come from its move code
+    (see _move_codes), so the inner loop tests neither bounds nor obstacles.
+    """
+    for b in targets:
+        check_endpoints(grid, a, b)
+    pw = grid.width + 2
+    code = _move_codes(grid)
+    table = move_table(pw)
+
+    def cell_id(p):
+        x, y = p.cell()
+        return (y + 1) * pw + x + 1
+
+    start = cell_id(a)
+    pending: dict[int, float | None] = {cell_id(b): None for b in targets}
+    left = len(pending)
+    n = len(code)
+    if dist is None:
+        dist = [math.inf] * n
+    dist[start] = 0.0
+    parent = [-1] * n
+    # The heap of a plain Dijkstra, as two FIFO queues of (key, cell): every
+    # key is d + 1 or d + sqrt(2) for the d just popped, popped keys never
+    # decrease and float addition is monotone, so each queue is already in
+    # (key, push order) and the heap minimum is the smaller head. On equal
+    # keys the diagonal head came from a strictly smaller d, since
+    # fl(d + sqrt(2)) > fl(d + 1) for d far below 2**51 (grid.MAX_CELLS keeps
+    # every distance there), so it was pushed first and wins the tie. Keys
+    # into a cell strictly decrease; an entry is stale unless its key is the
+    # cell's distance.
+    ortho: deque[tuple[float, int]] = deque()
+    diag: deque[tuple[float, int]] = deque()
+    push_ortho, pop_ortho = ortho.append, ortho.popleft
+    push_diag, pop_diag = diag.append, diag.popleft
+    d, c = 0.0, start
+
+    while True:
+        if d == dist[c]:
+            if c in pending:
+                pending[c] = d
+                left -= 1
+                if not left:
+                    break
+            ortho_moves, diag_moves = table[code[c]]
+            nd = d + 1.0
+            for off in ortho_moves:
+                nc = c + off
+                if nd < dist[nc]:
+                    dist[nc] = nd
+                    parent[nc] = c
+                    push_ortho((nd, nc))
+            nd = d + SQRT2
+            for off in diag_moves:
+                nc = c + off
+                if nd < dist[nc]:
+                    dist[nc] = nd
+                    parent[nc] = c
+                    push_diag((nd, nc))
+        if diag and (not ortho or diag[0][0] <= ortho[0][0]):
+            d, c = pop_diag()
+        elif ortho:
+            d, c = pop_ortho()
+        else:
+            break
+
+    out = []
+    for b in targets:
+        c = cell_id(b)
+        length = pending[c]
+        if length is None:
+            out.append(None)
+            continue
+        path = [c]
+        while c != start:
+            c = parent[c]
+            path.append(c)
+        out.append(([(c % pw - 1, c // pw - 1) for c in reversed(path)], length))
+    return out

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multigoal import (
@@ -823,6 +823,103 @@ class TestMatchesReference:
                 assert shortest_paths_from(g, start, targets) == expected
                 assert [grid_shortest_path(g, start, b) for b in targets] == expected
         assert tally["ties"] > 0
+
+
+BOUND_FACTORS = [-1.0, 0.0, 0.5, 0.9, 1.0, 1.15, 1.5, 3.0, 1e300]
+
+
+@st.composite
+def bounded_searches(draw):
+    """(map, start, targets, bound kind, factors) for one multi-target search:
+    a map of reference_maps, one to four targets (repeats and the start
+    allowed) and, per target, a factor of its path length (of the map's
+    half-perimeter when it has none) for the bound kinds that take one."""
+    grid = draw(reference_maps())
+    cell = st.sampled_from([Point(x + 0.5, y + 0.5) for x, y in grid.free_cells().tolist()])
+    start = draw(cell)
+    targets = draw(st.lists(cell, min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["none", "boxed", "full"]))
+    factors = draw(st.lists(st.sampled_from(BOUND_FACTORS), min_size=len(targets), max_size=len(targets)))
+    return grid, start, targets, kind, factors
+
+
+def bound_list(grid, a, targets, kind, factors):
+    """The starting dist list of a search: all inf ("none"), _bounded_dist's
+    boxed list ("boxed"), or the max over the ends of lim - octile(n, b) on
+    every padded cell ("full")."""
+    w, h = grid.width, grid.height
+    if kind == "none":
+        return [math.inf] * ((w + 2) * (h + 2))
+    ends = []
+    for b, found, factor in zip(targets, ref.shortest_paths_from(grid, a, targets), factors):
+        ends.append((b, estimators._limit(factor * (w + h if found is None else found[1]))))
+    if kind == "boxed":
+        return estimators._bounded_dist(grid, a, ends)
+    fulls = []
+    for b, lim in ends:
+        bx, by = b.cell()
+        dx = np.abs(np.arange(-1, w + 1) - bx)
+        dy = np.abs(np.arange(-1, h + 1) - by)[:, None]
+        fulls.append(lim - ((SQRT2 - 1.0) * np.minimum(dx, dy) + np.maximum(dx, dy)))
+    return np.maximum.reduce(fulls).ravel().tolist()
+
+
+def corridor(width, height, turn):
+    """A corridor three cells wide along the top rows, turning down the
+    right-hand columns when turn is set: inside it, a cell reached on a
+    diagonal has both side diagonals legal."""
+    cells = np.ones((height, width), dtype=bool)
+    cells[:3] = False
+    if turn:
+        cells[:, -3:] = False
+    return GridMap(cells)
+
+
+class TestArrivalPruning:
+    """shortest_paths_from checks only the moves a settled cell's arrival
+    leaves open; the two-queue search of tests/oracle_reference.py checks
+    every legal move, as the package's search did before."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bounded_searches())
+    @example((corridor(9, 3, False), Point(0.5, 0.5), [Point(8.5, 2.5), Point(4.5, 0.5)], "none", [1.0, 1.0]))
+    @example((corridor(9, 3, False), Point(0.5, 2.5), [Point(8.5, 0.5)], "boxed", [1.0]))
+    @example((corridor(8, 8, True), Point(0.5, 1.5), [Point(6.5, 7.5), Point(3.5, 2.5)], "boxed", [1.15, 0.9]))
+    @example((corridor(8, 8, True), Point(0.5, 0.5), [Point(7.5, 7.5)], "full", [1.0]))
+    def test_equals_the_search_that_checks_every_move(self, search):
+        # the same paths and lengths, and the same final dist list: the same
+        # pushes were kept, bounded or not
+        grid, a, targets, kind, factors = search
+        dist = bound_list(grid, a, targets, kind, factors)
+        want_dist = list(dist)
+        want = ref.two_queue_shortest_paths_from(grid, a, targets, want_dist)
+        assert shortest_paths_from(grid, a, targets, dist) == want
+        assert dist == want_dist
+
+    @pytest.mark.parametrize("pw", [4, 5, 66])
+    def test_each_arrival_drops_the_checks_that_fail(self, pw):
+        # an arrival u keeps only the moves with no component against it, and
+        # an orthogonal u also drops each perpendicular v whose diagonal v - u
+        # is legal; the start (arrival 0) checks every legal move
+        table = estimators._move_table(pw)
+        full = ref.move_table(pw)
+
+        def offsets(moves, step):
+            return tuple(dy * pw + dx for dx, dy, cost in NEIGHBORS_8 if (dx, dy) in moves and cost == step)
+
+        assert sum(rows is not None for rows in table) == 9
+        for code in range(256):
+            legal = {(dx, dy) for k, (dx, dy, _) in enumerate(NEIGHBORS_8) if code >> k & 1}
+            assert table[0][code] == full[code]
+            for ux, uy, _ in NEIGHBORS_8:
+                if ux and uy:
+                    kept = {(ux, 0), (0, uy), (ux, uy)}
+                else:
+                    vs = [(uy, ux), (-uy, -ux)]
+                    kept = {(ux, uy)} | {(ux + vx, uy + vy) for vx, vy in vs}
+                    kept |= {(vx, vy) for vx, vy in vs if (vx - ux, vy - uy) not in legal}
+                kept &= legal
+                assert table[uy * pw + ux][code] == (offsets(kept, 1.0), offsets(kept, SQRT2)), (code, ux, uy)
 
 
 class TestWeightMatrix:

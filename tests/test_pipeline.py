@@ -1,4 +1,5 @@
 import contextlib
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,18 +13,23 @@ from multigoal import (
     EuclideanEstimator,
     GoalSet,
     GridMap,
+    GridOracleEstimator,
     NoPathFound,
     PlannerConfig,
     Point,
+    RegionMask,
     build_weight_matrix,
     estimators,
     generate_map,
     held_karp,
     place_goals,
+    plan_leg_rrt,
     tour_cost,
     verify_solution,
 )
 from multigoal.errors import InvalidArgument, Unreachable
+from multigoal.estimators import PairEstimate, export_predictions
+from multigoal.pgm import read_pgm, write_pgm
 from multigoal.pipeline import EUCLIDEAN_RRT_STAR, GUIDED, RRT_STAR, derive_seed, run_algorithm
 from multigoal.render import render_svg
 
@@ -171,6 +177,51 @@ class TestRunPipeline:
         cfg = PlannerConfig.for_map(g, seed=0, max_samples=200)
         with pytest.raises(NoPathFound, match=r"^leg \(1, 2\): no path within 200 samples$"):
             run_algorithm(g, goals, GUIDED, cfg, estimator="euclidean")
+
+    def test_a_region_with_a_gap_is_planned_again_over_all_free_cells(self, tmp_path):
+        # a wall with its gap in the bottom rows; the oracle's region runs
+        # through the gap, and the exported mask has the gap's end erased
+        cells = np.zeros((24, 40), dtype=bool)
+        cells[:19, 20] = True
+        g = GridMap(cells)
+        goals = GoalSet([Point(5.5, 2.5), Point(34.5, 2.5)])
+        export_predictions(tmp_path, g, goals, GridOracleEstimator())
+        mask_path = tmp_path / "pair_0_1.pgm"
+        raster = read_pgm(mask_path)
+        raster[12:, 12:29] = 0
+        write_pgm(mask_path, raster)
+        cfg = PlannerConfig.for_map(g, seed=0, max_samples=1000)
+
+        # the region alone finds no path within the budget
+        gapped = RegionMask.from_u8(raster)
+        with pytest.raises(NoPathFound):
+            plan_leg_rrt(g, goals[0], goals[1], gapped, replace(cfg, seed=derive_seed(0, 1, 0)))
+        with recorded_plans() as samples:
+            sol = run_algorithm(g, goals, GUIDED, cfg, estimator=f"external:{tmp_path}")
+        verify_solution(g, goals, sol, cfg)
+        everywhere = RegionMask((~cells).astype(np.float64))
+        leg, used = plan_leg_rrt(g, goals[0], goals[1], everywhere, replace(cfg, seed=derive_seed(0, 4, 0)))
+        assert sol.legs[0] == leg and samples == [used]  # the second try; the first raised
+        assert sol.samples_total == cfg.max_samples + used
+
+    @pytest.mark.parametrize("threshold", [0.5, 1.0])
+    def test_a_first_try_over_every_free_cell_is_not_repeated(self, threshold):
+        # the euclidean mask covers every free cell; at a threshold above
+        # its 0.5-valued cells none qualifies, and the sampler falls back to
+        # every free cell
+        cells = np.zeros((16, 16), dtype=bool)
+        cells[:, 8] = True
+        g = GridMap(cells)
+        goals = GoalSet([Point(2.5, 2.5), Point(13.5, 4.5)])
+        mask = RegionMask(np.where(cells, 0.0, 0.5))
+        cfg = replace(PlannerConfig.for_map(g, seed=0, max_samples=200), mask_threshold=threshold)
+        est = mock.Mock(estimate_all=lambda grid, goals: {(0, 1): PairEstimate(11.0, mask)})
+        with mock.patch.object(multigoal.pipeline, "make_estimator", return_value=est), mock.patch.object(
+            multigoal.pipeline, "plan_leg_rrt", wraps=multigoal.pipeline.plan_leg_rrt
+        ) as plan:
+            with pytest.raises(NoPathFound, match=r"^leg \(0, 1\): no path within 200 samples$"):
+                run_algorithm(g, goals, GUIDED, cfg)
+        assert plan.call_count == 1
 
 
 class TestBaselines:
