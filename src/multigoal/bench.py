@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import InvalidArgument, NoPathFound, Unreachable
-from .grid import write_rows
+from .grid import check_integer, write_rows
 from .pipeline import ALGORITHMS, Solution, check_algorithm, run_algorithm
 from .planner import PlannerConfig
 
@@ -70,6 +70,7 @@ def benchmark(
     path, unreachable pair) become failed records rather than aborting the
     sweep. Every algorithm name is checked before the first run.
     """
+    check_integer(repeats, "repeats")
     if repeats < 1:
         raise InvalidArgument("repeats must be at least 1")
     if not (scenarios and algorithms):  # no run would check the planner settings

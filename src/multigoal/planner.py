@@ -11,7 +11,7 @@ goal-connected path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -68,7 +68,12 @@ class PlannerConfig:
     @classmethod
     def for_map(cls, grid: GridMap, seed: int = 0, **overrides) -> "PlannerConfig":
         """Defaults scaled to the map: step 2% of the max dimension, tolerance
-        equal to the step, rewire radius three steps."""
+        equal to the step, rewire radius three steps; each override names a field."""
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(overrides).difference(names))
+        if unknown:
+            raise InvalidArgument(f"unknown planner setting {', '.join(map(repr, unknown))}; "
+                                  f"choose from {', '.join(names)}")
         step = 0.02 * max(grid.width, grid.height)
         cfg = cls(
             step_size=step,
@@ -126,7 +131,7 @@ class Tree:
         return idx
 
     def queue(self, targets: list[tuple[float, float]]) -> None:
-        """Announce the points the next nearest calls ask about, in order."""
+        """Announce the points the next nearest calls ask about, in order; other calls keep them."""
         self._queue = targets
         self._head = 0
         self._block = None
@@ -137,7 +142,7 @@ class Tree:
         A call about the head of the queue reads the block pass and compares
         only the nodes added since, each with the same IEEE operations as
         _dist2 and a strict <, so it returns what _dist2(x, y).argmin() would.
-        A call about any other point drops the queue.
+        A call about any other point is answered fresh by _dist2 and keeps the queue.
         """
         queue, k = self._queue, self._head
         if k < len(queue) and queue[k][0] == x and queue[k][1] == y:
@@ -146,19 +151,16 @@ class Tree:
                 self._block = self._block_pass(queue)
             seen, answers, d2 = self._block
             best = answers[k]
-            if self.size > seen:
-                best_d2 = d2.item(best, k)
-                points = self.points
-                for i in range(seen, self.size):
-                    p = points[i]
-                    dx = p.x - x
-                    dy = p.y - y
-                    d = dx * dx + dy * dy
-                    if d < best_d2:
-                        best, best_d2 = i, d
+            best_d2 = d2.item(best, k)
+            points = self.points
+            for i in range(seen, self.size):
+                p = points[i]
+                dx = p.x - x
+                dy = p.y - y
+                d = dx * dx + dy * dy
+                if d < best_d2:
+                    best, best_d2 = i, d
             return best
-        if queue:
-            self._queue = []
         d2 = self._dist2(x, y)
         self._last = (x, y, self.size, d2)
         return int(d2.argmin())

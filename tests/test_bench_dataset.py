@@ -53,6 +53,11 @@ class TestBenchmark:
                 benchmark(tiny_scenarios()[:1], ("guided", "astar"), repeats=2)
         assert run_algorithm.call_count == 0
 
+    @pytest.mark.parametrize("repeats", [2.5, "2"])
+    def test_a_non_integer_repeats_is_refused(self, repeats):
+        with pytest.raises(InvalidArgument, match=f"^repeats must be an integer, got {repeats!r}$"):
+            benchmark(tiny_scenarios()[:1], ("guided",), repeats=repeats)
+
     def test_rerun_identical_csv(self, tmp_path):
         for name in ("a.csv", "b.csv"):
             records = benchmark(

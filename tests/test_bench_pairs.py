@@ -32,7 +32,7 @@ def test_a_tree_against_itself(tmp_path):
     proc = bench_pairs(copy_tree(tmp_path / "parent"), out)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
-    assert list(report) == ["trees", "seeds", "seconds", "pairs", "summary", "mismatches"]
+    assert list(report) == ["trees", "seeds", "seconds", "pairs", "summary", "failures", "mismatches"]
     for side in ("parent", "change"):
         assert {"source", "revision", "dirty", "python", "numpy", "nproc"} <= set(report["trees"][side])
     assert report["seeds"] == [1] and report["seconds"] == 0.05
@@ -54,7 +54,13 @@ def test_a_tree_against_itself(tmp_path):
         assert isinstance(s["worse"], bool) and isinstance(s["unresolved"], bool)
     assert [s["bound"] for s in summary.values()] == [m["bound"] for m in spec["end_to_end"]]
     assert summary["cost.mean"]["median_ratio"] == 1.0
+    assert report["failures"]["dataset"] == {
+        "parent": {"failed": 0, "attempted": pair["parent"]["attempted"]},
+        "change": {"failed": 0, "attempted": pair["change"]["attempted"]},
+        "more_failed": False,
+    }
     assert report["mismatches"] == []
+    assert "MORE_FAILED" not in proc.stdout
 
 
 def test_a_parent_with_other_outputs_fails(tmp_path):
@@ -128,3 +134,20 @@ def test_mismatches_compare_the_failed_share():
         "rrt-star seed 9704: failed share 2/64 (parent) != 6/96 (change)"
     ]
     assert tool.mismatches("rrt-star", [failing_pair((0, 0), (64, 96))]) == []
+
+
+def test_the_pooled_failed_share_can_rise_when_every_pair_is_equal():
+    # 1/32 = 2/64 and 0/64 vs 0/32 pair by pair, but pooled 2/96 (change) > 1/96 (parent)
+    tool = load_tool()
+    pairs = [failing_pair((1, 2), (32, 64)), failing_pair((0, 0), (64, 32))]
+    assert tool.mismatches("rrt-star", pairs) == []
+    assert tool.pooled_failures(pairs) == {
+        "parent": {"failed": 1, "attempted": 96},
+        "change": {"failed": 2, "attempted": 96},
+        "more_failed": True,
+    }
+    # the same pairs with the sides swapped: the change's pooled share is the lower
+    swapped = [{**p, "parent": p["change"], "change": p["parent"]} for p in pairs]
+    assert tool.pooled_failures(swapped)["more_failed"] is False
+    # equal pooled shares are not more
+    assert tool.pooled_failures([failing_pair((2, 3), (64, 96))])["more_failed"] is False

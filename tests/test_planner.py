@@ -239,7 +239,7 @@ class TestQueuedNearest:
                     x, y = arg
                 assert tree.nearest(x, y) == int(tree._dist2(x, y).argmin())
 
-    def test_ties_and_a_dropped_queue(self):
+    def test_ties_and_a_kept_queue(self):
         t = Tree(Point(0, 0), 8)
         t.add(Point(2.0, 0.0), 0, 2.0)
         t.queue([(1.0, 0.0), (1.0, 0.0), (3.0, 0.0), (4.0, 0.0)])
@@ -249,7 +249,8 @@ class TestQueuedNearest:
         t.add(Point(3.0, 0.0), 0, 3.0)
         t.add(Point(3.0, 0.0), 0, 3.0)
         assert t.nearest(3.0, 0.0) == 3  # a tie among the nodes added since
-        assert t.nearest(0.5, 0.0) == 0  # not the head: the queue is dropped
+        assert t.nearest(0.5, 0.0) == 0  # not the head: answered fresh
+        t._dist2 = None  # the queue is kept, so the head call below runs no fresh pass
         assert t.nearest(4.0, 0.0) == 3
 
     def test_an_empty_queue(self):
@@ -681,6 +682,14 @@ class TestMatchesPointReference:
             max_samples=400, seed=seed,
         )
         assert_same_as_reference(grid, Point(2, 2), Point(29, 29), RegionMask(values), cfg)
+
+
+class TestForMap:
+    def test_an_unknown_override_is_refused_by_name(self):
+        message = ("unknown planner setting 'kk', 'stepsize'; choose from step_size, "
+                   "max_samples, k, goal_tolerance, rewire_radius, mask_threshold, seed")
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            PlannerConfig.for_map(empty_map(), stepsize=1, kk=2)
 
 
 class TestSampleCap:

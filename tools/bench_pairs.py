@@ -19,15 +19,19 @@ median and quartiles, the change/parent ratios (their median and quartiles),
 the number of pairs on which the change was better, the parent's own spread,
 (q3 - q1) / median of its values, and ``gain``: whether the change was better
 in at least nine tenths of the pairs and its median beats the parent's by more
-than the parent's quartiles lie apart. "No regression" is stated in the
+than the parent's quartiles lie apart; and, per workload, each side's
+``failed`` and ``attempted`` summed over its runs. "No regression" is stated in the
 benchmark's own terms: ``bound`` is the metric's bound in BENCHMARK.json,
 ``worse`` says the change's median is worse than the parent's by more than
 bound x the parent's median, and ``unresolved`` says the parent's spread
 exceeds the bound while not every change run beats every parent run. Each
-worse or unresolved metric gets a WORSE or UNRESOLVED line on stdout.
+worse or unresolved metric gets a WORSE or UNRESOLVED line on stdout, and each
+workload whose pooled failed share (failed / attempted of those sums) is higher
+on the change gets a MORE_FAILED line.
 
 Exits 1 when a pair differs in digest, ``cost.mean`` or the failed share,
-``failed / attempted`` (the file is still written), and 2 when a run fails.
+``failed / attempted``, or a workload's pooled failed share is higher on the
+change (the file is still written), and 2 when a run fails.
 """
 
 from __future__ import annotations
@@ -186,6 +190,20 @@ def mismatches(workload: str, pairs: list[dict]) -> list[str]:
     return found
 
 
+def pooled_failures(pairs: list[dict]) -> dict:
+    """Each side's failed and attempted counts summed over a workload's pairs, and
+    whether the change's pooled share failed / attempted is the higher.
+
+    perfbench counts a failure once per pass, so the pooled shares can differ
+    even when every pair's shares are equal, if the sides ran different passes.
+    """
+    sums = {side: {key: sum(p[side][key] for p in pairs) for key in ("failed", "attempted")}
+            for side in SIDES}
+    parent, change = sums["parent"], sums["change"]
+    sums["more_failed"] = change["failed"] * parent["attempted"] > parent["failed"] * change["attempted"]
+    return sums
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="a git revision of this checkout, or a directory")
@@ -226,6 +244,7 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "pairs": runs,
         "summary": {workload: summarize(pairs, spec["end_to_end"]) for workload, pairs in runs.items()},
+        "failures": {workload: pooled_failures(pairs) for workload, pairs in runs.items()},
         "mismatches": found,
     }
     with open(args.out, "w", encoding="utf-8") as f:
@@ -245,10 +264,15 @@ def main(argv=None) -> int:
             if s["unresolved"]:
                 print(f"UNRESOLVED {workload} {name}: parent spread {s['parent_spread']:.4f} exceeds "
                       f"the {s['bound']} bound and not every change run beats every parent run")
+    more_failed = [(workload, f) for workload, f in report["failures"].items() if f["more_failed"]]
+    for workload, f in more_failed:
+        parent, change = f["parent"], f["change"]
+        print(f"MORE_FAILED {workload}: pooled failed share {change['failed']}/{change['attempted']} "
+              f"(change) > {parent['failed']}/{parent['attempted']} (parent)")
     for line in found:
         print(f"MISMATCH {line}")
     print(f"wrote {args.out}")
-    return 1 if found else 0
+    return 1 if found or more_failed else 0
 
 
 if __name__ == "__main__":
