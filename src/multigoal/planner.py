@@ -92,9 +92,10 @@ class Tree:
     queries, and points holds each node's Point for scalar reads, collision
     checks and chains.
 
-    A caller that knows its next query points can queue them: the first
-    nearest call about the head of the queue answers the whole queue in one
-    pass, and each later call in order checks only the nodes added since.
+    A caller that knows its next query points can queue them: queue answers
+    them all in one pass, and each nearest call about the head of the queue
+    then checks only the nodes added since. A call about any other point is
+    answered fresh and keeps the queue.
     """
 
     def __init__(self, root: Point, capacity: int):
@@ -105,7 +106,7 @@ class Tree:
         # (x, y, size, squared distances) of the last nearest query that ran
         # _dist2, for near
         self._last = None
-        # queued query points, the position of the next one, and the block
+        # queued query points, the position of the next one, and their block
         # pass: (size it saw, argmin per point, its (size, K) squared distances)
         self._queue: list[tuple[float, float]] = []
         self._head = 0
@@ -131,24 +132,29 @@ class Tree:
         return idx
 
     def queue(self, targets: list[tuple[float, float]]) -> None:
-        """Announce the points the next nearest calls ask about, in order; other calls keep them."""
+        """Answer the points the next nearest calls ask about, in order, in one
+        pass: per element the operations of _dist2. Other calls keep the queue."""
+        at = np.array(targets, dtype=np.float64).reshape(-1, 2).T
+        d = self._xy[:, : self.size, None] - at[:, None, :]
+        d *= d
+        d2 = d[0]
+        d2 += d[1]
         self._queue = targets
         self._head = 0
-        self._block = None
+        self._block = self.size, d2.argmin(axis=0).tolist(), d2
 
     def nearest(self, x: float, y: float) -> int:
         """Index of the node closest to (x, y); ties go to the lower index.
 
-        A call about the head of the queue reads the block pass and compares
-        only the nodes added since, each with the same IEEE operations as
-        _dist2 and a strict <, so it returns what _dist2(x, y).argmin() would.
-        A call about any other point is answered fresh by _dist2 and keeps the queue.
+        A call about the head of the queue reads its answer from queue's pass
+        and compares only the nodes added since, each with the same IEEE
+        operations as _dist2 and a strict <, so it returns what
+        _dist2(x, y).argmin() would. A call about any other point is answered
+        fresh by _dist2 and keeps the queue.
         """
         queue, k = self._queue, self._head
         if k < len(queue) and queue[k][0] == x and queue[k][1] == y:
             self._head = k + 1
-            if self._block is None:
-                self._block = self._block_pass(queue)
             seen, answers, d2 = self._block
             best = answers[k]
             best_d2 = d2.item(best, k)
@@ -164,16 +170,6 @@ class Tree:
         d2 = self._dist2(x, y)
         self._last = (x, y, self.size, d2)
         return int(d2.argmin())
-
-    def _block_pass(self, targets):
-        """(size, the argmin per target, the (size, K) squared distances) of
-        every node to every target: per element the operations of _dist2."""
-        at = np.array(targets, dtype=np.float64).T
-        d = self._xy[:, : self.size, None] - at[:, None, :]
-        d *= d
-        d2 = d[0]
-        d2 += d[1]
-        return self.size, d2.argmin(axis=0).tolist(), d2
 
     def near(self, x: float, y: float, radius: float) -> np.ndarray:
         """Indices of the nodes within radius of (x, y), ascending.
@@ -319,10 +315,6 @@ def _rrt(grid, start, goal, mask, cfg):
 
     points, costs = tree.points, tree.costs
     goal_xy = gx, gy = float(goal.x), float(goal.y)
-    # the node nearest the goal, kept on every add with the operations and
-    # strict < of a queued nearest call: a goal draw needs no query
-    dx, dy = points[0].x - gx, points[0].y - gy
-    goal_near, goal_d2 = 0, dx * dx + dy * dy
     samples = 0
     while samples < cfg.max_samples:
         # _draw never reads the tree, so the next draws can be made up front
@@ -330,10 +322,10 @@ def _rrt(grid, start, goal, mask, cfg):
         # leg's own, so the draws left when the leg ends are read by no one
         block = [_draw(cells, goal_xy, cfg.k, rng)
                  for _ in range(min(_BLOCK, cfg.max_samples - samples))]
-        tree.queue([t for t in block if t != goal_xy])
+        tree.queue(block)
         for tx, ty in block:
             samples += 1
-            near_idx = goal_near if tx == gx and ty == gy else tree.nearest(tx, ty)
+            near_idx = tree.nearest(tx, ty)
             near_pt = points[near_idx]
             x, y, d = _steer(near_pt.x, near_pt.y, tx, ty, cfg.step_size)
             if d == 0.0:
@@ -342,11 +334,7 @@ def _rrt(grid, start, goal, mask, cfg):
             if not grid.segment_clear(near_pt, new_pt):
                 continue
             idx = tree.add(new_pt, near_idx, costs[near_idx] + d)
-            dx, dy = x - gx, y - gy
-            to_goal = dx * dx + dy * dy
-            if to_goal < goal_d2:
-                goal_near, goal_d2 = idx, to_goal
-            if math.hypot(dx, dy) <= cfg.goal_tolerance and grid.segment_clear(new_pt, goal):
+            if math.hypot(x - gx, y - gy) <= cfg.goal_tolerance and grid.segment_clear(new_pt, goal):
                 return _finish(tree.chain(idx), goal), samples, tree
     raise NoPathFound(f"no path within {cfg.max_samples} samples")
 

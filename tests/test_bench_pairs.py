@@ -40,8 +40,9 @@ def test_a_tree_against_itself(tmp_path):
     assert pair["seed"] == 1 and pair["order"] == ["parent", "change"]
     for side in ("parent", "change"):
         run = pair[side]
-        assert {"metrics", "attempted", "failed", "digest", "wall_s"} <= set(run)
+        assert {"metrics", "attempted", "failed", "passes", "digest", "wall_s"} <= set(run)
         assert run["failed"] == 0 and run["metrics"]["instances_per_s"] > 0
+        assert run["passes"] >= 1 and run["attempted"] % run["passes"] == 0
     assert pair["parent"]["digest"] == pair["change"]["digest"]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     summary = report["summary"]["dataset"]
@@ -55,10 +56,10 @@ def test_a_tree_against_itself(tmp_path):
     assert [s["bound"] for s in summary.values()] == [m["bound"] for m in spec["end_to_end"]]
     assert summary["cost.mean"]["median_ratio"] == 1.0
     assert report["failures"]["dataset"] == {
-        "parent": {"failed": 0, "attempted": pair["parent"]["attempted"]},
-        "change": {"failed": 0, "attempted": pair["change"]["attempted"]},
-        "more_failed": False,
-    }
+        side: {"failed": 0, "attempted": pair[side]["attempted"], "failed_instances": 0,
+               "instances": pair[side]["attempted"] // pair[side]["passes"]}
+        for side in ("parent", "change")
+    } | {"more_failed": False}
     assert report["mismatches"] == []
     assert "MORE_FAILED" not in proc.stdout
 
@@ -136,18 +137,71 @@ def test_mismatches_compare_the_failed_share():
     assert tool.mismatches("rrt-star", [failing_pair((0, 0), (64, 96))]) == []
 
 
-def test_the_pooled_failed_share_can_rise_when_every_pair_is_equal():
-    # 1/32 = 2/64 and 0/64 vs 0/32 pair by pair, but pooled 2/96 (change) > 1/96 (parent)
+def run_of(unsolved, passes, instances=32):
+    """A perfbench run's counts: every instance and failure counted once per pass."""
+    return {"digest": "d", "metrics": {"cost.mean": 1.0}, "failed": unsolved * passes,
+            "attempted": instances * passes, "passes": passes}
+
+
+def pairs_of(parent, change):
+    """Pairs from each side's (unsolved, passes) per seed."""
+    return [{"seed": seed, "parent": run_of(*a), "change": run_of(*b)}
+            for seed, (a, b) in enumerate(zip(parent, change), 1)]
+
+
+def test_pooled_failures_count_instances_not_passes():
+    # 1/32 = 2/64 and 0/64 vs 0/32 pair by pair: pooled raw counts 1/96 (parent)
+    # and 2/96 (change), but 1 of 64 instances failed on each side
     tool = load_tool()
-    pairs = [failing_pair((1, 2), (32, 64)), failing_pair((0, 0), (64, 32))]
+    pairs = pairs_of([(1, 1), (0, 2)], [(1, 2), (0, 1)])
     assert tool.mismatches("rrt-star", pairs) == []
     assert tool.pooled_failures(pairs) == {
-        "parent": {"failed": 1, "attempted": 96},
-        "change": {"failed": 2, "attempted": 96},
-        "more_failed": True,
+        "parent": {"failed": 1, "attempted": 96, "failed_instances": 1, "instances": 64},
+        "change": {"failed": 2, "attempted": 96, "failed_instances": 1, "instances": 64},
+        "more_failed": False,
     }
-    # the same pairs with the sides swapped: the change's pooled share is the lower
-    swapped = [{**p, "parent": p["change"], "change": p["parent"]} for p in pairs]
+    # one more failed instance on the change is more, with the sides swapped it is not
+    more = pairs_of([(1, 1), (0, 2)], [(1, 2), (1, 1)])
+    assert tool.pooled_failures(more)["more_failed"] is True
+    swapped = [{**p, "parent": p["change"], "change": p["parent"]} for p in more]
     assert tool.pooled_failures(swapped)["more_failed"] is False
-    # equal pooled shares are not more
-    assert tool.pooled_failures([failing_pair((2, 3), (64, 96))])["more_failed"] is False
+
+
+def test_the_goal_queued_rrt_star_runs_fail_on_equal_shares():
+    # the rrt-star runs of BENCH_37_GOAL_QUEUED.json, which hold no passes: the
+    # workload has 32 instances, so a run's passes are its attempted / 32
+    report = json.loads((ROOT / "BENCH_37_GOAL_QUEUED.json").read_text())
+    pairs = report["pairs"]["rrt-star"]
+    for p in pairs:
+        for side in ("parent", "change"):
+            p[side]["passes"] = p[side]["attempted"] // 32
+    assert report["failures"]["rrt-star"]["more_failed"] is True  # as the pooled counts read
+    failures = load_tool().pooled_failures(pairs)
+    assert failures["parent"] == {"failed": 2, "attempted": 896, "failed_instances": 1, "instances": 320}
+    assert failures["change"] == {"failed": 2, "attempted": 832, "failed_instances": 1, "instances": 320}
+    assert failures["more_failed"] is False
+
+
+def run_main(monkeypatch, tmp_path, parent, change):
+    """main on rrt-star with each side's (unsolved, passes) per seed, in place of perfbench runs."""
+    tool = load_tool()
+    runs = {"parent": iter(parent), "change": iter(change)}
+    monkeypatch.setattr(tool, "materialize", lambda source, dest: {"source": str(source)})
+    monkeypatch.setattr(tool, "run_once", lambda tree, workload, seed, seconds: (
+        {**run_of(*next(runs[Path(tree).name])), "wall_s": 0.0}, {}))
+    out = tmp_path / "pairs.json"
+    code = tool.main(["--parent", "HEAD", "--out", str(out), "--workloads", "rrt-star",
+                      "--seeds", f"1-{len(parent)}", "--seconds", "1"])
+    return code, json.loads(out.read_text())
+
+
+def test_equal_per_pair_shares_print_no_more_failed(monkeypatch, tmp_path, capsys):
+    code, report = run_main(monkeypatch, tmp_path, [(1, 1), (0, 2)], [(1, 2), (0, 1)])
+    assert code == 0 and report["failures"]["rrt-star"]["more_failed"] is False
+    assert "MORE_FAILED" not in capsys.readouterr().out
+
+
+def test_one_more_failed_instance_prints_more_failed(monkeypatch, tmp_path, capsys):
+    code, report = run_main(monkeypatch, tmp_path, [(1, 1), (0, 2)], [(1, 2), (1, 1)])
+    assert code == 1 and report["failures"]["rrt-star"]["more_failed"] is True
+    assert "MORE_FAILED rrt-star: failed instances 2/64 (change) > 1/64 (parent)\n" in capsys.readouterr().out

@@ -933,6 +933,12 @@ class TestWeightMatrix:
         with pytest.raises(InvalidArgument, match="off-diagonal weights must be strictly positive"):
             WeightMatrix(w)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        w = np.array([[0, bad], [bad, 0]])
+        with pytest.raises(InvalidArgument, match="weight matrix has non-finite entries"):
+            WeightMatrix(w)
+
     def test_rejects_nonzero_diagonal(self):
         w = np.array([[0.5, 1.0], [1.0, 0]])
         with pytest.raises(InvalidArgument, match="weight matrix diagonal must be exactly zero"):

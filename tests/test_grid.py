@@ -22,6 +22,7 @@ from multigoal import (
 from multigoal.errors import FormatError, InvalidArgument
 from multigoal.estimators import GridOracleEstimator, export_predictions, load_external_predictions
 from multigoal.grid import MAX_CELLS, check_map_size, load_goals, load_map
+from multigoal.pgm import read_pgm, write_pgm
 import sampled_reference
 from sampled_reference import segment_free
 
@@ -425,6 +426,12 @@ class TestPlaceGoals:
         with pytest.raises(PlacementFailed, match="after 100 restarts"):
             place_goals(g, 2, 5, min_separation=15.7)
 
+    def test_refuses_more_goals_than_the_component_has_cells(self):
+        # the largest free component is the two cells of the top row's left end
+        g = map_with_blocked([(2, 0), (0, 1), (1, 1), (2, 1)], w=3, h=2)
+        with pytest.raises(PlacementFailed, match=re.escape("component has 2 cells, cannot host 3 goals")):
+            place_goals(g, 3, 5)
+
     def test_deterministic(self):
         g = generate_map(4, 32, 32)
         assert place_goals(g, 4, 17, 3) == place_goals(g, 4, 17, 3)
@@ -615,6 +622,24 @@ class TestMapFiles:
         message = f"{path}: 4 bytes after the 8x8 raster"
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_map(path)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\n2 x\n255\n\0\0\0\0", "non-integer PGM header fields [b'2', b'x', b'255']"),
+        (b"P5\n0 2\n255\n", "bad PGM dimensions 0x2"),
+        (b"P5\n2 -1\n255\n", "bad PGM dimensions 2x-1"),
+        (b"P5\n2 2\n15\n\0\0\0\0", "only maxval 255 supported, got 15"),
+    ], ids=["non-integer", "zero-width", "negative-height", "maxval"])
+    def test_a_bad_pgm_header_is_named(self, tmp_path, data, message):
+        path = tmp_path / "r.pgm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("values", [np.zeros(4), np.zeros((2, 2, 2))], ids=["1d", "3d"])
+    def test_pgm_data_must_be_2d(self, tmp_path, values):
+        with pytest.raises(InvalidArgument, match="^PGM data must be 2D$"):
+            write_pgm(tmp_path / "r.pgm", values)
+        assert not (tmp_path / "r.pgm").exists()
 
     def test_bytes_after_an_external_mask_raster(self, tmp_path):
         goals = GoalSet([Point(1.5, 1.5), Point(6.5, 5.5)])

@@ -185,6 +185,12 @@ class TestScorePredictions:
         assert [r[:2] for r in rows] == [(0, 1)]
         assert aggregate["mse"] == 0.0 and aggregate["dice_mean"] == 0.0
 
+    def test_missing_predictions_are_named(self, tmp_path):
+        labels = self.labels([[1.0, 0.0]], tmp_path)
+        predictions = ExternalEstimator({}, {}, str(tmp_path))
+        with pytest.raises(InvalidArgument, match=re.escape("predictions lack labeled pairs [(0, 1)]")):
+            score_predictions(labels, predictions)
+
     def test_gray_label_mask_names_its_file(self, tmp_path):
         labels = self.labels([[1.0, 200 / 255]], tmp_path)
         with pytest.raises(FormatError, match=re.escape(f"{tmp_path / 'pair_0_1.pgm'}: ")):

@@ -325,6 +325,47 @@ class TestVerifySolution:
             verify_solution(g, small, sol, cfg)
 
 
+def moved_goal(goals, i):
+    """goals with goal i moved to (24.5, 44.5), far from every leg end."""
+    return GoalSet([Point(24.5, 44.5) if k == i else p for k, p in enumerate(goals)])
+
+
+def walled(g, sol):
+    """g with the cell under the middle of leg 0's middle segment blocked."""
+    points = sol.legs[0].points
+    a, b = points[len(points) // 2 - 1], points[len(points) // 2]
+    cells = g.cells.copy()
+    cells[int((a.y + b.y) / 2), int((a.x + b.x) / 2)] = True
+    return GridMap(cells)
+
+
+@pytest.fixture(scope="module")
+def solved():
+    g = empty_map()
+    goals = spread_goals()
+    cfg = PlannerConfig.for_map(g, seed=8)
+    return g, goals, run_algorithm(g, goals, GUIDED, cfg, estimator="oracle"), cfg
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda g, goals, sol, cfg: verify_solution(g, moved_goal(goals, sol.tour.order[0]), sol, cfg),
+     r"leg 0 starts Point\(.*\) away from goal \d$"),
+    (lambda g, goals, sol, cfg: verify_solution(g, moved_goal(goals, sol.tour.order[1]), sol, cfg),
+     r"leg 0 ends away from goal \d$"),
+    (lambda g, goals, sol, cfg: verify_solution(walled(g, sol), goals, sol, cfg),
+     r"leg 0 segment Point\(.*\)->Point\(.*\) crosses a blocked cell$"),
+    (lambda g, goals, sol, cfg: replace(sol, legs=sol.legs[:-1]), r"5-goal tour needs 5 legs, got 4$"),
+    (lambda g, goals, sol, cfg: replace(sol, legs=(sol.legs[1], sol.legs[0], *sol.legs[2:])),
+     r"leg 0 does not chain into leg 1$"),
+    (lambda g, goals, sol, cfg: replace(sol, total_cost=sol.total_cost + 1.0),
+     r"total_cost .* != sum of leg lengths .*$"),
+], ids=["verify-start", "verify-end", "verify-wall", "Solution-legs", "Solution-chain",
+        "Solution-total_cost"])
+def test_a_tampered_solution_is_refused(solved, tamper, message):
+    with pytest.raises(InvalidArgument, match=message):
+        tamper(*solved)
+
+
 class TestRenderSvg:
     def test_map_only_dimensions(self, tmp_path):
         g = empty_map(10, 7)

@@ -359,6 +359,13 @@ class TestPlanLegRrt:
         with pytest.raises(ValueError):
             plan_leg_rrt(g, Point(4.5, 4.5), Point(1.5, 1.5), free_mask(g), PlannerConfig())
 
+    def test_rejects_a_blocked_goal(self):
+        cells = np.zeros((8, 8), dtype=bool)
+        cells[4, 4] = True
+        g = GridMap(cells)
+        with pytest.raises(InvalidArgument, match=re.escape("goal (4.5, 4.5) is not free")):
+            plan_leg_rrt(g, Point(1.5, 1.5), Point(4.5, 4.5), free_mask(g), PlannerConfig())
+
     @pytest.mark.parametrize("radius", [0.0, -1.0])
     def test_config_rejects_nonpositive_rewire_radius(self, radius):
         with pytest.raises(ValueError, match="rewire_radius"):
@@ -415,6 +422,17 @@ class TestPlanLegRrtStar:
         cfg = PlannerConfig(step_size=1, goal_tolerance=1, max_samples=500, seed=1)
         with pytest.raises(NoPathFound):
             plan_leg_rrt_star(g, Point(2, 8), Point(14, 8), cfg)
+
+    def test_trivial_connection_is_the_first_candidate(self):
+        # the start in sight and within tolerance of the goal connects before
+        # any sample, and the full budget still runs
+        g = empty_map()
+        cfg = PlannerConfig(step_size=2, goal_tolerance=3, rewire_radius=6, max_samples=200, seed=0)
+        start, goal = Point(5, 5), Point(6, 6)
+        poly, used, first_length, _tree = _rrt_star(g, start, goal, cfg)
+        assert first_length == start.distance_to(goal)
+        assert poly.length <= first_length
+        assert used == cfg.max_samples
 
 
 class TestGoldenPaths:
@@ -508,11 +526,11 @@ class TestGoldenPaths:
         }
         counts.clear()
         plan_leg_rrt(g, Point(2, 2), Point(17, 4), free_mask(g), cfg)
-        # 83 samples less the 8 goal draws, and no _dist2 call: every other draw
-        # is queued (test_rrt_asks_nearest_about_the_non_goal_draws derives the 8)
-        assert counts == {"nearest": 75, "add": 62, "segment_clear": 84}
+        # one nearest call per sample, and no _dist2 call: every draw is queued
+        # (test_rrt_asks_nearest_about_every_draw_in_order derives the 83)
+        assert counts == {"nearest": 83, "add": 62, "segment_clear": 84}
 
-    def test_rrt_asks_nearest_about_the_non_goal_draws(self, monkeypatch):
+    def test_rrt_asks_nearest_about_every_draw_in_order(self, monkeypatch):
         g, cfg = self.world()
         goal = Point(17, 4)
         asked = []
@@ -522,9 +540,8 @@ class TestGoldenPaths:
         # the leg's _draw stream, replayed from its seed up to its last sample
         rng = np.random.default_rng(cfg.seed)
         replayed = hybrid_draws(free_mask(g), goal, cfg, rng, samples, g.free_cells())
-        goal_draws = [xy for xy in replayed if xy == (17.0, 4.0)]
-        assert samples == 83 and len(goal_draws) == 8
-        assert asked == [xy for xy in replayed if xy != (17.0, 4.0)]
+        assert samples == 83 and replayed.count((17.0, 4.0)) == 8
+        assert asked == replayed
 
     def goal_draw_run(self, monkeypatch, start, goal):
         """Run RRT* on the world from start to goal, and return its draws in

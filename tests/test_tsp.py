@@ -85,6 +85,10 @@ class TestTourCost:
     def test_hand_summed_example(self):
         assert tour_cost(WeightMatrix(FOUR), Tour((0, 1, 2, 3))) == 4.0
 
+    def test_refuses_a_tour_of_another_size(self):
+        with pytest.raises(InvalidArgument, match=re.escape("tour over 3 vertices, matrix has 4")):
+            tour_cost(WeightMatrix(FOUR), Tour((0, 1, 2)))
+
     def test_m2_counts_edge_twice(self):
         w = WeightMatrix(np.array([[0.0, 3.5], [3.5, 0.0]]))
         assert tour_cost(w, Tour((0, 1))) == 7.0

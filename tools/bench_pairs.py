@@ -13,25 +13,26 @@ process at a time: the parent first on a workload's first, third, ... pair,
 the change first on the others.
 
 The output file holds each tree's revision, Python, numpy and CPU count; the
-seeds, the run order and the seconds; every run's metrics, ``failed`` count
-and digest; and, per workload and end-to-end metric of BENCHMARK.json, each side's
+seeds, the run order and the seconds; every run's metrics, ``attempted``,
+``failed`` and ``passes`` counts and digest; and, per workload and end-to-end metric of BENCHMARK.json, each side's
 median and quartiles, the change/parent ratios (their median and quartiles),
 the number of pairs on which the change was better, the parent's own spread,
 (q3 - q1) / median of its values, and ``gain``: whether the change was better
 in at least nine tenths of the pairs and its median beats the parent's by more
 than the parent's quartiles lie apart; and, per workload, each side's
-``failed`` and ``attempted`` summed over its runs. "No regression" is stated in the
+``failed`` and ``attempted`` summed over its runs, and its failed and attempted
+instances: each run's counts divided by its passes. "No regression" is stated in the
 benchmark's own terms: ``bound`` is the metric's bound in BENCHMARK.json,
 ``worse`` says the change's median is worse than the parent's by more than
 bound x the parent's median, and ``unresolved`` says the parent's spread
 exceeds the bound while not every change run beats every parent run. Each
 worse or unresolved metric gets a WORSE or UNRESOLVED line on stdout, and each
-workload whose pooled failed share (failed / attempted of those sums) is higher
-on the change gets a MORE_FAILED line.
+workload whose share of failed instances is higher on the change gets a
+MORE_FAILED line.
 
 Exits 1 when a pair differs in digest, ``cost.mean`` or the failed share,
-``failed / attempted``, or a workload's pooled failed share is higher on the
-change (the file is still written), and 2 when a run fails.
+``failed / attempted``, or a workload's share of failed instances is higher on
+the change (the file is still written), and 2 when a run fails.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict,
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "attempted": result["attempted"],
         "failed": result["failed"],
+        "passes": report["passes"],
         "digest": report["digest"],
         "wall_s": wall,
     }
@@ -191,16 +193,27 @@ def mismatches(workload: str, pairs: list[dict]) -> list[str]:
 
 
 def pooled_failures(pairs: list[dict]) -> dict:
-    """Each side's failed and attempted counts summed over a workload's pairs, and
-    whether the change's pooled share failed / attempted is the higher.
+    """Each side's failed and attempted counts summed over a workload's pairs, its
+    failed and attempted instances, and whether the change failed on the larger
+    share of instances.
 
-    perfbench counts a failure once per pass, so the pooled shares can differ
-    even when every pair's shares are equal, if the sides ran different passes.
+    perfbench counts every instance once per pass, so a side that ran more
+    passes on some seeds weighs those seeds more in the raw sums; each run's
+    counts divided by its passes weigh every instance once.
     """
-    sums = {side: {key: sum(p[side][key] for p in pairs) for key in ("failed", "attempted")}
-            for side in SIDES}
+    sums = {}
+    for side in SIDES:
+        runs = [p[side] for p in pairs]
+        sums[side] = {
+            "failed": sum(r["failed"] for r in runs),
+            "attempted": sum(r["attempted"] for r in runs),
+            # perfbench multiplies both counts by the passes, so these divide exactly
+            "failed_instances": sum(r["failed"] // r["passes"] for r in runs),
+            "instances": sum(r["attempted"] // r["passes"] for r in runs),
+        }
     parent, change = sums["parent"], sums["change"]
-    sums["more_failed"] = change["failed"] * parent["attempted"] > parent["failed"] * change["attempted"]
+    sums["more_failed"] = (change["failed_instances"] * parent["instances"]
+                           > parent["failed_instances"] * change["instances"])
     return sums
 
 
@@ -267,8 +280,9 @@ def main(argv=None) -> int:
     more_failed = [(workload, f) for workload, f in report["failures"].items() if f["more_failed"]]
     for workload, f in more_failed:
         parent, change = f["parent"], f["change"]
-        print(f"MORE_FAILED {workload}: pooled failed share {change['failed']}/{change['attempted']} "
-              f"(change) > {parent['failed']}/{parent['attempted']} (parent)")
+        print(f"MORE_FAILED {workload}: failed instances "
+              f"{change['failed_instances']}/{change['instances']} (change) > "
+              f"{parent['failed_instances']}/{parent['instances']} (parent)")
     for line in found:
         print(f"MISMATCH {line}")
     print(f"wrote {args.out}")
